@@ -9,20 +9,24 @@ omega2 of the upper half plane with
 omega1 is computed as the attracting fixed point of
 w -> z + h_nu(z + h_mu(w)) by guarded Newton over a damped Picard
 fallback; the Newton derivative is assembled from the exact quadrature
-series of G', so no differencing step size is involved.  Everything
-else (densities, moments, cumulants of the convolution) is derived
-from the subordination evaluator.
+series of G', so no differencing step size is involved.  G and G' come
+together from the chunked node-sum kernel ``transforms._node_sums``,
+and each evaluation of the map at a Newton candidate is kept: once the
+candidate is accepted it is the next iterate's value and derivative.
+Everything else (densities, moments, cumulants of the convolution) is
+derived from the subordination evaluator.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cumulants as _cumulants
-from .errors import NoConvergence
+from .errors import DomainError, NoConvergence
 from .measures import LineMeasure
-from .transforms import cauchy_transform, stieltjes_invert
+from .transforms import _node_sums, cauchy_transform, stieltjes_invert
 
 _DAMPING = 0.5
 _NEWTON_HANDOFF = 1e-3
@@ -42,87 +46,103 @@ class SubordinationEval:
 
     def __post_init__(self):
         if self.omega1.imag < self.z.imag - _HERGLOTZ_SLACK:
-            raise AssertionError("omega1 lost the half-plane margin")
+            raise DomainError("omega1 lost the half-plane margin")
         if self.omega2.imag < self.z.imag - _HERGLOTZ_SLACK:
-            raise AssertionError("omega2 lost the half-plane margin")
-
-
-def _g_and_derivative(measure, w):
-    t, wt = measure.quadrature()
-    diff = w[..., None] - t
-    g = np.sum(wt / diff, axis=-1)
-    gp = -np.sum(wt / diff**2, axis=-1)
-    return g, gp
+            raise DomainError("omega2 lost the half-plane margin")
 
 
 def _h_and_derivative(measure, w):
-    g, gp = _g_and_derivative(measure, w)
+    g, gp = _node_sums(w, *measure.quadrature())
     return 1.0 / g - w, -gp / g**2 - 1.0
+
+
+def _t_and_derivative(mu, nu, z, w):
+    """T(w) = z + h_nu(z + h_mu(w)) and T'(w)."""
+    hmu, dhmu = _h_and_derivative(mu, w)
+    hnu, dhnu = _h_and_derivative(nu, z + hmu)
+    return z + hnu, dhnu * dhmu
 
 
 def _solve_omega1(mu, nu, z, tol, max_iter):
     """Vectorized fixed point of w -> z + h_nu(z + h_mu(w)).
 
-    Returns (omega1, residual, iterations).  Newton steps (on the same
-    analytic map, exact derivative) are attempted every iteration and
-    accepted when they stay in the half plane and shrink the residual;
-    damped Picard is the fallback.  Plain Picard alone is not enough:
-    close to the real axis the fixed point can turn neutral -- at a
-    square-root edge the multiplier tends to 1, and for atomic inputs
-    the map approaches an elliptic Moebius rotation inside the support,
-    where |T'| = 1 and iteration only spirals.  Newton is perfectly
-    conditioned in both regimes.
+    Returns (omega1, residual, iterations), shaped like z.  Newton steps
+    (on the same analytic map, exact derivative) are attempted every
+    iteration and accepted when they stay in the half plane and shrink
+    the residual; damped Picard is the fallback.  Plain Picard alone is
+    not enough: close to the real axis the fixed point can turn neutral
+    -- at a square-root edge the multiplier tends to 1, and for atomic
+    inputs the map approaches an elliptic Moebius rotation inside the
+    support, where |T'| = 1 and iteration only spirals.  Newton is
+    perfectly conditioned in both regimes.
+
+    T is evaluated once per point and iteration in the common case: T at
+    an accepted Newton candidate is the next iterate's T, so only a
+    Picard step forces a fresh evaluation, and T(candidate) is skipped
+    for a point that converges now with a residual below the handoff,
+    where acceptance does not read it.
     """
-    z = np.asarray(z, dtype=complex)
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=complex).reshape(-1)
     w = z + 1j
+    t_val = np.empty_like(z)
+    tprime = np.empty_like(z)
+    fresh = np.zeros(z.shape, dtype=bool)  # t_val, tprime hold T(w), T'(w)
     res = np.full(z.shape, np.inf)
     iters = np.zeros(z.shape, dtype=int)
     active = np.ones(z.shape, dtype=bool)
 
-    def t_eval(za, wa):
-        hmu, dhmu = _h_and_derivative(mu, wa)
-        hnu, dhnu = _h_and_derivative(nu, za + hmu)
-        return za + hnu, dhnu * dhmu
-
     for _ in range(max_iter):
         if not active.any():
             break
+        stale = active & ~fresh
+        if stale.any():
+            t_val[stale], tprime[stale] = _t_and_derivative(
+                mu, nu, z[stale], w[stale])
         za, wa = z[active], w[active]
-        t_val, tprime = t_eval(za, wa)
-        step = t_val - wa
+        step = t_val[active] - wa
         res_a = np.abs(step)
-        denom = tprime - 1.0
+        denom = tprime[active] - 1.0
         safe = np.abs(denom) > 1e-12
         cand = np.where(safe, wa - step / np.where(safe, denom, 1.0),
                         wa + _DAMPING * step)
-        t_cand, _ = t_eval(za, cand)
+        still = res_a > tol * np.maximum(1.0, np.abs(wa))
+        need = still | (res_a >= _NEWTON_HANDOFF)
+        t_cand = np.full_like(cand, np.nan)
+        tp_cand = np.full_like(cand, np.nan)
+        t_cand[need], tp_cand[need] = _t_and_derivative(
+            mu, nu, za[need], cand[need])
         res_cand = np.abs(t_cand - cand)
         ok = safe & (cand.imag > za.imag - _HERGLOTZ_SLACK)
         # near the solution any in-domain Newton step is fine; further out
         # it must beat the current residual or Picard takes over
         ok &= (res_a < _NEWTON_HANDOFF) | (res_cand < 0.9 * res_a)
         w[active] = np.where(ok, cand, wa + _DAMPING * step)
+        t_val[active], tprime[active] = t_cand, tp_cand
+        fresh[active] = ok
         iters[active] += 1
         res[active] = res_a
-        still = res_a > tol * np.maximum(1.0, np.abs(wa))
-        mask = active.copy()
-        mask[active] = still
-        active = mask
+        active[active] = still
     if active.any():
-        bad_z = complex(z[active].ravel()[0])
+        stalled = np.flatnonzero(active)
+        worst = stalled[np.argmax(res[stalled])]
+        bad_z = complex(z[worst])
         raise NoConvergence(
-            f"subordination fixed point stalled at z = {bad_z}",
+            f"subordination fixed point stalled at {stalled.size} point(s); "
+            f"worst residual {res[worst]:.3e} at z = {bad_z}",
             iterations=max_iter,
-            residual=float(res[active].max()),
+            residual=float(res[worst]),
             point=bad_z,
         )
-    return w, res, iters
+    return w.reshape(shape), res.reshape(shape), iters.reshape(shape)
 
 
 def subordination_pair(mu: LineMeasure, nu: LineMeasure, z, tol=1e-13,
                        max_iter=500) -> SubordinationEval:
     """Solve the subordination pair at one point z with Im z > 0."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError("evaluation point is not finite")
     if z.imag <= 0:
         raise ValueError("subordination requires Im z > 0")
     if tol < 1e-14:
@@ -148,6 +168,8 @@ def convolve_cauchy(mu: LineMeasure, nu: LineMeasure, z, tol=1e-13,
     pts = np.asarray(z, dtype=complex)
     scalar = pts.ndim == 0
     pts = np.atleast_1d(pts)
+    if not np.all(np.isfinite(pts)):
+        raise DomainError("evaluation point is not finite")
     if np.any(pts.imag <= 0):
         raise ValueError("convolve_cauchy requires Im z > 0")
     w, _, _ = _solve_omega1(mu, nu, pts, tol, max_iter)

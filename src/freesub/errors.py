@@ -10,7 +10,11 @@ class SingularMatrix(FreesubError):
 
 
 class DomainError(FreesubError):
-    """An argument lies outside the analytic domain of a transform."""
+    """An argument or a computed point lies outside the analytic domain.
+
+    Raised for non-finite points, points on a quadrature node, and a
+    subordination function that left the upper half plane.
+    """
 
 
 class ZeroTransform(FreesubError):

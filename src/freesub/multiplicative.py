@@ -14,19 +14,29 @@ with eta_{mu x nu}(z) = eta_mu(omega1(z)) and omega1*omega2 = z*eta(z).
 Since eta maps the disk to itself with eta(0) = 0, Schwarz gives
 |omega1| <= |z|, so the iteration is a strict self-map of a compact
 subdisk and plain iteration converges geometrically for |z| < 1.
+
+Both solvers evaluate their transforms through the chunked node-sum
+kernel ``transforms._node_sums``: K and K' in one call for the disk
+Newton solve, eta through ``transforms.eta_transform``.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTransform, NoConvergence
+from .errors import DegenerateTransform, DomainError, NoConvergence
 from .measures import CircleMeasure, measure_from_circle_moments
-from .transforms import circle_cauchy
+from .transforms import _node_sums, eta_transform
 
 _MAX_ORDER = 16
 _RATIO_FLOOR = 1e-9
+_MAX_HALVINGS = 40
+# restart points of the disk Newton solve: three rings of 16, staggered
+_RESTARTS = np.concatenate([
+    r * np.exp(2j * math.pi * (np.arange(16) + 0.5 * i) / 16)
+    for i, r in enumerate((0.4, 0.7, 0.9))])
 
 
 @dataclass(frozen=True)
@@ -40,12 +50,9 @@ class DiskSubordinationEval:
 
 
 def _k_and_derivative(nu, g):
-    zeta = nu.unit_nodes()
-    _, w = nu.quadrature()
-    diff = zeta - np.asarray(g, dtype=complex)[..., None]
-    k = np.sum(w / diff, axis=-1)
-    kp = np.sum(w / diff**2, axis=-1)
-    return k, kp
+    """K(g) = integral 1/(zeta - g) dnu and K'(g) = integral 1/(zeta - g)^2 dnu."""
+    s, ds = _node_sums(g, nu.unit_nodes(), nu.quadrature()[1])
+    return -s, -ds
 
 
 def _clamp_into_disk(g, step):
@@ -65,31 +72,23 @@ def _clamp_into_disk(g, step):
     return g + s * step
 
 
-def disk_subordination_solve(nu: CircleMeasure, target, tol=1e-12,
-                             max_iter=100) -> DiskSubordinationEval:
-    """Solve K_nu(g) = target for g in the open unit disk.
+def _disk_newton(nu, target, g, tol, max_iter):
+    """Newton on K(g) = target from g, kept inside the open disk.
 
-    Newton from g = 0 with the exact quadrature derivative
-    K'(g) = integral (zeta - g)^{-2} dnu.  A constant K (Haar measure,
-    where K vanishes identically on the disk) makes every g a solution;
-    that degeneracy is detected up front and surfaced as a typed error.
+    A step that would leave the disk is shortened to stay inside, then
+    halved until |K(g) - target| decreases.  Returns (g, residual);
+    raises NoConvergence when no decrease is found or the budget runs
+    out, which happens when the path from g leads to a root of
+    K - target outside the disk.
     """
-    if tol < 1e-12:
-        raise ValueError("tol below 1e-12 is not resolvable here")
-    target = complex(target)
-    probes = np.array([0.0, 0.3, -0.3, 0.3j])
-    k_probe, _ = _k_and_derivative(nu, probes)
-    if np.ptp(k_probe.real) + np.ptp(k_probe.imag) < 1e-12 * (1 + abs(k_probe[0])):
-        raise DegenerateTransform(
-            "circle resolvent is constant on the disk; g is not identifiable")
-    g = 0.0 + 0.0j
-    for it in range(1, max_iter + 1):
-        k, kp = _k_and_derivative(nu, g)
-        k, kp = complex(k), complex(kp)
-        resid = abs(k - target)
-        if resid <= tol:
-            return DiskSubordinationEval(
-                target=target, g=g, residual=resid, ball_margin=1.0 - abs(g))
+    k, kp = map(complex, _k_and_derivative(nu, g))
+    resid = abs(k - target)
+    it = 0
+    while resid > tol:
+        if it == max_iter:
+            raise NoConvergence("disk subordination Newton stalled",
+                                iterations=it, residual=resid, point=g)
+        it += 1
         if abs(kp) < 1e-300:
             raise NoConvergence("flat resolvent derivative", iterations=it,
                                 residual=resid, point=g)
@@ -97,9 +96,66 @@ def disk_subordination_solve(nu: CircleMeasure, target, tol=1e-12,
         cand = g + step
         if abs(cand) >= 1.0:
             cand = _clamp_into_disk(g, step)
-        g = cand
-    raise NoConvergence("disk subordination Newton stalled",
-                        iterations=max_iter, residual=abs(k - target), point=g)
+        for _ in range(_MAX_HALVINGS):
+            k_c, kp_c = map(complex, _k_and_derivative(nu, cand))
+            if abs(k_c - target) < resid:
+                break
+            cand = g + 0.5 * (cand - g)
+        else:
+            raise NoConvergence(
+                "disk subordination line search found no decrease",
+                iterations=it, residual=resid, point=g)
+        g, k, kp = cand, k_c, kp_c
+        resid = abs(k - target)
+    return g, resid
+
+
+def _starting_points(nu, target):
+    """g = 0, then the restart points, best |K(g) - target| first."""
+    yield 0.0 + 0.0j
+    k, _ = _k_and_derivative(nu, _RESTARTS)
+    yield from _RESTARTS[np.argsort(np.abs(k - target), kind="stable")]
+
+
+def disk_subordination_solve(nu: CircleMeasure, target, tol=1e-12,
+                             max_iter=100) -> DiskSubordinationEval:
+    """Solve K_nu(g) = target for g in the open unit disk.
+
+    Newton from g = 0 with the exact quadrature derivative
+    K'(g) = integral (zeta - g)^{-2} dnu, globalized by backtracking on
+    |K(g) - target| and kept inside the disk.  K - target is analytic,
+    so |K - target| has no local minimum off its zeros, but K is not
+    injective: the descent path from 0 can lead to a root outside the
+    disk and stall at the boundary.  The solve then restarts from fixed
+    points spread over the disk, best residual first, each with its own
+    budget of ``max_iter`` Newton steps.  A constant K (Haar measure,
+    where K vanishes identically on the disk) makes every g a solution;
+    that degeneracy is detected up front and surfaced as a typed error.
+    """
+    if tol < 1e-12:
+        raise ValueError("tol below 1e-12 is not resolvable here")
+    target = complex(target)
+    if not cmath.isfinite(target):
+        raise DomainError("disk subordination target is not finite")
+    probes = np.array([0.0, 0.3, -0.3, 0.3j])
+    k_probe, _ = _k_and_derivative(nu, probes)
+    if np.ptp(k_probe.real) + np.ptp(k_probe.imag) < 1e-12 * (1 + abs(k_probe[0])):
+        raise DegenerateTransform(
+            "circle resolvent is constant on the disk; g is not identifiable")
+    best = None
+    for g0 in _starting_points(nu, target):
+        try:
+            g, resid = _disk_newton(nu, target, complex(g0), tol, max_iter)
+        except NoConvergence as exc:
+            if best is None or exc.residual < best.residual:
+                best = exc
+            continue
+        return DiskSubordinationEval(
+            target=target, g=g, residual=resid, ball_margin=1.0 - abs(g))
+    raise NoConvergence(
+        f"disk subordination Newton stalled from all {1 + _RESTARTS.size} "
+        f"starting points; best: {best}",
+        iterations=best.iterations, residual=best.residual, point=best.point)
 
 
 def _eta_ratio(measure, q, first_moment):
@@ -109,10 +165,7 @@ def _eta_ratio(measure, q, first_moment):
     big = np.abs(q) > _RATIO_FLOOR
     if np.any(big):
         qa = q[big]
-        # psi(q) = -1 - K(1/q)/q, eta = psi/(1+psi); |1 - eta| >= 1 - |q| here
-        psi = -1.0 - np.asarray(circle_cauchy(measure, 1.0 / qa)) / qa
-        eta = psi / (1.0 + psi)
-        out[big] = eta / qa
+        out[big] = np.asarray(eta_transform(measure, qa)) / qa
     return out
 
 

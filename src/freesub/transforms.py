@@ -7,7 +7,12 @@ K(g) = integral 1/(zeta - g) dnu(zeta) and the moment series
 psi(z) = sum_{k>=1} m_k z^k together with eta = psi/(1 + psi).
 
 All evaluators integrate the stored quadrature data exactly and are
-vectorized over the evaluation point.
+vectorized over the evaluation point.  Every one of them, here and in
+the solvers of ``additive`` and ``multiplicative``, reduces to the one
+node-sum kernel ``_node_sums``: S(x) = sum_j w_j/(x - t_j) together with
+S'(x), with the line nodes t_j or the unit-circle nodes zeta_j.  The
+kernel works through the points in chunks of about _CHUNK_ELEMENTS
+reciprocals, so its temporary stays cache-sized for any grid.
 """
 
 import numpy as np
@@ -16,6 +21,8 @@ from .errors import DomainError, NonPositiveDensity, ZeroTransform
 from .measures import CircleMeasure, GridSpec, LineMeasure
 
 _NODE_CLEARANCE = 1e-12
+# complex reciprocals formed per chunk of points: 512 KB, within L2
+_CHUNK_ELEMENTS = 1 << 15
 
 
 def _as_points(z):
@@ -27,17 +34,65 @@ def _restore(values, scalar):
     return complex(values[()]) if scalar else values
 
 
+def _node_sums(x, nodes, weights):
+    """S(x) = sum_j w_j/(x - t_j) and S'(x) = -sum_j w_j/(x - t_j)^2.
+
+    The package's one quadrature kernel; ``nodes`` may be real or
+    complex, ``weights`` are real.  r = 1/(x - t) is formed once per
+    chunk of points, contracted with the weights, squared in place and
+    contracted again.  The contraction is a stacked product w @ r_i over
+    the rows, not one matrix-vector product over the chunk, so every
+    point's sum runs in the same order whatever other points share the
+    call: a value does not depend on its batch.  Returns two arrays
+    shaped like x.  No domain checks: callers keep x off the nodes.
+    """
+    x = np.asarray(x, dtype=complex)
+    flat = x.reshape(-1)
+    n, m = flat.size, nodes.size
+    rows = max(1, _CHUNK_ELEMENTS // m)
+    s = np.empty(n, dtype=complex)
+    ds = np.empty(n, dtype=complex)
+    # (re, im) float views: real weights contract both parts in one product
+    s_pairs = s.view(float).reshape(n, 2)
+    ds_pairs = ds.view(float).reshape(n, 2)
+    buf = np.empty((min(rows, n), m), dtype=complex)
+    for lo in range(0, n, rows):
+        xs = flat[lo:lo + rows]
+        r = buf[:xs.size]
+        np.subtract(xs[:, None], nodes, out=r)
+        np.reciprocal(r, out=r)
+        r_pairs = r.view(float).reshape(xs.size, m, 2)
+        np.matmul(weights, r_pairs, out=s_pairs[lo:lo + rows])
+        np.multiply(r, r, out=r)
+        np.matmul(weights, r_pairs, out=ds_pairs[lo:lo + rows])
+    np.negative(ds, out=ds)
+    return s.reshape(x.shape), ds.reshape(x.shape)
+
+
+def _require_clear(pts, nodes, gap, clearance):
+    """Reject non-finite points and points within ``clearance`` of a node.
+
+    ``gap`` bounds each point's distance to every node from below, so
+    only the points with gap < clearance are compared node by node.
+    """
+    if not np.all(np.isfinite(pts)):
+        raise DomainError("evaluation point is not finite")
+    close = gap < clearance
+    if np.any(close) and np.any(
+            np.abs(pts[close][:, None] - nodes) < clearance):
+        raise DomainError("evaluation point touches a quadrature node of the measure")
+
+
 def cauchy_transform(measure: LineMeasure, z):
     """G(z) = integral 1/(z - t) dmu(t); z off the support, vectorized."""
     if not isinstance(measure, LineMeasure):
         raise TypeError("cauchy_transform expects a LineMeasure")
     pts, scalar = _as_points(z)
     t, w = measure.quadrature()
-    diff = pts[..., None] - t
     clearance = _NODE_CLEARANCE * max(1.0, measure.support_radius())
-    if np.any(np.abs(diff) < clearance):
-        raise DomainError("evaluation point touches a quadrature node of the measure")
-    return _restore(np.sum(w / diff, axis=-1), scalar)
+    # real nodes: |z - t| >= |Im z|
+    _require_clear(pts, t, np.abs(pts.imag), clearance)
+    return _restore(_node_sums(pts, t, w)[0], scalar)
 
 
 def reciprocal_cauchy(measure: LineMeasure, z):
@@ -63,10 +118,9 @@ def circle_cauchy(measure: CircleMeasure, g):
     pts, scalar = _as_points(g)
     zeta = measure.unit_nodes()
     _, w = measure.quadrature()
-    diff = zeta - pts[..., None]
-    if np.any(np.abs(diff) < _NODE_CLEARANCE):
-        raise DomainError("evaluation point touches a quadrature node of the measure")
-    return _restore(np.sum(w / diff, axis=-1), scalar)
+    # unit nodes: |zeta - g| >= ||g| - 1|
+    _require_clear(pts, zeta, np.abs(np.abs(pts) - 1.0), _NODE_CLEARANCE)
+    return _restore(-_node_sums(pts, zeta, w)[0], scalar)
 
 
 def psi_transform(measure: CircleMeasure, z):
@@ -113,6 +167,9 @@ def stieltjes_invert(g_eval, grid, eta_sequence=(4e-4, 2e-4, 1e-4),
     Heights down to eta = 1e-4 are supported; the extrapolation order
     covers the rest of the way.
 
+    ``grid`` must be increasing with uniform spacing; that is checked
+    before anything is evaluated.
+
     Returns (measure, renorm) where renorm is the factor that rescaled
     the clipped density to unit mass.  Raises NonPositiveDensity if the
     extrapolated density dips below -neg_tol * max(1, peak): genuine
@@ -122,6 +179,9 @@ def stieltjes_invert(g_eval, grid, eta_sequence=(4e-4, 2e-4, 1e-4),
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 8:
         raise ValueError("grid must be a 1-d array with at least 8 points")
+    step = grid[1] - grid[0]
+    if not (step > 0 and np.all(np.abs(np.diff(grid) - step) <= 1e-6 * step)):
+        raise ValueError("grid must be increasing with uniform spacing")
     etas = np.asarray(eta_sequence, dtype=float)
     if etas.size == 0 or np.any(etas <= 0):
         raise ValueError("eta_sequence must be positive")
@@ -135,7 +195,6 @@ def stieltjes_invert(g_eval, grid, eta_sequence=(4e-4, 2e-4, 1e-4),
         raise NonPositiveDensity(
             f"recovered density reaches {dens.min():.3e}, below {floor:.3e}")
     dens = np.clip(dens, 0.0, None)
-    step = grid[1] - grid[0]
     mass = float(np.trapezoid(dens, dx=step))
     if mass <= 0:
         raise NonPositiveDensity("recovered density has zero mass")

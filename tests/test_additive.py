@@ -13,8 +13,9 @@ from freesub import (
     semicircle,
     subordination_pair,
 )
-from freesub.additive import free_cumulants, free_cumulants_to_moments
-from freesub.errors import NoConvergence
+from freesub.additive import (SubordinationEval, free_cumulants,
+                              free_cumulants_to_moments)
+from freesub.errors import DomainError, FreesubError, NoConvergence
 
 
 def test_bernoulli_pair_closed_form():
@@ -131,6 +132,11 @@ def test_rejects_bad_arguments():
         subordination_pair(mu, mu, 2j, tol=1e-16)
     with pytest.raises(ValueError):
         convolve_cauchy(mu, mu, np.array([1j, 1 - 1j]))
+    for bad in (complex(np.nan, 1.0), complex(0.3, np.nan), complex(np.inf, 1.0)):
+        with pytest.raises(DomainError):
+            subordination_pair(mu, mu, bad)
+        with pytest.raises(DomainError):
+            convolve_cauchy(mu, mu, np.array([1j, bad]))
 
 
 def test_no_convergence_reports_residual():
@@ -139,3 +145,28 @@ def test_no_convergence_reports_residual():
         subordination_pair(mu, nu, 0.5 + 1e-6j, max_iter=2)
     assert info.value.residual > 0
     assert info.value.iterations == 2
+
+
+def test_no_convergence_reports_worst_point():
+    mu = nu = bernoulli_pm1()
+    z = [0.5 + 1e-6j, 1.2 + 1e-3j, -0.3 + 1e-5j]
+    single = []
+    for zi in z:
+        with pytest.raises(NoConvergence) as info:
+            convolve_cauchy(mu, nu, np.array([zi]), max_iter=2)
+        single.append(info.value.residual)
+    worst = int(np.argmax(single))
+    assert worst != 0
+    with pytest.raises(NoConvergence) as info:
+        convolve_cauchy(mu, nu, np.array(z), max_iter=2)
+    assert info.value.point == z[worst]
+    assert info.value.residual == single[worst]
+    assert "3 point(s)" in str(info.value)
+
+
+def test_subordination_eval_rejects_lost_margin():
+    for omega1, omega2 in ((0.5j, 1j), (1j, 0.2 + 0.5j)):
+        with pytest.raises(DomainError) as info:
+            SubordinationEval(z=1j, omega1=omega1, omega2=omega2, g_conv=-1j,
+                              residual=0.0, iterations=1)
+        assert isinstance(info.value, FreesubError)

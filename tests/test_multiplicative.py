@@ -13,7 +13,7 @@ from freesub import (
     rotate,
     rotate_moments,
 )
-from freesub.errors import DegenerateTransform
+from freesub.errors import DegenerateTransform, DomainError, NoConvergence
 
 
 def test_disk_solve_point_mass():
@@ -42,6 +42,36 @@ def test_disk_solve_zero_target_two_atoms():
     assert abs(res.g) <= 1e-10
 
 
+def test_disk_solve_leaves_path_to_outer_root():
+    # Newton from 0 walks toward a root outside the disk and stalls at
+    # the boundary; the solve must still find the preimage inside
+    nu = circle_atoms(list(zip(
+        [0.9532892862342377, 2.56032642068303, 5.240342869474504],
+        [0.5, 0.3, 0.2])))
+    g0 = -0.06156884211564683 - 0.4832192067775718j
+    res = disk_subordination_solve(nu, circle_cauchy(nu, g0))
+    assert res.residual <= 1e-12
+    assert abs(res.g - g0) <= 1e-10
+
+
+def test_disk_solve_seeded_sweep():
+    rng = np.random.default_rng(20261018)
+    failures = []
+    for _ in range(1500):
+        nu = circle_atoms(list(zip(rng.uniform(0, 2 * np.pi, 3),
+                                   [0.5, 0.3, 0.2])))
+        g0 = rng.uniform(0.3, 0.6) * np.exp(2j * np.pi * rng.random())
+        target = circle_cauchy(nu, g0)
+        try:
+            res = disk_subordination_solve(nu, target)
+        except NoConvergence:
+            failures.append(g0)
+            continue
+        assert res.residual <= 1e-12 and 0 < res.ball_margin <= 1
+        assert abs(circle_cauchy(nu, res.g) - target) <= 1e-12
+    assert failures == []
+
+
 def test_disk_solve_rejects_haar():
     with pytest.raises(DegenerateTransform):
         disk_subordination_solve(haar_circle(), 0.3)
@@ -50,6 +80,13 @@ def test_disk_solve_rejects_haar():
 def test_disk_solve_validates_tol():
     with pytest.raises(ValueError):
         disk_subordination_solve(circle_atoms([(0.0, 1.0)]), 2.0, tol=1e-15)
+
+
+def test_disk_solve_rejects_non_finite_target():
+    nu = circle_atoms([(0.0, 0.5), (2.0, 0.5)])
+    for bad in (complex(np.nan, 0.0), complex(0.0, np.inf)):
+        with pytest.raises(DomainError):
+            disk_subordination_solve(nu, bad)
 
 
 def test_mult_convolve_rotations_compose():

@@ -48,6 +48,15 @@ def test_cauchy_domain_guards():
     assert np.imag(cauchy_transform(sc, complex(node, 1e-3))) < 0
 
 
+def test_transforms_reject_non_finite_points():
+    sc, h = semicircle(0, 1), haar_circle()
+    for bad in (complex(np.nan, 1.0), complex(np.inf, 0.5), complex(0.2, np.nan)):
+        with pytest.raises(DomainError):
+            cauchy_transform(sc, np.array([1j, bad]))
+        with pytest.raises(DomainError):
+            circle_cauchy(h, bad)
+
+
 def test_f_transform_of_shifted_atom():
     d = atomic([(0.75, 1.0)])
     for z in (1j, 1 + 2j, -3 + 0.5j):
@@ -168,6 +177,21 @@ def test_stieltjes_invert_validates_arguments():
     with pytest.raises(ValueError):
         stieltjes_invert(lambda z: 1 / z, np.linspace(-1, 1, 100),
                          eta_sequence=(0.0, -1.0))
+
+
+def test_stieltjes_invert_rejects_non_uniform_grid():
+    calls = []
+
+    def g_eval(z):
+        calls.append(z)
+        return 1 / z
+
+    grid = np.concatenate([np.linspace(-1, 0, 50), np.linspace(0.05, 1, 50)])
+    with pytest.raises(ValueError, match="uniform"):
+        stieltjes_invert(g_eval, grid)
+    with pytest.raises(ValueError, match="uniform"):
+        stieltjes_invert(g_eval, np.linspace(1, -1, 100))
+    assert not calls
 
 
 def test_mp_inversion_with_hard_edge():
