@@ -15,6 +15,7 @@ into a two-sided numerical check instead of a definition.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,9 +64,21 @@ class CovarianceMap:
     def __call__(self, b):
         b = _as_matrix(b, self.n)
         out = np.zeros_like(b)
-        for k in self.kraus:
-            out += k @ b @ k.conj().T
+        for k, k_adj in zip(self.kraus, self._adjoints):
+            out += k @ b @ k_adj
         return out
+
+    @cached_property
+    def _adjoints(self):
+        return tuple(k.conj().T for k in self.kraus)
+
+    @cached_property
+    def _kraus_kron(self):
+        """sum_j kron(k_j, conj(k_j)): eta as a matrix on row-major vec."""
+        acc = np.zeros((self.n ** 2, self.n ** 2), dtype=complex)
+        for k in self.kraus:
+            acc += _kron(k, k.conj())
+        return acc
 
     def plus(self, other: "CovarianceMap") -> "CovarianceMap":
         """Covariance of the sum of free semicirculars: Kraus concatenation."""
@@ -124,12 +137,11 @@ class OpCauchyEval:
             raise AssertionError("Cauchy transform value left the lower half plane")
 
 
-def _kraus_kron(eta: CovarianceMap):
-    n = eta.n
-    acc = np.zeros((n * n, n * n), dtype=complex)
-    for k in eta.kraus:
-        acc += np.kron(k, k.conj())
-    return acc
+def _kron(a, b):
+    """np.kron of two square matrices: the same products, without its
+    shape handling, which costs more than the product at these sizes."""
+    n = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
 def op_semicircular_cauchy(eta: CovarianceMap, b, tol=1e-12,
@@ -146,20 +158,20 @@ def op_semicircular_cauchy(eta: CovarianceMap, b, tol=1e-12,
         raise DomainError("op_semicircular_cauchy needs Im b > 0")
     n = eta.n
     eye = np.eye(n)
-    kk = _kraus_kron(eta)
+    kk = eta._kraus_kron
     g = np.linalg.inv(b)
     scale = max(1.0, float(np.linalg.norm(g)))
     for it in range(1, max_iter + 1):
-        fixed = np.linalg.inv(b - eta(g))
+        lhs = b - eta(g)
+        fixed = np.linalg.inv(lhs)
         resid = float(np.linalg.norm(fixed - g))
         if resid <= tol * scale:
             return OpCauchyEval(b=b, g=g, residual=resid, iterations=it)
         if resid > _NEWTON_HANDOFF * scale:
             g = (1.0 - _DAMPING) * g + _DAMPING * fixed
             continue
-        lhs = b - eta(g)
         phi = lhs @ g - eye
-        jac = np.kron(lhs, eye) - np.kron(eye, g.T) @ kk
+        jac = _kron(lhs, eye) - _kron(eye, g.T) @ kk
         try:
             delta = np.linalg.solve(jac, -phi.reshape(-1))
         except np.linalg.LinAlgError:

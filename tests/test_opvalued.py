@@ -185,3 +185,29 @@ def test_larger_blocks_converge():
     res = op_semicircular_cauchy(eta, b)
     assert res.residual <= 1e-10
     assert halfplane_margin(-res.g) > 0
+
+
+def test_kron_helper_matches_numpy_bitwise():
+    # the Newton Jacobian's Kronecker products must be np.kron exactly
+    from freesub.opvalued import _kron
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 5):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        eye = np.eye(n)
+        for x, y in ((a, eye), (eye, a.T), (a, a.conj())):
+            got, want = _kron(x, y), np.kron(x, y)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+def test_covariance_kron_matrix_is_vec_action():
+    # row-major vec(eta(d) g) = kron(I, g^T) @ K @ vec(d), K the cached matrix
+    rng = np.random.default_rng(8)
+    eta = cm(*(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+               for _ in range(2)))
+    d = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    lhs = (eta(d) @ g).reshape(-1)
+    rhs = np.kron(np.eye(3), g.T) @ eta._kraus_kron @ d.reshape(-1)
+    assert np.allclose(lhs, rhs, atol=1e-12)
+    assert eta._kraus_kron is eta._kraus_kron
