@@ -11,15 +11,13 @@ from .additive import (SubordinationEval, convolve_cauchy, convolve_moments,
                        free_cumulants_to_moments, subordination_pair)
 from .cumulants import (free_multiplicative_moments, kreweras_complement,
                         moments_to_free_cumulants, noncrossing_partitions)
-from .domains import (DomainMargin, OperatorPoint, cayley, classify_margin,
-                      contraction_margins, halfplane_margin, im_part,
-                      inverse_cayley, invert_checked, operator_norm, re_part,
-                      relative_contraction_margin,
+from .domains import (contraction_margins, halfplane_margin, im_part,
+                      operator_norm, relative_contraction_margin,
                       resolvent_identity_residual)
 from .errors import (BadParams, DegenerateTransform, DimensionMismatch,
                      DomainError, FreesubError, JacobianSingular,
-                     NoConvergence, NonPositiveDensity, SingularMatrix,
-                     UnknownFamily, ZeroTransform)
+                     NoConvergence, NonPositiveDensity, UnknownFamily,
+                     ZeroTransform)
 from .matrixmodels import (EnsembleSpec, ExperimentReport, experiment_lemma34,
                            experiment_prop32, experiment_prop33,
                            experiment_thm31_block, experiment_thm36,
@@ -44,23 +42,21 @@ __version__ = "0.1.0"
 __all__ = [
     "BadParams", "CircleMeasure", "CovarianceMap", "DegenerateTransform",
     "DimensionMismatch", "DiskSubordinationEval", "DomainError",
-    "DomainMargin", "EnsembleSpec", "ExperimentReport", "FreesubError",
-    "GridSpec", "JacobianSingular", "LineMeasure", "MultConvolution",
-    "NoConvergence", "NonPositiveDensity", "OpCauchyEval", "OperatorPoint",
-    "SingularMatrix", "SubordinationEval", "UnknownFamily", "ZeroTransform",
-    "arcsine", "atomic", "bernoulli_pm1", "cauchy_transform", "cayley",
-    "circle_atoms", "circle_cauchy", "classify_margin", "contraction_margins",
-    "convolve_cauchy", "convolve_moments", "disk_subordination_solve",
-    "eta_transform", "experiment_lemma34", "experiment_prop32",
-    "experiment_prop33", "experiment_thm31_block", "experiment_thm36",
-    "free_add_convolve", "free_cumulants", "free_cumulants_to_moments",
+    "EnsembleSpec", "ExperimentReport", "FreesubError", "GridSpec",
+    "JacobianSingular", "LineMeasure", "MultConvolution", "NoConvergence",
+    "NonPositiveDensity", "OpCauchyEval", "SubordinationEval", "UnknownFamily",
+    "ZeroTransform", "arcsine", "atomic", "bernoulli_pm1", "cauchy_transform",
+    "circle_atoms", "circle_cauchy", "contraction_margins", "convolve_cauchy",
+    "convolve_moments", "disk_subordination_solve", "eta_transform",
+    "experiment_lemma34", "experiment_prop32", "experiment_prop33",
+    "experiment_thm31_block", "experiment_thm36", "free_add_convolve",
+    "free_cumulants", "free_cumulants_to_moments",
     "free_mult_convolve_unitary", "free_multiplicative_moments", "from_json",
     "h_transform", "haar_circle", "halfplane_margin", "im_part",
-    "inverse_cayley", "invert_checked", "kreweras_complement",
-    "make_standard", "marchenko_pastur", "measure_from_circle_moments",
-    "moments_to_free_cumulants", "noncrossing_partitions", "op_add_cauchy",
-    "op_semicircular_cauchy", "operator_norm", "partial_trace",
-    "psi_transform", "re_part", "reciprocal_cauchy",
+    "kreweras_complement", "make_standard", "marchenko_pastur",
+    "measure_from_circle_moments", "moments_to_free_cumulants",
+    "noncrossing_partitions", "op_add_cauchy", "op_semicircular_cauchy",
+    "operator_norm", "partial_trace", "psi_transform", "reciprocal_cauchy",
     "relative_contraction_margin", "resolvent_identity_residual", "rotate",
     "rotate_moments", "sample", "sample_angles", "semicircle",
     "semicircular_shift_F", "solve_subordination_F", "stieltjes_invert",

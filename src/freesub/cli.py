@@ -468,7 +468,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError, TypeError) as exc:
+        # the package raises ValueError and TypeError only for argument
+        # ranges and types, which the config file sets
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NoConvergence as exc:

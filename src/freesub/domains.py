@@ -10,103 +10,21 @@ Membership is always quantified by a signed margin so callers can apply
 boundary bands instead of raw booleans.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import BadParams, SingularMatrix
-
-#: matrices larger than this are rejected; every identity handled here is
-#: dimension-uniform, so small sizes lose no generality
-MAX_DIM = 64
-
-#: margins within this band of zero are classified "boundary"
-BOUNDARY_BAND = 1e-9
+from .errors import BadParams
 
 _SINGULAR_RTOL = 1e-13
 
 
-def _as_square(t, max_dim=None):
-    """Coerce to a square complex ndarray and validate it.
-
-    The dimension cap applies only where a caller passes one; margin
-    helpers run on random-matrix-sized inputs and stay uncapped.
-    """
-    m = np.asarray(getattr(t, "entries", t), dtype=complex)
+def _as_square(t):
+    """Coerce to a square complex ndarray and validate it."""
+    m = np.asarray(t, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise BadParams(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(float))):
         raise BadParams("matrix has non-finite entries")
-    if max_dim is not None and m.shape[0] > max_dim:
-        raise BadParams(f"dimension {m.shape[0]} exceeds cap {max_dim}")
     return m
-
-
-@dataclass(frozen=True)
-class OperatorPoint:
-    """A square complex matrix together with its dimension.
-
-    Thin immutable wrapper used where a validated algebra element is
-    expected; all functions in this module also accept bare ndarrays.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = _as_square(self.entries, max_dim=MAX_DIM)
-        object.__setattr__(self, "entries", m)
-        self.entries.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class DomainMargin:
-    """Signed distances of a matrix to the half-plane and ball domains.
-
-    ``halfplane_margin`` is the smallest eigenvalue of the selfadjoint
-    part of T/i; positive iff T lies in the open upper half-plane.
-    ``ball_margin`` is ``radius`` minus the largest singular value;
-    positive iff T lies in the open ball of that radius.
-    """
-
-    halfplane_margin: float
-    ball_margin: float
-    radius: float = 1.0
-
-    @classmethod
-    def of(cls, t, radius=1.0):
-        if radius <= 0:
-            raise BadParams("radius must be positive")
-        m = _as_square(t)
-        return cls(
-            halfplane_margin=halfplane_margin(m),
-            ball_margin=radius - operator_norm(m),
-            radius=radius,
-        )
-
-    @property
-    def in_upper_halfplane(self) -> bool:
-        return self.halfplane_margin > 0
-
-    @property
-    def in_ball(self) -> bool:
-        return self.ball_margin > 0
-
-
-def classify_margin(margin, band=BOUNDARY_BAND):
-    """Map a signed margin to 'inside' / 'boundary' / 'outside'.
-
-    Membership in all domains here is an open condition, so decisions
-    within ``band`` of zero are never reported as pass/fail.
-    """
-    if margin > band:
-        return "inside"
-    if margin < -band:
-        return "outside"
-    return "boundary"
 
 
 def operator_norm(t) -> float:
@@ -125,12 +43,6 @@ def im_part(t) -> np.ndarray:
     return (h + h.conj().T) / 2
 
 
-def re_part(t) -> np.ndarray:
-    """Selfadjoint part (T + T*)/2."""
-    m = _as_square(t)
-    return (m + m.conj().T) / 2
-
-
 def halfplane_margin(t) -> float:
     """Smallest eigenvalue of im_part(T).
 
@@ -138,63 +50,6 @@ def halfplane_margin(t) -> float:
     lower half-plane is ``halfplane_margin(-T)``.
     """
     return float(np.linalg.eigvalsh(im_part(t))[0])
-
-
-def invert_checked(t) -> np.ndarray:
-    """Inverse of T, guarded by the half-plane/ball membership contract.
-
-    Elements of either open half-plane are invertible and inversion
-    swaps the half-planes; this is asserted on the result.  Matrices
-    with no half-plane margin are still inverted when their smallest
-    singular value is safely positive.
-
-    Raises
-    ------
-    SingularMatrix
-        If the smallest singular value is below tolerance and T has no
-        half-plane margin.  Pseudo-inverses are never substituted.
-    """
-    m = _as_square(t)
-    up = halfplane_margin(m)
-    down = halfplane_margin(-m)
-    if up <= 0 and down <= 0:
-        smin = np.linalg.svd(m, compute_uv=False)[-1]
-        if smin <= _SINGULAR_RTOL * max(1.0, operator_norm(m)):
-            raise SingularMatrix(
-                f"smallest singular value {smin:.3e} below tolerance and no "
-                "half-plane margin"
-            )
-    inv = np.linalg.inv(m)
-    # inversion maps H+ into H-, and vice versa; a violation here would
-    # mean the inverse itself is numerically unreliable
-    if up > 0 and halfplane_margin(-inv) <= 0:
-        raise SingularMatrix("inverse left the lower half-plane; T is too ill-conditioned")
-    if down > 0 and halfplane_margin(inv) <= 0:
-        raise SingularMatrix("inverse left the upper half-plane; T is too ill-conditioned")
-    return inv
-
-
-def cayley(t) -> np.ndarray:
-    """Cayley map (T - iI)(T + iI)^{-1}.
-
-    Sends the upper half-plane into the open unit ball; i*I goes to 0.
-    """
-    m = _as_square(t)
-    eye = np.eye(m.shape[0])
-    smin = np.linalg.svd(m + 1j * eye, compute_uv=False)[-1]
-    if smin <= _SINGULAR_RTOL * max(1.0, operator_norm(m) + 1.0):
-        raise SingularMatrix("T + iI is singular; Cayley map undefined")
-    return (m - 1j * eye) @ np.linalg.inv(m + 1j * eye)
-
-
-def inverse_cayley(w) -> np.ndarray:
-    """Inverse of :func:`cayley`: i(I + W)(I - W)^{-1}."""
-    m = _as_square(w)
-    eye = np.eye(m.shape[0])
-    smin = np.linalg.svd(eye - m, compute_uv=False)[-1]
-    if smin <= _SINGULAR_RTOL * max(1.0, operator_norm(m) + 1.0):
-        raise SingularMatrix("I - W is singular; inverse Cayley map undefined")
-    return 1j * (eye + m) @ np.linalg.inv(eye - m)
 
 
 def contraction_margins(x):

@@ -5,10 +5,6 @@ class FreesubError(Exception):
     """Base class for all package-specific errors."""
 
 
-class SingularMatrix(FreesubError):
-    """A true inverse was required but the matrix is numerically singular."""
-
-
 class DomainError(FreesubError):
     """An argument or a computed point lies outside the analytic domain.
 

@@ -82,6 +82,20 @@ def test_convolve_add_rejects_unknown_field(tmp_path):
     assert main(["convolve-add", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("convolve-mult", {"order": 40}),
+    ("convolve-add", {"max_iter": "abc"}),
+])
+def test_config_value_errors_exit_2(tmp_path, capsys, command, extra):
+    circle = {"family": "circle_atoms", "params": [[0.0, 0.6], [1.0, 0.4]]}
+    law = circle if command == "convolve-mult" else SC
+    cfg = write_cfg(tmp_path / "cfg.json", {"mu": law, "nu": law, **extra})
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 def test_convolve_add_noconvergence_exit(tmp_path):
     bern = {"family": "bernoulli_pm1"}
     cfg = write_cfg(tmp_path / "cfg.json",

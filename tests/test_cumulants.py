@@ -68,9 +68,22 @@ def test_noncrossing_order_cap():
 
 def test_kreweras_block_count_identity():
     # |pi| + |Kr(pi)| = n + 1 on all of NC(n)
-    for n in range(1, 8):
+    for n in range(1, 9):
         for pi in noncrossing_partitions(n):
             assert len(pi) + len(kreweras_complement(pi, n)) == n + 1
+
+
+def test_kreweras_matches_definition():
+    # Kr(pi) on the even slots 2i interleaves with pi on the odd slots
+    # 2i - 1 without crossing, and has the most blocks that allows
+    for n in range(1, 8):
+        for pi in noncrossing_partitions(n):
+            sigma = kreweras_complement(pi, n)
+            assert sorted(x for blk in sigma for x in blk) == list(range(1, n + 1))
+            assert len(pi) + len(sigma) == n + 1
+            union = ([tuple(2 * x - 1 for x in blk) for blk in pi]
+                     + [tuple(2 * x for x in blk) for blk in sigma])
+            assert is_noncrossing(union)
 
 
 def test_kreweras_known_values_n4():

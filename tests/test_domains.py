@@ -1,21 +1,11 @@
-"""Matrix domain calculus: margins, checked inversion, Cayley maps."""
+"""Matrix domain calculus: half-plane and contraction margins."""
 
 import numpy as np
 import pytest
 
-from freesub import (BadParams, OperatorPoint, SingularMatrix, cayley,
-                     classify_margin, contraction_margins, halfplane_margin,
-                     im_part, inverse_cayley, invert_checked, operator_norm,
-                     re_part, relative_contraction_margin,
+from freesub import (BadParams, contraction_margins, halfplane_margin,
+                     im_part, operator_norm, relative_contraction_margin,
                      resolvent_identity_residual)
-from freesub.domains import MAX_DIM, DomainMargin
-
-
-def random_with_margin(rng, n, margin):
-    """Random matrix shifted so halfplane_margin equals margin exactly."""
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    lam = np.linalg.eigvalsh(im_part(m))[0]
-    return m + 1j * (margin - lam) * np.eye(n)
 
 
 def test_im_part_of_imaginary_identity():
@@ -32,7 +22,6 @@ def test_im_part_entrywise():
     t = np.array([[1 + 2j, 3.0], [1.0, -1j]])
     expected = (t - t.conj().T) / 2j
     np.testing.assert_allclose(im_part(t), expected, atol=1e-15)
-    np.testing.assert_allclose(re_part(t), (t + t.conj().T) / 2, atol=1e-15)
 
 
 def test_halfplane_margin_scalar_cases():
@@ -48,44 +37,6 @@ def test_halfplane_margin_perturbed_diagonal():
     assert halfplane_margin(t) == pytest.approx(expected, rel=1e-12)
     oracle = np.linalg.eigvalsh(np.array([[1, -0.05j], [0.05j, 2]]))[0]
     assert halfplane_margin(t) == pytest.approx(oracle, rel=1e-13)
-
-
-def test_invert_checked_flips_halfplane():
-    inv = invert_checked(1j * np.eye(3))
-    np.testing.assert_allclose(inv, -1j * np.eye(3))
-    z = 1 + 1j
-    np.testing.assert_allclose(invert_checked(z * np.eye(2)),
-                               np.eye(2) * (1 - 1j) / 2)
-
-
-def test_invert_checked_antisymmetry_sweep(rng):
-    for _ in range(100):
-        n = int(rng.integers(1, 6))
-        t = random_with_margin(rng, n, 0.5)
-        assert halfplane_margin(t) == pytest.approx(0.5, abs=1e-12)
-        assert halfplane_margin(-invert_checked(t)) > 0
-
-
-def test_invert_checked_rejects_singular():
-    with pytest.raises(SingularMatrix):
-        invert_checked(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_cayley_center_and_boundary():
-    np.testing.assert_allclose(cayley(1j * np.eye(2)), np.zeros((2, 2)),
-                               atol=1e-15)
-    w = cayley(np.zeros((2, 2)))
-    np.testing.assert_allclose(w, -np.eye(2))
-    assert operator_norm(w) == pytest.approx(1.0)
-
-
-def test_cayley_roundtrip_sweep(rng):
-    for _ in range(100):
-        n = int(rng.integers(1, 5))
-        t = random_with_margin(rng, n, 0.1 + rng.random())
-        w = cayley(t)
-        assert operator_norm(w) < 1
-        assert np.linalg.norm(inverse_cayley(w) - t, 2) <= 1e-12 * (1 + operator_norm(t))
 
 
 def test_contraction_margins_cases():
@@ -143,36 +94,3 @@ def test_relative_contraction_margin_unitary(rng):
     c = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     c *= 0.7 / operator_norm(c)
     assert relative_contraction_margin(u, c) == pytest.approx(0.3, abs=1e-12)
-
-
-def test_classify_margin_band():
-    assert classify_margin(1e-3) == "inside"
-    assert classify_margin(-1e-3) == "outside"
-    assert classify_margin(5e-10) == "boundary"
-    assert classify_margin(-5e-10) == "boundary"
-
-
-def test_domain_margin_wrapper():
-    dm = DomainMargin.of(0.5j * np.eye(2))
-    assert dm.in_upper_halfplane and dm.in_ball
-    assert dm.halfplane_margin == pytest.approx(0.5)
-    assert dm.ball_margin == pytest.approx(0.5)
-    with pytest.raises(BadParams):
-        DomainMargin.of(np.eye(2), radius=0.0)
-
-
-def test_operator_point_validation():
-    p = OperatorPoint(np.eye(3))
-    assert p.dim == 3
-    with pytest.raises(BadParams):
-        OperatorPoint(np.ones((2, 3)))
-    with pytest.raises(BadParams):
-        OperatorPoint(np.array([[np.nan, 0], [0, 1]]))
-    with pytest.raises(BadParams):
-        OperatorPoint(np.eye(MAX_DIM + 1))
-
-
-def test_operator_point_is_readonly():
-    p = OperatorPoint(np.eye(2))
-    with pytest.raises(ValueError):
-        p.entries[0, 0] = 5.0

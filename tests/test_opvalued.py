@@ -5,6 +5,7 @@ import pytest
 
 from freesub import (
     CovarianceMap,
+    OpCauchyEval,
     halfplane_margin,
     op_add_cauchy,
     op_semicircular_cauchy,
@@ -154,6 +155,35 @@ def test_solve_subordination_roundtrip():
     oracle = semicircular_shift_F(eta_y, gxy.g, b)
     assert np.max(np.abs(f - oracle)) <= 1e-8
     assert halfplane_margin(f) > 0
+
+
+def test_solve_subordination_call_count():
+    # Newton differences G_X along the n^2 complex directions only, so a
+    # run whose full steps are all accepted makes 1 + steps * (n^2 + 1)
+    # calls; this n = 3 point takes four steps (41 calls)
+    rng = np.random.default_rng(3)
+    n = 3
+    eta_x = cm(rng.normal(size=(n, n)) / 2)
+    eta_y = cm(rng.normal(size=(n, n)) / 2)
+    b = random_upper(rng, n)
+    gxy = op_add_cauchy(eta_x, eta_y, b)
+    calls = 0
+
+    def g_x(w):
+        nonlocal calls
+        calls += 1
+        return op_semicircular_cauchy(eta_x, w).g
+
+    f = solve_subordination_F(g_x, gxy.g, b)
+    assert (calls - 1) % (n * n + 1) == 0
+    assert calls <= 51
+    assert np.max(np.abs(g_x(f) - gxy.g)) <= 1e-10
+
+
+def test_op_cauchy_eval_rejects_upper_half_plane_value():
+    with pytest.raises(DomainError):
+        OpCauchyEval(b=1j * np.eye(2), g=1j * np.eye(2), residual=0.0,
+                     iterations=1)
 
 
 def test_solve_subordination_respects_domains():
