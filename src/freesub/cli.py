@@ -151,6 +151,21 @@ def _complex_entry(v):
     raise ConfigError("matrix entries must be numbers or [re, im] pairs")
 
 
+def _int_field(cfg, key, default):
+    """An integer config field; a float, string or bool is rejected."""
+    v = cfg.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"{key!r} must be an integer, got {v!r}")
+    return v
+
+
+def _parse_points(value):
+    if not isinstance(value, list) or not all(
+            isinstance(p, list) and len(p) == 2 for p in value):
+        raise ConfigError("'points' must be a list of [re, im] pairs")
+    return [complex(p[0], p[1]) for p in value]
+
+
 def _parse_matrix(rows):
     try:
         return np.array([[_complex_entry(v) for v in row] for row in rows])
@@ -182,7 +197,7 @@ def cmd_convolve_add(args):
     mu = _parse_measure(cfg["mu"], _measures.LineMeasure)
     nu = _parse_measure(cfg["nu"], _measures.LineMeasure)
     tol = args.tol if args.tol is not None else float(cfg.get("tol", 1e-12))
-    max_iter = int(cfg.get("max_iter", 500))
+    max_iter = _int_field(cfg, "max_iter", 500)
     if max_iter < 1:
         raise ConfigError("max_iter must be positive")
     etas = tuple(cfg.get("eta_sequence", (1e-1, 3e-2, 1e-2)))
@@ -261,7 +276,7 @@ def cmd_convolve_mult(args):
         raise ConfigError("convolve-mult needs measures 'mu' and 'nu'")
     mu = _parse_measure(cfg["mu"], _measures.CircleMeasure)
     nu = _parse_measure(cfg["nu"], _measures.CircleMeasure)
-    order = int(cfg.get("order", 8))
+    order = _int_field(cfg, "order", 8)
     tol = args.tol if args.tol is not None else float(cfg.get("tol", 1e-8))
     out = _out_dir(args)
     result = free_mult_convolve_unitary(mu, nu, order=order)
@@ -312,7 +327,7 @@ def cmd_eval(args):
     kind = _measures.LineMeasure if on_line else _measures.CircleMeasure
     measure = _parse_measure(cfg["measure"], kind)
     if "points" in cfg:
-        pts = [complex(p[0], p[1]) for p in cfg["points"]]
+        pts = _parse_points(cfg["points"])
     else:
         grid = _parse_grid(args.grid) if args.grid else np.linspace(-2, 2, 9)
         ims = _parse_im(args.im) if args.im else [1.0]
@@ -352,9 +367,9 @@ def _balanced_pm1(N):
 
 
 def _run_verify(identity, cfg, args):
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    n_size = args.N if args.N is not None else int(cfg.get("N", 600))
-    trials = args.trials if args.trials is not None else int(cfg.get("trials", 200))
+    seed = args.seed if args.seed is not None else _int_field(cfg, "seed", 0)
+    n_size = args.N if args.N is not None else _int_field(cfg, "N", 600)
+    trials = args.trials if args.trials is not None else _int_field(cfg, "trials", 200)
     if identity == "prop32":
         lam = np.asarray(cfg["lam"], float) if "lam" in cfg else _balanced_pm1(n_size)
         a0 = _parse_matrix(cfg["a0"]) if "a0" in cfg else np.diag(_balanced_pm1(lam.size))
@@ -372,7 +387,7 @@ def _run_verify(identity, cfg, args):
             c0 = _parse_matrix(cfg["c0"])
         else:
             c0 = 0.7 * _haar(_rng(seed, 999), n_size)
-        trials = args.trials if args.trials is not None else int(cfg.get("trials", 100))
+        trials = args.trials if args.trials is not None else _int_field(cfg, "trials", 100)
         return experiment_thm36(law, c0, N=n_size, trials=trials, seed=seed)
     if identity == "thm31_block":
         ex = CovarianceMap.from_dict(cfg["eta_x"]) if "eta_x" in cfg else \
@@ -380,11 +395,11 @@ def _run_verify(identity, cfg, args):
         ey = CovarianceMap.from_dict(cfg["eta_y"]) if "eta_y" in cfg else \
             CovarianceMap((np.array([[0.5, -0.2], [0.1, 0.7]]),))
         b = _parse_matrix(cfg["b"]) if "b" in cfg else 1j * np.eye(ex.n)
-        n_size = args.N if args.N is not None else int(cfg.get("N", 512))
-        trials = args.trials if args.trials is not None else int(cfg.get("trials", 100))
+        n_size = args.N if args.N is not None else _int_field(cfg, "N", 512)
+        trials = args.trials if args.trials is not None else _int_field(cfg, "trials", 100)
         return experiment_thm31_block(ex, ey, b, N=n_size, trials=trials,
                                       seed=seed)
-    samples = args.samples if args.samples is not None else int(cfg.get("samples", 10000))
+    samples = args.samples if args.samples is not None else _int_field(cfg, "samples", 10000)
     dims = tuple(cfg.get("dims", (2, 3, 4, 5, 6)))
     return experiment_lemma34(dims=dims, samples=samples, seed=seed)
 

@@ -22,7 +22,7 @@ def _as_square(t):
     m = np.asarray(t, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise BadParams(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m).all():
         raise BadParams("matrix has non-finite entries")
     return m
 
@@ -68,8 +68,8 @@ def contraction_margins(x):
     eye = np.eye(m.shape[0])
     norm_margin = 1.0 - operator_norm(m)
     a = eye - m
-    smin = np.linalg.svd(a, compute_uv=False)[-1]
-    if smin <= _SINGULAR_RTOL * max(1.0, operator_norm(a)):
+    s = np.linalg.svd(a, compute_uv=False)
+    if s[-1] <= _SINGULAR_RTOL * max(1.0, float(s[0])):
         return norm_margin, float("-inf")
     r = np.linalg.inv(a)
     resolvent_margin = float(np.linalg.eigvalsh(r + r.conj().T)[0]) - 1.0
@@ -102,7 +102,7 @@ def relative_contraction_margin(a, c) -> float:
     mc = _as_square(c)
     if ma.shape != mc.shape:
         raise BadParams("a and c must have equal shapes")
-    smin = np.linalg.svd(ma, compute_uv=False)[-1]
-    if smin <= _SINGULAR_RTOL * max(1.0, operator_norm(ma)):
+    s = np.linalg.svd(ma, compute_uv=False)
+    if s[-1] <= _SINGULAR_RTOL * max(1.0, float(s[0])):
         return float("-inf")
     return 1.0 - operator_norm(np.linalg.solve(ma, mc))

@@ -12,6 +12,20 @@ assertion.  Conditional expectations are realized structurally:
 All experiments are deterministic: trial t draws from an RNG seeded by
 SeedSequence([seed, t]), and trial averages accumulate in trial order,
 so identical (spec, seed) reproduce reports bit-identically.
+
+Haar unitaries are drawn in Householder form (Stewart, SIAM J. Numer.
+Anal. 17, 1980): the reflectors of a Ginibre QR are independent
+Gaussian reflectors, so only the N(N+1)/2 Gaussians below the diagonal
+are drawn, LAPACK's zungqr forms Q, and the columns are multiplied by
+the signs of R's diagonal (Mezzadri, Notices AMS 54, 2007).  No QR
+factorization is computed.
+
+Every N-sized product and inverse that a trial repeats goes through
+scipy's BLAS/LAPACK (zgemm, and zgetrf + zgetri in ``_inv``), never
+through numpy.linalg or ``@``: numpy and scipy link separate OpenBLAS
+builds with separate thread pools, and a trial that alternates
+between the two pools runs markedly slower than one that stays in
+either.  Only thm36's one domain check, on trial 0, uses numpy.linalg.
 """
 
 import json
@@ -19,6 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas, lapack
 from scipy.optimize import least_squares
 
 from .domains import halfplane_margin, relative_contraction_margin, \
@@ -26,8 +41,8 @@ from .domains import halfplane_margin, relative_contraction_margin, \
 from .errors import BadParams, DegenerateTransform, DimensionMismatch
 from .measures import CircleMeasure
 from .multiplicative import disk_subordination_solve
-from .opvalued import CovarianceMap, op_add_cauchy, op_semicircular_cauchy, \
-    solve_subordination_F
+from .opvalued import CovarianceMap, _kron, op_add_cauchy, \
+    op_semicircular_cauchy, solve_subordination_F
 
 _IDENTITIES = ("prop32", "prop33", "thm36", "lemma34", "thm31_block")
 
@@ -48,12 +63,60 @@ def _ginibre(rng, N, M=None):
 
 
 def _haar(rng, N):
-    # QR of a Ginibre matrix; rescaling columns by the phases of diag(R)
-    # removes the non-uniformity of the bare QR factorization
-    z = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    """Haar unitary N x N (Fortran-ordered) from N Gaussian reflectors.
+
+    Column k takes N - k fresh complex Gaussians x and forms the
+    reflector zlarfg would: beta = -sign(Re x0)||x||, tau = (beta - x0)/beta
+    and v = x/(x0 - beta) below the diagonal.  Q = H_1 ... H_N diag(sign
+    beta) is then distributed as the phase-corrected Q of a Ginibre QR.
+    """
+    z = rng.standard_normal(N * (N + 1)).view(complex)
+    a = np.zeros((N, N), dtype=complex, order="F")
+    tau = np.empty(N, dtype=complex)
+    signs = np.empty(N)
+    start = 0
+    for k in range(N):
+        x = z[start:start + N - k]
+        start += N - k
+        alpha = x[0]
+        beta = -math.copysign(math.sqrt(x.real @ x.real + x.imag @ x.imag),
+                              alpha.real)
+        tau[k] = (beta - alpha) / beta
+        a[k + 1:, k] = x[1:] / (alpha - beta)
+        signs[k] = math.copysign(1.0, beta)
+    # the wrappers' default workspace of 3N forces LAPACK's unblocked
+    # path, which is about twice as slow here and in _inv
+    lwork = int(lapack.zungqr(a, tau, lwork=-1)[1][0].real)
+    q, _, info = lapack.zungqr(a, tau, lwork=lwork, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zungqr failed with info {info}")
+    q *= signs
+    return q
+
+
+def _inv(a):
+    """Inverse of a square complex matrix by zgetrf + zgetri.
+
+    ``a`` is overwritten; every caller passes a temporary.  A C-ordered
+    input is inverted through its transpose, so neither layout is
+    copied, and the result has the layout of the input.  Raises
+    ``np.linalg.LinAlgError`` on an exactly singular matrix, as
+    ``np.linalg.inv`` does.
+    """
+    if a.flags.c_contiguous and not a.flags.f_contiguous:
+        return _inv(a.T).T
+    lu, piv, info = lapack.zgetrf(a, overwrite_a=1)
+    if info == 0:
+        lwork = int(lapack.zgetri_lwork(a.shape[0])[0].real)
+        lu, info = lapack.zgetri(lu, piv, lwork=lwork, overwrite_lu=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return lu
+
+
+def _conjugate(u, m):
+    """u m u* with two zgemm calls."""
+    return blas.zgemm(1.0, blas.zgemm(1.0, u, m), u, trans_b=2)
 
 
 def sample_angles(measure: CircleMeasure, size, rng):
@@ -218,16 +281,18 @@ def experiment_prop32(lam_diag, a0, eps=1.0, trials=200, seed=0,
         raise DimensionMismatch("a0 must match the spectrum size")
     if phase_rotations < 1:
         raise BadParams("phase_rotations must be >= 1")
-    shifted = a0 + 1j * eps * np.eye(N)
-    acc = np.zeros((N, N), dtype=complex)
+    shifted = np.asfortranarray(a0 + 1j * eps * np.eye(N))
+    idx = np.arange(N)
+    acc = np.zeros((N, N), dtype=complex, order="F")
     for t in range(trials):
         rng = _rng(seed, t)
-        u = _haar(rng, N)
-        a = u @ shifted @ u.conj().T
-        r = np.linalg.inv(a - np.diag(lam))
+        a = _conjugate(_haar(rng, N), shifted)
+        a[idx, idx] -= lam
+        r = _inv(a)
         # sum_m D_m R D_m* = R o (P P*) for the N x K phase matrix P
         p = np.exp(2j * np.pi * rng.random((N, phase_rotations)))
-        acc += r * ((p @ p.conj().T) / phase_rotations)
+        r *= blas.zgemm(1.0 / phase_rotations, p, p, trans_b=2)
+        acc += r
     mbar = acc / trials
     diag = np.diagonal(mbar)
     off = mbar - np.diag(diag)
@@ -267,13 +332,14 @@ def experiment_prop33(A0, C0, eps=1.0, trials=200, seed=0,
     N = A0.shape[0]
     if C0.shape != (N, N):
         raise DimensionMismatch("A0 and C0 must share a size")
-    a = A0 + 1j * eps * np.eye(N)
-    c_shift = C0 + 1j * eps * np.eye(N)
-    acc = np.zeros((N, N), dtype=complex)
+    a = np.asfortranarray(A0 + 1j * eps * np.eye(N))
+    c_shift = np.asfortranarray(C0 + 1j * eps * np.eye(N))
+    acc = np.zeros((N, N), dtype=complex, order="F")
     for t in range(trials):
-        u = _haar(_rng(seed, t), N)
-        acc += np.linalg.inv(a + u @ c_shift @ u.conj().T)
-    d = np.linalg.inv(acc / trials) - a
+        m = _conjugate(_haar(_rng(seed, t), N), c_shift)
+        m += a
+        acc += _inv(m)
+    d = _inv(acc / trials) - a
     scalar = complex(np.trace(d) / N)
     dev = float(np.linalg.norm(d - scalar * np.eye(N)) / np.linalg.norm(d))
     # full-matrix dev is floored by off-diagonal sampling noise, which is
@@ -308,16 +374,18 @@ def experiment_thm36(theta_law: CircleMeasure, c0, N=600, trials=100,
         raise DimensionMismatch("c0 must be N x N")
     if np.linalg.norm(c0, 2) > 0.9:
         raise BadParams("c0 must satisfy ||c0|| <= 0.9")
+    c0 = np.asfortranarray(c0)
     total = 0.0 + 0.0j
     omega_margin = None
     for t in range(trials):
         rng = _rng(seed, t)
         theta = sample_angles(theta_law, N_, rng)
         v = _haar(rng, N_)
-        u = (v * np.exp(1j * theta)) @ v.conj().T
+        u = blas.zgemm(1.0, v * np.exp(1j * theta), v, trans_b=2)
         if omega_margin is None:
             omega_margin = relative_contraction_margin(u, c0)
-        total += np.trace(np.linalg.inv(u - c0)) / N_
+        u -= c0
+        total += np.trace(_inv(u)) / N_
     m_hat = total / trials
     estimates = {"m_hat": complex(m_hat), "omega_margin": float(omega_margin)}
     try:
@@ -376,18 +444,24 @@ def experiment_thm31_block(eta_x: CovarianceMap, eta_y: CovarianceMap, b,
     acc_x = np.zeros((n, n), dtype=complex)
 
     def block_sample(rng, cov):
+        # (m + m*)/sqrt(2) for m = sum_j k_j (x) G_j, summed term by term
+        # so the n*N-sized sum is never conjugate-transposed
         m = np.zeros((n * N, n * N), dtype=complex)
         for k in cov.kraus:
-            gblock = _ginibre(rng, N)
-            m += np.kron(k, gblock)
-        return (m + m.conj().T) / math.sqrt(2.0)
+            g = _ginibre(rng, N) / math.sqrt(2.0)
+            m += _kron(k, g)
+            m += _kron(k.conj().T, g.conj().T)
+        return m
 
     for t in range(trials):
         rng = _rng(seed, t)
         x = block_sample(rng, eta_x)
         y = block_sample(rng, eta_y)
-        acc_xy += partial_trace(np.linalg.inv(big_b - (x + y)), n, N)
-        acc_x += partial_trace(np.linalg.inv(big_f - x), n, N)
+        y += x
+        np.subtract(big_b, y, out=y)
+        acc_xy += partial_trace(_inv(y), n, N)
+        np.subtract(big_f, x, out=x)
+        acc_x += partial_trace(_inv(x), n, N)
     est_xy = acc_xy / trials
     est_x = acc_x / trials
     subord = float(np.linalg.norm(est_xy - est_x))

@@ -85,6 +85,7 @@ def test_convolve_add_rejects_unknown_field(tmp_path):
 @pytest.mark.parametrize("command, extra", [
     ("convolve-mult", {"order": 40}),
     ("convolve-add", {"max_iter": "abc"}),
+    ("convolve-mult", {"order": 3.5}),
 ])
 def test_config_value_errors_exit_2(tmp_path, capsys, command, extra):
     circle = {"family": "circle_atoms", "params": [[0.0, 0.6], [1.0, 0.4]]}
@@ -94,6 +95,15 @@ def test_config_value_errors_exit_2(tmp_path, capsys, command, extra):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("points", ["abc", [[0, 1, 2]]])
+def test_eval_rejects_malformed_points(tmp_path, capsys, points):
+    cfg = write_cfg(tmp_path / "cfg.json", {"measure": SC, "points": points})
+    assert main(["eval", "cauchy", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert not (tmp_path / "eval.json").exists()
 
 
 def test_convolve_add_noconvergence_exit(tmp_path):

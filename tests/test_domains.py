@@ -94,3 +94,24 @@ def test_relative_contraction_margin_unitary(rng):
     c = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     c *= 0.7 / operator_norm(c)
     assert relative_contraction_margin(u, c) == pytest.approx(0.3, abs=1e-12)
+
+
+@pytest.mark.parametrize("fn", [
+    operator_norm, halfplane_margin, contraction_margins,
+    resolvent_identity_residual,
+    lambda x: relative_contraction_margin(x, 0.1 * x.conj()),
+])
+def test_margins_accept_transposed_and_fortran_input(fn, rng):
+    x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    x *= 0.8 / np.linalg.norm(x, 2)
+    expected = fn(np.ascontiguousarray(x.T))
+    assert fn(x.T) == expected
+    assert fn(np.asfortranarray(x.T)) == expected
+
+
+def test_margins_share_one_svd(rng):
+    # the singularity threshold reads s[0] of the SVD it already has; it
+    # must equal the operator_norm it replaced, bit for bit
+    for n in (1, 2, 5, 40):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert np.linalg.svd(a, compute_uv=False)[0] == operator_norm(a)

@@ -20,7 +20,7 @@ from freesub import (
     sample_angles,
 )
 from freesub.errors import BadParams, DimensionMismatch
-from freesub.matrixmodels import _haar, _make_report, _rng
+from freesub.matrixmodels import _haar, _inv, _make_report, _rng
 
 
 def balanced(N):
@@ -69,6 +69,64 @@ def test_ensemble_spec_validation():
         EnsembleSpec("rotated_deterministic", 8, seed=0)
     with pytest.raises(BadParams):
         EnsembleSpec("phase_unitary", 8, seed=0)
+
+
+def test_haar_draw_is_unitary_at_600():
+    u = _haar(_rng(5, 0), 600)
+    assert np.abs(u.conj().T @ u - np.eye(600)).max() <= 1e-13
+
+
+def test_haar_draw_moments():
+    # Haar moments of U(3): E|u11|^2 = 1/3, E|u11|^4 = 2/(N(N+1)) = 1/6,
+    # E|tr u|^2 = 1 and E u12^2 = 0, each within 4 standard errors
+    rng = _rng(0, 7)
+    draws = np.array([_haar(rng, 3) for _ in range(20000)])
+    u11 = np.abs(draws[:, 0, 0]) ** 2
+    u12sq = draws[:, 0, 1] ** 2
+    for stat, expected in ((u11, 1 / 3), (u11 ** 2, 1 / 6),
+                           (np.abs(np.trace(draws, axis1=1, axis2=2)) ** 2, 1.0),
+                           (u12sq.real, 0.0), (u12sq.imag, 0.0)):
+        stderr = stat.std() / np.sqrt(stat.size)
+        assert abs(stat.mean() - expected) <= 4 * stderr
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_inv_matches_numpy(order):
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60))
+    ref = np.linalg.inv(a)
+    got = _inv(np.array(a, order=order))
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_inv_rejects_singular(order):
+    a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex, order=order)
+    with pytest.raises(np.linalg.LinAlgError):
+        _inv(a)
+
+
+def test_trial_loops_keep_n_sized_algebra_off_numpy(monkeypatch):
+    # numpy and scipy link separate OpenBLAS builds; a trial must stay in
+    # scipy's, so numpy.linalg never sees an N x N matrix
+    N = 16
+    shapes = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            shapes.extend(np.shape(a) for a in args if np.ndim(a) >= 2)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("qr", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    experiment_prop33(np.diag(balanced(N)), np.diag(np.linspace(0.5, 1.5, N)),
+                      trials=2, seed=0)
+    eta_x = CovarianceMap((np.array([[0.9, 0.3], [0.0, 0.6]]),))
+    eta_y = CovarianceMap((np.array([[0.5, -0.2], [0.1, 0.7]]),))
+    experiment_thm31_block(eta_x, eta_y, 1j * np.eye(2), N=N, trials=2, seed=0)
+    assert shapes, "the solver's small n x n calls were not recorded"
+    assert max(max(s[-2:]) for s in shapes) < N
 
 
 def test_sample_angles_atomic_law():
