@@ -18,10 +18,10 @@ from .errors import (BadParams, DegenerateTransform, DimensionMismatch,
                      DomainError, FreesubError, JacobianSingular,
                      NoConvergence, NonPositiveDensity, UnknownFamily,
                      ZeroTransform)
-from .matrixmodels import (EnsembleSpec, ExperimentReport, experiment_lemma34,
+from .matrixmodels import (ExperimentReport, experiment_lemma34,
                            experiment_prop32, experiment_prop33,
                            experiment_thm31_block, experiment_thm36,
-                           partial_trace, sample, sample_angles)
+                           partial_trace, sample_angles)
 from .measures import (CircleMeasure, GridSpec, LineMeasure, arcsine, atomic,
                        bernoulli_pm1, circle_atoms, from_json, haar_circle,
                        make_standard, marchenko_pastur,
@@ -42,7 +42,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BadParams", "CircleMeasure", "CovarianceMap", "DegenerateTransform",
     "DimensionMismatch", "DiskSubordinationEval", "DomainError",
-    "EnsembleSpec", "ExperimentReport", "FreesubError", "GridSpec",
+    "ExperimentReport", "FreesubError", "GridSpec",
     "JacobianSingular", "LineMeasure", "MultConvolution", "NoConvergence",
     "NonPositiveDensity", "OpCauchyEval", "SubordinationEval", "UnknownFamily",
     "ZeroTransform", "arcsine", "atomic", "bernoulli_pm1", "cauchy_transform",
@@ -58,7 +58,7 @@ __all__ = [
     "noncrossing_partitions", "op_add_cauchy", "op_semicircular_cauchy",
     "operator_norm", "partial_trace", "psi_transform", "reciprocal_cauchy",
     "relative_contraction_margin", "resolvent_identity_residual", "rotate",
-    "rotate_moments", "sample", "sample_angles", "semicircle",
+    "rotate_moments", "sample_angles", "semicircle",
     "semicircular_shift_F", "solve_subordination_F", "stieltjes_invert",
     "subordination_pair", "to_json", "wrapped_density", "zero_covariance",
 ]

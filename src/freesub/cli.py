@@ -13,7 +13,6 @@ Exit codes: 0 pass, 1 residual/verdict failure, 2 config error,
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -24,7 +23,7 @@ import numpy as np
 from . import measures as _measures
 from .additive import convolve_cauchy, subordination_pair
 from .errors import FreesubError, NoConvergence
-from .matrixmodels import (_haar, _rng, experiment_lemma34, experiment_prop32,
+from .matrixmodels import (experiment_lemma34, experiment_prop32,
                            experiment_prop33, experiment_thm31_block,
                            experiment_thm36)
 from .multiplicative import free_mult_convolve_unitary
@@ -109,9 +108,6 @@ def _parse_measure(spec, kind=None):
             params = spec.get("params", [])
             if spec["family"] in ("atomic", "circle_atoms"):
                 params = [[tuple(p) for p in params]]
-            if spec["family"] in ("bernoulli_pm1", "haar_circle"):
-                if spec["family"] == "bernoulli_pm1":
-                    kwargs = {}
             m = _measures.make_standard(spec["family"], *params, **kwargs)
         else:
             m = _measures.from_json(json.dumps(spec))
@@ -190,8 +186,8 @@ def _write_meta(out, command):
 
 def cmd_convolve_add(args):
     cfg = _load_config(args.config)
-    _check_keys(cfg, {"command", "mu", "nu", "eta_sequence", "seed", "tol",
-                      "grid", "im", "max_iter"}, "convolve-add")
+    _check_keys(cfg, {"command", "mu", "nu", "eta_sequence", "tol", "max_iter"},
+                "convolve-add")
     if "mu" not in cfg or "nu" not in cfg:
         raise ConfigError("convolve-add needs measures 'mu' and 'nu'")
     mu = _parse_measure(cfg["mu"], _measures.LineMeasure)
@@ -270,8 +266,7 @@ def cmd_convolve_add(args):
 
 def cmd_convolve_mult(args):
     cfg = _load_config(args.config)
-    _check_keys(cfg, {"command", "mu", "nu", "order", "seed", "tol"},
-                "convolve-mult")
+    _check_keys(cfg, {"command", "mu", "nu", "order", "tol"}, "convolve-mult")
     if "mu" not in cfg or "nu" not in cfg:
         raise ConfigError("convolve-mult needs measures 'mu' and 'nu'")
     mu = _parse_measure(cfg["mu"], _measures.CircleMeasure)
@@ -317,7 +312,7 @@ _CIRCLE_TRANSFORMS = {
 
 def cmd_eval(args):
     cfg = _load_config(args.config)
-    _check_keys(cfg, {"command", "measure", "points", "seed", "tol"}, "eval")
+    _check_keys(cfg, {"command", "measure", "points"}, "eval")
     if "measure" not in cfg:
         raise ConfigError("eval needs a 'measure'")
     name = args.transform
@@ -366,42 +361,38 @@ def _balanced_pm1(N):
     return v
 
 
-def _run_verify(identity, cfg, args):
-    seed = args.seed if args.seed is not None else _int_field(cfg, "seed", 0)
-    n_size = args.N if args.N is not None else _int_field(cfg, "N", 600)
-    trials = args.trials if args.trials is not None else _int_field(cfg, "trials", 200)
+def _run_verify(identity, cfg):
+    # the experiments hold their own defaults: pass only what is set
+    kw = {k: _int_field(cfg, k, None)
+          for k in ("seed", "N", "trials", "samples") if k in cfg}
+    if "eps" in cfg:
+        kw["eps"] = float(cfg["eps"])
+    if identity in ("prop32", "prop33"):
+        # both take N from their spectra; N sizes only the default ones
+        pm1 = _balanced_pm1(kw.pop("N", 600))
     if identity == "prop32":
-        lam = np.asarray(cfg["lam"], float) if "lam" in cfg else _balanced_pm1(n_size)
+        lam = np.asarray(cfg["lam"], float) if "lam" in cfg else pm1
         a0 = _parse_matrix(cfg["a0"]) if "a0" in cfg else np.diag(_balanced_pm1(lam.size))
-        return experiment_prop32(lam, a0, eps=float(cfg.get("eps", 1.0)),
-                                 trials=trials, seed=seed)
+        return experiment_prop32(lam, a0, **kw)
     if identity == "prop33":
-        A0 = _parse_matrix(cfg["A0"]) if "A0" in cfg else np.diag(_balanced_pm1(n_size))
-        C0 = _parse_matrix(cfg["C0"]) if "C0" in cfg else np.diag(_balanced_pm1(n_size))
-        return experiment_prop33(A0, C0, eps=float(cfg.get("eps", 1.0)),
-                                 trials=trials, seed=seed)
+        A0 = _parse_matrix(cfg["A0"]) if "A0" in cfg else np.diag(pm1)
+        C0 = _parse_matrix(cfg["C0"]) if "C0" in cfg else np.diag(pm1)
+        return experiment_prop33(A0, C0, **kw)
     if identity == "thm36":
         law = _parse_measure(cfg["theta_law"], _measures.CircleMeasure) \
             if "theta_law" in cfg else _measures.haar_circle()
-        if "c0" in cfg:
-            c0 = _parse_matrix(cfg["c0"])
-        else:
-            c0 = 0.7 * _haar(_rng(seed, 999), n_size)
-        trials = args.trials if args.trials is not None else _int_field(cfg, "trials", 100)
-        return experiment_thm36(law, c0, N=n_size, trials=trials, seed=seed)
+        c0 = _parse_matrix(cfg["c0"]) if "c0" in cfg else None
+        return experiment_thm36(law, c0, **kw)
     if identity == "thm31_block":
         ex = CovarianceMap.from_dict(cfg["eta_x"]) if "eta_x" in cfg else \
             CovarianceMap((np.array([[0.9, 0.3], [0.0, 0.6]]),))
         ey = CovarianceMap.from_dict(cfg["eta_y"]) if "eta_y" in cfg else \
             CovarianceMap((np.array([[0.5, -0.2], [0.1, 0.7]]),))
         b = _parse_matrix(cfg["b"]) if "b" in cfg else 1j * np.eye(ex.n)
-        n_size = args.N if args.N is not None else _int_field(cfg, "N", 512)
-        trials = args.trials if args.trials is not None else _int_field(cfg, "trials", 100)
-        return experiment_thm31_block(ex, ey, b, N=n_size, trials=trials,
-                                      seed=seed)
-    samples = args.samples if args.samples is not None else _int_field(cfg, "samples", 10000)
-    dims = tuple(cfg.get("dims", (2, 3, 4, 5, 6)))
-    return experiment_lemma34(dims=dims, samples=samples, seed=seed)
+        return experiment_thm31_block(ex, ey, b, **kw)
+    if "dims" in cfg:
+        kw["dims"] = cfg["dims"]
+    return experiment_lemma34(**kw)
 
 
 _VERIFY_KEYS = {
@@ -418,9 +409,13 @@ def cmd_verify(args):
     if identity not in _VERIFY_KEYS:
         raise ConfigError(f"unknown identity {args.identity!r}")
     cfg = _load_config(args.config)
+    # a set flag is one more config field, checked against the same keys
+    for key in ("seed", "N", "trials", "samples"):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
     _check_keys(cfg, _VERIFY_KEYS[identity], "verify")
     try:
-        report = _run_verify(identity, cfg, args)
+        report = _run_verify(identity, cfg)
     except KeyError as exc:
         raise ConfigError(f"missing config field {exc}") from None
     out = _out_dir(args)
@@ -439,14 +434,24 @@ def cmd_verify(args):
 # entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
+_FLAGS = {
+    "--format": {"choices": ("json", "csv"), "default": "json"},
+    "--tol": {"type": float},
+    "--grid": {"help": "lo:hi:n"},
+    "--im": {"help": "comma separated positive imaginary parts"},
+    "--seed": {"type": int},
+    "--N": {"type": int},
+    "--trials": {"type": int},
+    "--samples": {"type": int},
+}
+
+
+def _add_args(p, *flags):
+    """--config and --out, plus the flags this subcommand reads."""
     p.add_argument("--config", help="JSON config path")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or .)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--grid", help="lo:hi:n")
-    p.add_argument("--im", help="comma separated positive imaginary parts")
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
 
 
 def _build_parser():
@@ -455,25 +460,22 @@ def _build_parser():
         description="free convolution, subordination and verification runs")
     sub = ap.add_subparsers(dest="command", required=True)
     p = sub.add_parser("convolve-add", help="free additive convolution")
-    _add_common(p)
+    _add_args(p, "--format", "--tol", "--grid", "--im")
     p.set_defaults(fn=cmd_convolve_add)
     p = sub.add_parser("convolve-mult",
                        help="free multiplicative convolution on the circle")
-    _add_common(p)
+    _add_args(p, "--tol")
     p.set_defaults(fn=cmd_convolve_mult)
     p = sub.add_parser("eval", help="pointwise transform evaluation")
     p.add_argument("transform",
                    choices=sorted(_LINE_TRANSFORMS) + sorted(_CIRCLE_TRANSFORMS))
-    _add_common(p)
+    _add_args(p, "--format", "--grid", "--im")
     p.set_defaults(fn=cmd_eval)
     p = sub.add_parser("verify", help="run a verification experiment")
     p.add_argument("identity",
                    choices=("prop32", "prop33", "thm36", "thm31-block",
                             "thm31_block", "lemma34"))
-    _add_common(p)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
+    _add_args(p, "--seed", "--N", "--trials", "--samples")
     p.set_defaults(fn=cmd_verify)
     return ap
 

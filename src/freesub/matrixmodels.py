@@ -1,9 +1,11 @@
 """Seeded random-matrix experiments backing the subordination identities.
 
-Freeness only holds asymptotically for independently rotated matrices,
-so every check here is an estimator plus a concentration-scale
-tolerance (default 0.05 around N = 600, trials >= 100), never an exact
-assertion.  Conditional expectations are realized structurally:
+The experiment drivers are the package's only sampling path: each one
+draws its own matrices and holds its own defaults.  Freeness only holds
+asymptotically for independently rotated matrices, so every check here
+is an estimator plus a concentration-scale tolerance (default 0.05
+around N = 600, trials >= 100), never an exact assertion.  Conditional
+expectations are realized structurally:
 
   * onto the block algebra M_n (x) 1_N: exact partial trace;
   * onto a diagonal / scalar subalgebra: Haar averaging over trials
@@ -11,7 +13,7 @@ assertion.  Conditional expectations are realized structurally:
 
 All experiments are deterministic: trial t draws from an RNG seeded by
 SeedSequence([seed, t]), and trial averages accumulate in trial order,
-so identical (spec, seed) reproduce reports bit-identically.
+so identical arguments and seed reproduce reports bit-identically.
 
 Haar unitaries are drawn in Householder form (Stewart, SIAM J. Numer.
 Anal. 17, 1980): the reflectors of a Ginibre QR are independent
@@ -56,9 +58,8 @@ def _rng(seed, *path):
         [_entropy(seed)] + [int(p) for p in path]))
 
 
-def _ginibre(rng, N, M=None):
-    M = N if M is None else M
-    return (rng.standard_normal((N, M)) + 1j * rng.standard_normal((N, M))) \
+def _ginibre(rng, N):
+    return (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))) \
         / math.sqrt(2.0 * N)
 
 
@@ -134,46 +135,11 @@ def sample_angles(measure: CircleMeasure, size, rng):
     return out
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Deterministic random-matrix ensemble: (kind, N, seed) fixes the draw."""
-
-    kind: str
-    N: int
-    seed: int
-    lam: tuple = None            # rotated_deterministic: the fixed spectrum
-    theta_law: CircleMeasure = None  # phase_unitary: law of the eigenphases
-
-    def __post_init__(self):
-        if self.kind not in ("gue", "haar_unitary", "rotated_deterministic",
-                             "phase_unitary"):
-            raise BadParams(f"unknown ensemble kind {self.kind!r}")
-        if self.N < 2:
-            raise BadParams("ensemble size must be at least 2")
-        if self.kind == "rotated_deterministic" and self.lam is None:
-            raise BadParams("rotated_deterministic needs its spectrum")
-        if self.kind == "phase_unitary" and self.theta_law is None:
-            raise BadParams("phase_unitary needs an eigenphase law")
-
-
-def sample(spec: EnsembleSpec, trial=0):
-    """Draw the matrix of an ensemble; deterministic in (spec, trial)."""
-    rng = _rng(spec.seed, trial)
-    N = spec.N
-    if spec.kind == "gue":
-        a = _ginibre(rng, N)
-        return (a + a.conj().T) / math.sqrt(2.0)
-    if spec.kind == "haar_unitary":
-        return _haar(rng, N)
-    if spec.kind == "rotated_deterministic":
-        u = _haar(rng, N)
-        lam = np.asarray(spec.lam, dtype=float)
-        if lam.size != N:
-            raise DimensionMismatch("spectrum length must equal N")
-        return (u * lam) @ u.conj().T
-    theta = sample_angles(spec.theta_law, N, rng)
+def _phase_unitary(theta_law, N, rng):
+    """V diag(e^{i theta}) V* with V Haar and eigenphases from theta_law."""
+    theta = sample_angles(theta_law, N, rng)
     v = _haar(rng, N)
-    return (v * np.exp(1j * theta)) @ v.conj().T
+    return blas.zgemm(1.0, v * np.exp(1j * theta), v, trans_b=2)
 
 
 def partial_trace(Z, n, N):
@@ -357,19 +323,23 @@ def experiment_prop33(A0, C0, eps=1.0, trials=200, seed=0,
     )
 
 
-def experiment_thm36(theta_law: CircleMeasure, c0, N=600, trials=100,
+def experiment_thm36(theta_law: CircleMeasure, c0=None, N=600, trials=100,
                      seed=0, tol_haar=0.05, solve_tol=0.02) -> ExperimentReport:
     """Disk subordination at trace level for a randomized unitary.
 
     u = V diag(e^{i theta}) V* with V Haar and eigenphases drawn from
     theta_law; c0 is a fixed strict contraction, so u is invertible with
     ||u^{-1} c0|| < 1 and the averaged trace of (u - c0)^{-1} is a
-    legitimate subordination target.  A uniform phase law forces the
-    average to vanish; any identifiable law must instead yield a disk
-    point g reproducing the target through the circle resolvent.
+    legitimate subordination target.  c0 defaults to 0.7 times a Haar
+    unitary drawn from its own stream (seed, 999).  A uniform phase law
+    forces the average to vanish; any identifiable law must instead
+    yield a disk point g reproducing the target through the circle
+    resolvent.
     """
-    c0 = np.asarray(c0, dtype=complex)
     N_ = int(N)
+    if c0 is None:
+        c0 = 0.7 * _haar(_rng(seed, 999), N_)
+    c0 = np.asarray(c0, dtype=complex)
     if c0.shape != (N_, N_):
         raise DimensionMismatch("c0 must be N x N")
     if np.linalg.norm(c0, 2) > 0.9:
@@ -378,10 +348,7 @@ def experiment_thm36(theta_law: CircleMeasure, c0, N=600, trials=100,
     total = 0.0 + 0.0j
     omega_margin = None
     for t in range(trials):
-        rng = _rng(seed, t)
-        theta = sample_angles(theta_law, N_, rng)
-        v = _haar(rng, N_)
-        u = blas.zgemm(1.0, v * np.exp(1j * theta), v, trans_b=2)
+        u = _phase_unitary(theta_law, N_, _rng(seed, t))
         if omega_margin is None:
             omega_margin = relative_contraction_margin(u, c0)
         u -= c0

@@ -22,10 +22,9 @@ from freesub import (CovarianceMap, arcsine, bernoulli_pm1, cauchy_transform,
                      free_cumulants_to_moments, haar_circle, halfplane_margin,
                      op_add_cauchy, op_semicircular_cauchy, semicircle,
                      solve_subordination_F, subordination_pair)
-from freesub.cli import _balanced_pm1
-from freesub.matrixmodels import _haar, _rng
 
 _REPORTS = {}
+_PM1 = np.where(np.arange(600) < 300, 1.0, -1.0)
 
 
 def _verdict(num, ok, detail):
@@ -49,30 +48,23 @@ def _run_block_subordination():
 
 
 def _run_resolvent_diagonalization():
-    lam = _balanced_pm1(600)
-    return experiment_prop32(lam_diag=lam, a0=np.diag(lam[::-1].copy()),
+    return experiment_prop32(lam_diag=_PM1, a0=np.diag(_PM1[::-1].copy()),
                              eps=1.0, trials=200, seed=42)
 
 
 def _run_markov_scalar_collapse():
-    return experiment_prop33(A0=np.diag(_balanced_pm1(600)),
+    return experiment_prop33(A0=np.diag(_PM1),
                              C0=np.diag(np.linspace(0.5, 1.5, 600)),
                              eps=1.0, trials=200, seed=42)
 
 
-def _contraction_c0():
-    return 0.7 * _haar(_rng(0, 999), 600)
-
-
 def _run_disk_haar():
-    return experiment_thm36(theta_law=haar_circle(), c0=_contraction_c0(),
-                            N=600, trials=100, seed=0)
+    return experiment_thm36(theta_law=haar_circle(), N=600, trials=100, seed=0)
 
 
 def _run_disk_atoms():
     law = circle_atoms([(0.0, 0.5), (math.pi, 0.3), (math.pi / 2, 0.2)])
-    return experiment_thm36(theta_law=law, c0=_contraction_c0(),
-                            N=600, trials=100, seed=0)
+    return experiment_thm36(theta_law=law, N=600, trials=100, seed=0)
 
 
 _RUNNERS = {

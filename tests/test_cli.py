@@ -1,6 +1,8 @@
 """Command-line surface: configs, artifacts, exit codes, reproducibility."""
 
+import ast
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -8,10 +10,12 @@ import numpy as np
 import pytest
 
 import freesub.measures
+from freesub import experiment_thm36, haar_circle
 from freesub.cli import main
 from freesub.opvalued import zero_covariance
 
 SC = {"family": "semicircle", "params": [0.0, 1.0]}
+CIRCLE = {"family": "circle_atoms", "params": [[0.0, 0.6], [1.0, 0.4]]}
 
 
 def write_cfg(path, payload):
@@ -77,24 +81,48 @@ def test_convolve_add_csv_format(tmp_path):
     assert float(cell) == float(format(float(cell), ".17g"))
 
 
-def test_convolve_add_rejects_unknown_field(tmp_path):
-    cfg = write_cfg(tmp_path / "cfg.json", {"mu": SC, "nu": SC, "mystery": 1})
-    assert main(["convolve-add", "--config", cfg, "--out", str(tmp_path)]) == 2
-
-
 @pytest.mark.parametrize("command, extra", [
     ("convolve-mult", {"order": 40}),
     ("convolve-add", {"max_iter": "abc"}),
     ("convolve-mult", {"order": 3.5}),
 ])
 def test_config_value_errors_exit_2(tmp_path, capsys, command, extra):
-    circle = {"family": "circle_atoms", "params": [[0.0, 0.6], [1.0, 0.4]]}
-    law = circle if command == "convolve-mult" else SC
+    law = CIRCLE if command == "convolve-mult" else SC
     cfg = write_cfg(tmp_path / "cfg.json", {"mu": law, "nu": law, **extra})
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["convolve-mult", "--grid", "nonsense"], {"mu": CIRCLE, "nu": CIRCLE}),
+    (["convolve-mult", "--im", "x"], {"mu": CIRCLE, "nu": CIRCLE}),
+    (["convolve-mult", "--format", "csv"], {"mu": CIRCLE, "nu": CIRCLE}),
+    (["convolve-mult"], {"mu": CIRCLE, "nu": CIRCLE, "seed": 4}),
+    (["convolve-add"], {"mu": SC, "nu": SC, "mystery": 1}),
+    (["convolve-add"], {"mu": SC, "nu": SC, "seed": 4}),
+    (["convolve-add"], {"mu": SC, "nu": SC, "grid": "0:1:5"}),
+    (["convolve-add"], {"mu": {"family": "bernoulli_pm1", "n": 5}, "nu": SC}),
+    (["eval", "cauchy", "--tol", "1e-300"], {"measure": SC}),
+    (["eval", "cauchy", "--seed", "5"], {"measure": SC}),
+    (["eval", "cauchy"], {"measure": SC, "seed": 5}),
+    (["eval", "cauchy"], {"measure": SC, "tol": 1e-3}),
+    (["verify", "lemma34", "--samples", "50", "--tol", "1e-300"], {}),
+    (["verify", "lemma34", "--samples", "50", "--grid", "0:1:5"], {}),
+    (["verify", "lemma34", "--samples", "50", "--im", "3"], {}),
+    (["verify", "lemma34", "--samples", "50", "--format", "csv"], {}),
+    (["verify", "lemma34", "--samples", "50", "--N", "5"], {}),
+    (["verify", "prop32", "--N", "8", "--trials", "1", "--samples", "5"], {}),
+])
+def test_unread_flags_and_fields_exit_2(tmp_path, capsys, argv, cfg):
+    argv = argv + ["--config", write_cfg(tmp_path / "cfg.json", cfg),
+                   "--out", str(tmp_path)]
+    try:
+        assert main(argv) == 2
+    except SystemExit as exc:  # argparse: a flag the subcommand lacks
+        assert exc.code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("points", ["abc", [[0, 1, 2]]])
@@ -219,6 +247,13 @@ def test_verify_thm31_block_trivial_y(tmp_path):
     assert report["residuals"]["subordination"] <= 1e-7
 
 
+def test_verify_thm36_uses_experiment_default(tmp_path):
+    main(["verify", "thm36", "--N", "64", "--trials", "4", "--seed", "2",
+          "--out", str(tmp_path)])
+    want = experiment_thm36(haar_circle(), N=64, trials=4, seed=2).to_dict()
+    assert json.loads((tmp_path / "report.json").read_text()) == want
+
+
 def test_verify_report_determinism(tmp_path):
     # tiny sizes land above the 0.05 noise tolerance (exit 1); the point
     # here is that reruns reproduce the report byte for byte
@@ -250,3 +285,14 @@ def test_module_entry_point(tmp_path):
          "--config", str(cfg), "--out", str(tmp_path)],
         capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_no_private_freesub_imports():
+    # the CLI, the acceptance gate and the demos use the public surface
+    root = pathlib.Path(__file__).resolve().parents[1]
+    for path in [root / "src/freesub/cli.py", root / "tests/test_acceptance.py",
+                 *(root / "demos").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.partition(".")[0] == "freesub"):
+                assert not [a.name for a in node.names if a.name.startswith("_")], path

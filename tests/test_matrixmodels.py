@@ -1,4 +1,4 @@
-"""Seeded ensembles, conditional-expectation estimators, experiment reports."""
+"""Seeded draws, conditional-expectation estimators, experiment reports."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 
 from freesub import (
     CovarianceMap,
-    EnsembleSpec,
     circle_atoms,
     experiment_lemma34,
     experiment_prop32,
@@ -16,59 +15,23 @@ from freesub import (
     experiment_thm36,
     haar_circle,
     partial_trace,
-    sample,
     sample_angles,
 )
 from freesub.errors import BadParams, DimensionMismatch
-from freesub.matrixmodels import _haar, _inv, _make_report, _rng
+from freesub.matrixmodels import _haar, _inv, _make_report, _phase_unitary, _rng
 
 
 def balanced(N):
     return np.array([1.0 if i % 2 == 0 else -1.0 for i in range(N)])
 
 
-def test_gue_sample_properties():
-    x = sample(EnsembleSpec("gue", 512, seed=1))
-    assert np.max(np.abs(x - x.conj().T)) <= 1e-14
-    assert abs(np.trace(x @ x).real / 512 - 1.0) <= 0.1
-
-
-def test_haar_sample_unitary_and_centered():
-    u = sample(EnsembleSpec("haar_unitary", 512, seed=2))
-    assert np.linalg.norm(u.conj().T @ u - np.eye(512)) <= 1e-12
-    assert abs(np.trace(u) / 512) <= 0.15
-
-
-def test_rotated_deterministic_keeps_spectrum():
-    lam = np.linspace(-2, 2, 64)
-    x = sample(EnsembleSpec("rotated_deterministic", 64, seed=3, lam=tuple(lam)))
-    got = np.sort(np.linalg.eigvalsh(x))
-    assert np.max(np.abs(got - lam)) <= 1e-12
-
-
 def test_phase_unitary_sample():
+    # the unitary thm36 rotates: eigenphases from the law, Haar eigenvectors
     law = circle_atoms([(0.0, 0.5), (np.pi, 0.5)])
-    u = sample(EnsembleSpec("phase_unitary", 48, seed=4, theta_law=law))
+    u = _phase_unitary(law, 48, _rng(4, 0))
     assert np.linalg.norm(u.conj().T @ u - np.eye(48)) <= 1e-12
     ev = np.linalg.eigvals(u)
     assert np.max(np.minimum(np.abs(ev - 1), np.abs(ev + 1))) <= 1e-10
-
-
-def test_sample_determinism():
-    spec = EnsembleSpec("gue", 32, seed=9)
-    assert np.array_equal(sample(spec, trial=5), sample(spec, trial=5))
-    assert not np.array_equal(sample(spec, trial=5), sample(spec, trial=6))
-
-
-def test_ensemble_spec_validation():
-    with pytest.raises(BadParams):
-        EnsembleSpec("wishart", 8, seed=0)
-    with pytest.raises(BadParams):
-        EnsembleSpec("gue", 1, seed=0)
-    with pytest.raises(BadParams):
-        EnsembleSpec("rotated_deterministic", 8, seed=0)
-    with pytest.raises(BadParams):
-        EnsembleSpec("phase_unitary", 8, seed=0)
 
 
 def test_haar_draw_is_unitary_at_600():
@@ -233,8 +196,7 @@ def test_thm36_scalar_contraction_recovers_g():
 
 
 def test_thm36_haar_branch_reports_mean_only():
-    c0 = 0.5 * _haar(_rng(0, 999), 64)
-    rep = experiment_thm36(haar_circle(), c0, N=64, trials=10, seed=0)
+    rep = experiment_thm36(haar_circle(), N=64, trials=10, seed=0)
     assert set(rep.residuals) == {"haar_abs", "omega_shortfall"}
     assert "g" not in rep.estimates
 
@@ -305,8 +267,7 @@ def test_convergence_trend_doubling_N():
         wins["prop33"] += p33(160) < p33(80)
 
         def t36(N):
-            c0 = 0.7 * _haar(_rng(seed, 999), N)
-            return experiment_thm36(haar_circle(), c0, N=N, trials=30,
+            return experiment_thm36(haar_circle(), N=N, trials=30,
                                     seed=seed).residuals["haar_abs"]
         wins["thm36"] += t36(128) < t36(64)
 
