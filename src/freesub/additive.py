@@ -13,8 +13,8 @@ series of G', so no differencing step size is involved.  G and G' come
 together from the chunked node-sum kernel ``transforms._node_sums``,
 and each evaluation of the map at a Newton candidate is kept: once the
 candidate is accepted it is the next iterate's value and derivative.
-Everything else (densities, moments, cumulants of the convolution) is
-derived from the subordination evaluator.
+Densities and moments of the convolution are derived from the
+subordination evaluator.
 """
 
 import cmath
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cumulants as _cumulants
 from .errors import DomainError, NoConvergence
 from .measures import LineMeasure
 from .transforms import _node_sums, cauchy_transform, stieltjes_invert
@@ -218,20 +217,3 @@ def convolve_moments(mu: LineMeasure, nu: LineMeasure, order, tol=1e-13,
         m = (vals.sum() + np.conj(vals).sum()) / nodes
         out.append(float(m.real))
     return out
-
-
-def free_cumulants(m, order):
-    """Free cumulants kappa_1..kappa_order from moments m = (m_0=1, m_1, ...)."""
-    m = list(m)
-    if not m or m[0] != 1:
-        raise ValueError("moment list must start with m_0 = 1")
-    if not 1 <= order <= 12:
-        raise ValueError("cumulant order must be in [1, 12]")
-    if len(m) < order + 1:
-        raise ValueError("need moments up to the requested order")
-    return _cumulants.moments_to_free_cumulants(m[1:order + 1])
-
-
-def free_cumulants_to_moments(kappa):
-    """Inverse conversion; round-trips exactly with free_cumulants."""
-    return _cumulants.free_cumulants_to_moments(list(kappa))

@@ -322,6 +322,8 @@ def cmd_eval(args):
     kind = _measures.LineMeasure if on_line else _measures.CircleMeasure
     measure = _parse_measure(cfg["measure"], kind)
     if "points" in cfg:
+        if args.grid is not None or args.im is not None:
+            raise ConfigError("'points' replaces --grid and --im; give one")
         pts = _parse_points(cfg["points"])
     else:
         grid = _parse_grid(args.grid) if args.grid else np.linspace(-2, 2, 9)
@@ -369,6 +371,9 @@ def _run_verify(identity, cfg):
         kw["eps"] = float(cfg["eps"])
     if identity in ("prop32", "prop33"):
         # both take N from their spectra; N sizes only the default ones
+        spectra = {"lam"} if identity == "prop32" else {"A0", "C0"}
+        if "N" in kw and spectra <= cfg.keys():
+            raise ConfigError(f"N is the size of {sorted(spectra)}; do not set it")
         pm1 = _balanced_pm1(kw.pop("N", 600))
     if identity == "prop32":
         lam = np.asarray(cfg["lam"], float) if "lam" in cfg else pm1

@@ -1,6 +1,7 @@
 """Moment / free-cumulant combinatorics.
 
-Conversions between raw moments and free cumulants use the recursion
+``free_cumulants`` and ``free_cumulants_to_moments`` convert between raw
+moments and free cumulants with the recursion
 
     m_n = sum_{s=1}^{n} kappa_s * sum_{i_1+...+i_s = n-s} m_{i_1}...m_{i_s}
 
@@ -31,7 +32,7 @@ def _ordered_products(moments, s, n):
     return acc[n]
 
 
-def moments_to_free_cumulants(moments):
+def _moments_to_free_cumulants(moments):
     """Free cumulants kappa_1..kappa_K from raw moments m_1..m_K."""
     moments = list(moments)
     kappa = []
@@ -44,8 +45,23 @@ def moments_to_free_cumulants(moments):
     return kappa
 
 
+def free_cumulants(m, order):
+    """Free cumulants kappa_1..kappa_order from moments m = (m_0=1, m_1, ...)."""
+    m = list(m)
+    if not m or m[0] != 1:
+        raise ValueError("moment list must start with m_0 = 1")
+    if not 1 <= order <= 12:
+        raise ValueError("cumulant order must be in [1, 12]")
+    if len(m) < order + 1:
+        raise ValueError("need moments up to the requested order")
+    return _moments_to_free_cumulants(m[1:order + 1])
+
+
 def free_cumulants_to_moments(cumulants):
-    """Raw moments m_1..m_K from free cumulants kappa_1..kappa_K."""
+    """Raw moments m_1..m_K from free cumulants kappa_1..kappa_K.
+
+    Round-trips exactly with ``free_cumulants`` on exact scalar types.
+    """
     cumulants = list(cumulants)
     moments = []
     for n in range(1, len(cumulants) + 1):
@@ -113,12 +129,6 @@ def _kreweras_table(n):
     return table
 
 
-def kreweras_complement(pi, n):
-    """Complement of pi in NC(n): the largest sigma with pi u sigma noncrossing."""
-    pi = tuple(sorted((tuple(sorted(b)) for b in pi), key=min))
-    return _kreweras_table(n)[pi]
-
-
 def free_multiplicative_moments(moments_a, moments_b, order):
     """Moments of the free product ab from the moments of a and b.
 
@@ -129,7 +139,7 @@ def free_multiplicative_moments(moments_a, moments_b, order):
         raise ValueError(f"product moment formula supports 1 <= order <= {_MAX_PRODUCT_ORDER}")
     if len(moments_a) < order or len(moments_b) < order:
         raise ValueError("need at least `order` moments of each factor")
-    kappa_a = moments_to_free_cumulants(list(moments_a)[:order])
+    kappa_a = _moments_to_free_cumulants(list(moments_a)[:order])
     mb = list(moments_b)
     out = []
     for n in range(1, order + 1):

@@ -89,20 +89,3 @@ def resolvent_identity_residual(x) -> float:
     lhs = a + b
     rhs = eye + a @ (eye - m @ m.conj().T) @ b
     return float(np.linalg.norm(lhs - rhs, 2))
-
-
-def relative_contraction_margin(a, c) -> float:
-    """Margin of the condition "a invertible and ||a^{-1} c|| < 1".
-
-    Returns ``1 - ||a^{-1} c||`` when a is invertible, else ``-inf``.
-    Positive iff the pair admits the subordinated inverse
-    ``(1 - a^{-1}c)^{-1} a^{-1}`` of ``a - c``.
-    """
-    ma = _as_square(a)
-    mc = _as_square(c)
-    if ma.shape != mc.shape:
-        raise BadParams("a and c must have equal shapes")
-    s = np.linalg.svd(ma, compute_uv=False)
-    if s[-1] <= _SINGULAR_RTOL * max(1.0, float(s[0])):
-        return float("-inf")
-    return 1.0 - operator_norm(np.linalg.solve(ma, mc))

@@ -224,12 +224,8 @@ class CircleMeasure:
         return cls(atoms=tuple(map(tuple, d.get("atoms", ()))), grid=g, density=dens)
 
 
-def to_json(measure) -> str:
-    """Serialize a measure; floats round-trip bit-exactly through repr."""
-    return json.dumps(measure.to_dict())
-
-
 def from_json(text: str):
+    """Measure from ``json.dumps(m.to_dict())``; floats round-trip bit-exactly."""
     d = json.loads(text)
     kind = d.get("type")
     if kind == "line":
@@ -344,23 +340,6 @@ def circle_atoms(pairs) -> CircleMeasure:
     return CircleMeasure(atoms=tuple(pairs))
 
 
-def wrapped_density(evaluator, n=DEFAULT_GRID_N) -> CircleMeasure:
-    """Circle measure from a nonnegative density callable on [0, 2*pi).
-
-    Sampled pointwise on the periodic grid and renormalized; intended
-    for smooth densities.
-    """
-    grid = GridSpec(0.0, _TWO_PI, n)
-    theta = grid.lo + (_TWO_PI / n) * np.arange(n)
-    samples = np.asarray([float(evaluator(t)) for t in theta])
-    if np.any(samples < 0) or not np.all(np.isfinite(samples)):
-        raise BadParams("density evaluator must be finite and nonnegative")
-    total = samples.sum() * (_TWO_PI / n)
-    if total <= 0:
-        raise BadParams("density evaluator integrates to zero")
-    return CircleMeasure(grid=grid, density=samples / total)
-
-
 _FAMILIES = {
     "semicircle": semicircle,
     "bernoulli_pm1": bernoulli_pm1,
@@ -369,7 +348,6 @@ _FAMILIES = {
     "atomic": atomic,
     "haar_circle": haar_circle,
     "circle_atoms": circle_atoms,
-    "wrapped_density": wrapped_density,
 }
 
 
@@ -378,8 +356,8 @@ def make_standard(name, *params, **kwargs):
 
     Known names: semicircle(center, variance), bernoulli_pm1,
     arcsine(scale), marchenko_pastur(lam), atomic(pairs), haar_circle,
-    circle_atoms(pairs), wrapped_density(evaluator).  Gridded families
-    accept an ``n=`` keyword (default 2048).
+    circle_atoms(pairs).  Gridded families accept an ``n=`` keyword
+    (default 2048).
     """
     try:
         ctor = _FAMILIES[name]

@@ -243,9 +243,3 @@ def free_mult_convolve_unitary(mu: CircleMeasure, nu: CircleMeasure,
     certs = tuple(abs(a - b) for a, b in zip(moments, check))
     return MultConvolution(moments=tuple(moments), certificates=certs,
                            fixed_point_residual=max(resid, resid2))
-
-
-def rotate_moments(moments, phi):
-    """Moments of the pushforward under multiplication by e^{i*phi}."""
-    return tuple(m * np.exp(1j * (k + 1) * phi)
-                 for k, m in enumerate(moments))

@@ -117,10 +117,6 @@ class CovarianceMap:
         return cm
 
 
-def zero_covariance(n: int) -> CovarianceMap:
-    return CovarianceMap((np.zeros((n, n)),))
-
-
 @dataclass(frozen=True)
 class OpCauchyEval:
     """Converged matrix Cauchy transform value at a half-plane point."""

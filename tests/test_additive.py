@@ -13,8 +13,8 @@ from freesub import (
     semicircle,
     subordination_pair,
 )
-from freesub.additive import (SubordinationEval, free_cumulants,
-                              free_cumulants_to_moments)
+from freesub import (SubordinationEval, free_cumulants,
+                     free_cumulants_to_moments)
 from freesub.errors import DomainError, FreesubError, NoConvergence
 
 

@@ -1,8 +1,6 @@
 """Command-line surface: configs, artifacts, exit codes, reproducibility."""
 
-import ast
 import json
-import pathlib
 import subprocess
 import sys
 
@@ -10,9 +8,8 @@ import numpy as np
 import pytest
 
 import freesub.measures
-from freesub import experiment_thm36, haar_circle
+from freesub import CovarianceMap, experiment_thm36, haar_circle
 from freesub.cli import main
-from freesub.opvalued import zero_covariance
 
 SC = {"family": "semicircle", "params": [0.0, 1.0]}
 CIRCLE = {"family": "circle_atoms", "params": [[0.0, 0.6], [1.0, 0.4]]}
@@ -114,6 +111,11 @@ def test_config_value_errors_exit_2(tmp_path, capsys, command, extra):
     (["verify", "lemma34", "--samples", "50", "--format", "csv"], {}),
     (["verify", "lemma34", "--samples", "50", "--N", "5"], {}),
     (["verify", "prop32", "--N", "8", "--trials", "1", "--samples", "5"], {}),
+    (["eval", "cauchy", "--grid", "0:1:5"], {"measure": SC, "points": [[0, 1]]}),
+    (["eval", "cauchy", "--im", "3"], {"measure": SC, "points": [[0, 1]]}),
+    (["verify", "prop32", "--N", "8", "--trials", "1"], {"lam": [1, -1, 1, -1]}),
+    (["verify", "prop33", "--trials", "1"],
+     {"N": 8, "A0": np.diag([1, -1, 1, -1]).tolist(), "C0": np.eye(4).tolist()}),
 ])
 def test_unread_flags_and_fields_exit_2(tmp_path, capsys, argv, cfg):
     argv = argv + ["--config", write_cfg(tmp_path / "cfg.json", cfg),
@@ -218,7 +220,7 @@ def test_out_dir_env_variable(tmp_path, monkeypatch):
 
 def test_measure_from_file_path(tmp_path):
     mfile = tmp_path / "sc.json"
-    mfile.write_text(freesub.measures.to_json(freesub.semicircle(0, 1)))
+    mfile.write_text(json.dumps(freesub.semicircle(0, 1).to_dict()))
     cfg = write_cfg(tmp_path / "cfg.json",
                     {"measure": str(mfile), "points": [[0.0, 1.0]]})
     assert main(["eval", "cauchy", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -239,7 +241,7 @@ def test_verify_lemma34(tmp_path, capsys):
 
 def test_verify_thm31_block_trivial_y(tmp_path):
     cfg = write_cfg(tmp_path / "cfg.json",
-                    {"eta_y": zero_covariance(2).to_dict()})
+                    {"eta_y": CovarianceMap((np.zeros((2, 2)),)).to_dict()})
     code = main(["verify", "thm31-block", "--config", cfg, "--N", "32",
                  "--trials", "5", "--out", str(tmp_path)])
     assert code == 0
@@ -285,14 +287,3 @@ def test_module_entry_point(tmp_path):
          "--config", str(cfg), "--out", str(tmp_path)],
         capture_output=True, text=True)
     assert proc.returncode == 0
-
-
-def test_no_private_freesub_imports():
-    # the CLI, the acceptance gate and the demos use the public surface
-    root = pathlib.Path(__file__).resolve().parents[1]
-    for path in [root / "src/freesub/cli.py", root / "tests/test_acceptance.py",
-                 *(root / "demos").glob("*.py")]:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and (
-                    node.level or node.module.partition(".")[0] == "freesub"):
-                assert not [a.name for a in node.names if a.name.startswith("_")], path

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from freesub import (BadParams, contraction_margins, halfplane_margin,
-                     im_part, operator_norm, relative_contraction_margin,
+from freesub import (contraction_margins, halfplane_margin,
                      resolvent_identity_residual)
+from freesub.domains import im_part, operator_norm
 
 
 def test_im_part_of_imaginary_identity():
@@ -81,25 +81,9 @@ def test_resolvent_identity_residual(rng):
         assert resolvent_identity_residual(x) <= 1e-11
 
 
-def test_relative_contraction_margin():
-    assert relative_contraction_margin(2 * np.eye(3), np.eye(3)) == pytest.approx(0.5)
-    assert relative_contraction_margin(np.diag([1.0, 0.0]), np.eye(2)) == -np.inf
-    with pytest.raises(BadParams):
-        relative_contraction_margin(np.eye(2), np.eye(3))
-
-
-def test_relative_contraction_margin_unitary(rng):
-    z = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    u, _ = np.linalg.qr(z)
-    c = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    c *= 0.7 / operator_norm(c)
-    assert relative_contraction_margin(u, c) == pytest.approx(0.3, abs=1e-12)
-
-
 @pytest.mark.parametrize("fn", [
     operator_norm, halfplane_margin, contraction_margins,
     resolvent_identity_residual,
-    lambda x: relative_contraction_margin(x, 0.1 * x.conj()),
 ])
 def test_margins_accept_transposed_and_fortran_input(fn, rng):
     x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))

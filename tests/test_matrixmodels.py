@@ -14,11 +14,10 @@ from freesub import (
     experiment_thm31_block,
     experiment_thm36,
     haar_circle,
-    partial_trace,
-    sample_angles,
 )
 from freesub.errors import BadParams, DimensionMismatch
-from freesub.matrixmodels import _haar, _inv, _make_report, _phase_unitary, _rng
+from freesub.matrixmodels import (_haar, _inv, _make_report, _phase_unitary,
+                                  _rng, partial_trace, sample_angles)
 
 
 def balanced(N):
@@ -199,6 +198,9 @@ def test_thm36_haar_branch_reports_mean_only():
     rep = experiment_thm36(haar_circle(), N=64, trials=10, seed=0)
     assert set(rep.residuals) == {"haar_abs", "omega_shortfall"}
     assert "g" not in rep.estimates
+    # ||u^{-1} c0|| = ||c0|| for unitary u: the margin is the norm check's
+    c0 = 0.7 * _haar(_rng(0, 999), 64)
+    assert rep.estimates["omega_margin"] == 1 - np.linalg.norm(c0, 2)
 
 
 def test_thm36_validation():

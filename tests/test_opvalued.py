@@ -11,7 +11,6 @@ from freesub import (
     op_semicircular_cauchy,
     semicircular_shift_F,
     solve_subordination_F,
-    zero_covariance,
 )
 from freesub.errors import (BadParams, DimensionMismatch, DomainError,
                             JacobianSingular)
@@ -58,7 +57,7 @@ def test_covariance_plus_and_symmetrized():
     want = (k @ b @ k.conj().T + k.conj().T @ b @ k) / 2
     assert np.allclose(sym(b), want, atol=1e-14)
     with pytest.raises(DimensionMismatch):
-        eta.plus(zero_covariance(3))
+        eta.plus(CovarianceMap((np.zeros((3, 3)),)))
 
 
 def test_covariance_validation():
@@ -92,7 +91,7 @@ def test_scalar_semicircle_closed_form():
 def test_zero_covariance_gives_resolvent():
     rng = np.random.default_rng(3)
     b = random_upper(rng, 4)
-    res = op_semicircular_cauchy(zero_covariance(4), b)
+    res = op_semicircular_cauchy(CovarianceMap((np.zeros((4, 4)),)), b)
     assert np.max(np.abs(res.g - np.linalg.inv(b))) <= 1e-12
 
 
