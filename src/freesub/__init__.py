@@ -12,10 +12,9 @@ from .cumulants import (free_cumulants, free_cumulants_to_moments,
                         free_multiplicative_moments)
 from .domains import (contraction_margins, halfplane_margin,
                       resolvent_identity_residual)
-from .errors import (BadParams, DegenerateTransform, DimensionMismatch,
-                     DomainError, FreesubError, JacobianSingular,
-                     NoConvergence, NonPositiveDensity, UnknownFamily,
-                     ZeroTransform)
+from .errors import (BadParams, DegenerateTransform, DomainError,
+                     FreesubError, JacobianSingular, NoConvergence,
+                     NonPositiveDensity, ZeroTransform)
 from .matrixmodels import (ExperimentReport, experiment_lemma34,
                            experiment_prop32, experiment_prop33,
                            experiment_thm31_block, experiment_thm36)
@@ -37,13 +36,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadParams", "CircleMeasure", "CovarianceMap", "DegenerateTransform",
-    "DimensionMismatch", "DiskSubordinationEval", "DomainError",
-    "ExperimentReport", "FreesubError", "GridSpec",
-    "JacobianSingular", "LineMeasure", "MultConvolution", "NoConvergence",
-    "NonPositiveDensity", "OpCauchyEval", "SubordinationEval", "UnknownFamily",
-    "ZeroTransform", "arcsine", "atomic", "bernoulli_pm1", "cauchy_transform",
-    "circle_atoms", "circle_cauchy", "contraction_margins", "convolve_cauchy",
-    "convolve_moments", "disk_subordination_solve", "eta_transform",
+    "DiskSubordinationEval", "DomainError", "ExperimentReport",
+    "FreesubError", "GridSpec", "JacobianSingular", "LineMeasure",
+    "MultConvolution", "NoConvergence", "NonPositiveDensity", "OpCauchyEval",
+    "SubordinationEval", "ZeroTransform", "arcsine", "atomic",
+    "bernoulli_pm1", "cauchy_transform", "circle_atoms", "circle_cauchy",
+    "contraction_margins", "convolve_cauchy", "convolve_moments",
+    "disk_subordination_solve", "eta_transform",
     "experiment_lemma34", "experiment_prop32", "experiment_prop33",
     "experiment_thm31_block", "experiment_thm36", "free_add_convolve",
     "free_cumulants", "free_cumulants_to_moments",

@@ -23,13 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence
+from .errors import BadParams, DomainError, NoConvergence
 from .measures import LineMeasure
 from .transforms import _node_sums, cauchy_transform, stieltjes_invert
 
 _DAMPING = 0.5
 _NEWTON_HANDOFF = 1e-3
 _HERGLOTZ_SLACK = 1e-10
+_MIN_TOL = 1e-14  # a smaller residual is not resolvable in double precision
+_CONTOUR_NODES = 256  # trapezoid nodes on the moment contour
 
 
 @dataclass(frozen=True)
@@ -136,6 +138,11 @@ def _solve_omega1(mu, nu, z, tol, max_iter):
     return w.reshape(shape), res.reshape(shape), iters.reshape(shape)
 
 
+def _check_tol(tol):
+    if not _MIN_TOL <= tol < math.inf:
+        raise BadParams(f"tol must be finite and >= {_MIN_TOL:g}, got {tol!r}")
+
+
 def subordination_pair(mu: LineMeasure, nu: LineMeasure, z, tol=1e-13,
                        max_iter=500) -> SubordinationEval:
     """Solve the subordination pair at one point z with Im z > 0."""
@@ -143,9 +150,8 @@ def subordination_pair(mu: LineMeasure, nu: LineMeasure, z, tol=1e-13,
     if not cmath.isfinite(z):
         raise DomainError("evaluation point is not finite")
     if z.imag <= 0:
-        raise ValueError("subordination requires Im z > 0")
-    if tol < 1e-14:
-        raise ValueError("tol below 1e-14 is not resolvable in double precision")
+        raise DomainError("subordination requires Im z > 0")
+    _check_tol(tol)
     w, _, iters = _solve_omega1(mu, nu, np.asarray([z]), tol, max_iter)
     omega1 = complex(w[0])
     g1 = complex(cauchy_transform(mu, omega1))
@@ -170,15 +176,15 @@ def convolve_cauchy(mu: LineMeasure, nu: LineMeasure, z, tol=1e-13,
     if not np.all(np.isfinite(pts)):
         raise DomainError("evaluation point is not finite")
     if np.any(pts.imag <= 0):
-        raise ValueError("convolve_cauchy requires Im z > 0")
+        raise DomainError("convolve_cauchy requires Im z > 0")
+    _check_tol(tol)
     w, _, _ = _solve_omega1(mu, nu, pts, tol, max_iter)
     g = np.asarray(cauchy_transform(mu, w))
     return complex(g[0]) if scalar else g
 
 
 def free_add_convolve(mu: LineMeasure, nu: LineMeasure, grid,
-                      eta_sequence=(1e-1, 3e-2, 1e-2), tol=1e-13,
-                      max_iter=500) -> LineMeasure:
+                      eta_sequence=(1e-1, 3e-2, 1e-2)) -> LineMeasure:
     """Measure of the free additive convolution, densified on ``grid``.
 
     The density comes from stieltjes_invert applied to the subordinated
@@ -189,13 +195,12 @@ def free_add_convolve(mu: LineMeasure, nu: LineMeasure, grid,
     reconstructed as atoms.
     """
     measure, _ = stieltjes_invert(
-        lambda zs: convolve_cauchy(mu, nu, zs, tol=tol, max_iter=max_iter),
-        grid, eta_sequence=eta_sequence)
+        lambda zs: convolve_cauchy(mu, nu, zs), grid,
+        eta_sequence=eta_sequence)
     return measure
 
 
-def convolve_moments(mu: LineMeasure, nu: LineMeasure, order, tol=1e-13,
-                     radius=None, nodes=256):
+def convolve_moments(mu: LineMeasure, nu: LineMeasure, order):
     """First ``order`` moments of mu (+) nu by contour integration.
 
     m_k = (1/2 pi i) * contour integral of z^k G(z) dz over a circle
@@ -204,16 +209,15 @@ def convolve_moments(mu: LineMeasure, nu: LineMeasure, order, tol=1e-13,
     Node angles are offset by half a step so no node hits the real axis,
     and conjugate symmetry G(conj z) = conj G(z) halves the work.
     """
-    if radius is None:
-        radius = mu.support_radius() + nu.support_radius() + 2.0
-    half = nodes // 2
-    theta = (np.arange(half) + 0.5) * (2.0 * math.pi / nodes)
+    radius = mu.support_radius() + nu.support_radius() + 2.0
+    step = 2.0 * math.pi / _CONTOUR_NODES
+    theta = (np.arange(_CONTOUR_NODES // 2) + 0.5) * step
     z = radius * np.exp(1j * theta)
-    g = convolve_cauchy(mu, nu, z, tol=tol)
+    g = convolve_cauchy(mu, nu, z)
     out = []
     for k in range(1, order + 1):
         vals = z ** (k + 1) * g
         # lower semicircle contributes the conjugates
-        m = (vals.sum() + np.conj(vals).sum()) / nodes
+        m = (vals.sum() + np.conj(vals).sum()) / _CONTOUR_NODES
         out.append(float(m.real))
     return out

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import measures as _measures
 from .additive import convolve_cauchy, subordination_pair
-from .errors import FreesubError, NoConvergence
+from .errors import BadParams, FreesubError, NoConvergence
 from .matrixmodels import (experiment_lemma34, experiment_prop32,
                            experiment_prop33, experiment_thm31_block,
                            experiment_thm36)
@@ -38,10 +38,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NOCONV = 3
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _fmt(x):
@@ -65,25 +61,30 @@ def _dump_json(path, obj):
     _write_atomic(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
+def _load_config(args):
+    """The config file's fields; a set flag that names a config field is
+    one more field, checked against the same keys."""
+    cfg = {}
+    if args.config is not None:
+        try:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise BadParams(f"cannot read config: {exc}") from None
+        if not isinstance(cfg, dict):
+            raise BadParams("config must be a JSON object")
+    for key in ("tol", "seed", "N", "trials", "samples"):
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
     return cfg
 
 
 def _check_keys(cfg, allowed, command):
     unknown = sorted(set(cfg) - set(allowed))
     if unknown:
-        raise ConfigError(f"unknown config fields for {command}: {unknown}")
+        raise BadParams(f"unknown config fields for {command}: {unknown}")
     if cfg.get("command") not in (None, command):
-        raise ConfigError(f"config command {cfg['command']!r} != {command!r}")
+        raise BadParams(f"config command {cfg['command']!r} != {command!r}")
 
 
 def _parse_measure(spec, kind=None):
@@ -93,28 +94,25 @@ def _parse_measure(spec, kind=None):
             with open(spec) as fh:
                 spec = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read measure file: {exc}") from None
+            raise BadParams(f"cannot read measure file: {exc}") from None
     if not isinstance(spec, dict):
-        raise ConfigError("measure spec must be an object or a file path")
+        raise BadParams("measure spec must be an object or a file path")
     if "family" not in spec and "type" not in spec:
-        raise ConfigError("measure spec needs a 'family' (standard family)"
-                          " or a 'type' (serialized measure)")
-    try:
-        if "family" in spec:
-            extra = set(spec) - {"family", "params", "n"}
-            if extra:
-                raise ConfigError(f"unknown measure fields: {sorted(extra)}")
-            kwargs = {"n": int(spec["n"])} if "n" in spec else {}
-            params = spec.get("params", [])
-            if spec["family"] in ("atomic", "circle_atoms"):
-                params = [[tuple(p) for p in params]]
-            m = _measures.make_standard(spec["family"], *params, **kwargs)
-        else:
-            m = _measures.from_json(json.dumps(spec))
-    except FreesubError as exc:
-        raise ConfigError(str(exc)) from None
+        raise BadParams("measure spec needs a 'family' (standard family)"
+                        " or a 'type' (serialized measure)")
+    if "family" in spec:
+        extra = set(spec) - {"family", "params", "n"}
+        if extra:
+            raise BadParams(f"unknown measure fields: {sorted(extra)}")
+        kwargs = {"n": int(spec["n"])} if "n" in spec else {}
+        params = spec.get("params", [])
+        if spec["family"] in ("atomic", "circle_atoms"):
+            params = [[tuple(p) for p in params]]
+        m = _measures.make_standard(spec["family"], *params, **kwargs)
+    else:
+        m = _measures.from_json(json.dumps(spec))
     if kind is not None and not isinstance(m, kind):
-        raise ConfigError(f"expected a {kind.__name__}")
+        raise BadParams(f"expected a {kind.__name__}")
     return m
 
 
@@ -123,20 +121,17 @@ def _parse_grid(text):
         lo, hi, n = text.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
-        raise ConfigError(f"bad --grid {text!r}; expected lo:hi:n") from None
+        raise BadParams(f"bad --grid {text!r}; expected lo:hi:n") from None
     if n < 2 or not hi > lo:
-        raise ConfigError("grid needs hi > lo and n >= 2")
+        raise BadParams("grid needs hi > lo and n >= 2")
     return np.linspace(lo, hi, n)
 
 
 def _parse_im(text):
     try:
-        vals = [float(v) for v in text.split(",")]
+        return [float(v) for v in text.split(",")]
     except ValueError:
-        raise ConfigError(f"bad --im {text!r}; expected a,b,c") from None
-    if not vals:
-        raise ConfigError("--im needs at least one value")
-    return vals
+        raise BadParams(f"bad --im {text!r}; expected a,b,c") from None
 
 
 def _complex_entry(v):
@@ -144,29 +139,38 @@ def _complex_entry(v):
         return complex(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
         return complex(v[0], v[1])
-    raise ConfigError("matrix entries must be numbers or [re, im] pairs")
+    raise BadParams("matrix entries must be numbers or [re, im] pairs")
 
 
 def _int_field(cfg, key, default):
     """An integer config field; a float, string or bool is rejected."""
     v = cfg.get(key, default)
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{key!r} must be an integer, got {v!r}")
+        raise BadParams(f"{key!r} must be an integer, got {v!r}")
     return v
+
+
+def _float_field(cfg, key, default):
+    """A finite number > 0 config field; a string or bool is rejected."""
+    v = cfg.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, (int, float)) \
+            or not 0 < v <= sys.float_info.max:
+        raise BadParams(f"{key!r} must be a finite number > 0, got {v!r}")
+    return float(v)
 
 
 def _parse_points(value):
     if not isinstance(value, list) or not all(
             isinstance(p, list) and len(p) == 2 for p in value):
-        raise ConfigError("'points' must be a list of [re, im] pairs")
+        raise BadParams("'points' must be a list of [re, im] pairs")
     return [complex(p[0], p[1]) for p in value]
 
 
 def _parse_matrix(rows):
     try:
         return np.array([[_complex_entry(v) for v in row] for row in rows])
-    except (TypeError, ConfigError):
-        raise ConfigError("bad matrix literal") from None
+    except (TypeError, BadParams):
+        raise BadParams("bad matrix literal") from None
 
 
 def _out_dir(args):
@@ -185,20 +189,20 @@ def _write_meta(out, command):
 # ---------------------------------------------------------------------------
 
 def cmd_convolve_add(args):
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     _check_keys(cfg, {"command", "mu", "nu", "eta_sequence", "tol", "max_iter"},
                 "convolve-add")
     if "mu" not in cfg or "nu" not in cfg:
-        raise ConfigError("convolve-add needs measures 'mu' and 'nu'")
+        raise BadParams("convolve-add needs measures 'mu' and 'nu'")
     mu = _parse_measure(cfg["mu"], _measures.LineMeasure)
     nu = _parse_measure(cfg["nu"], _measures.LineMeasure)
-    tol = args.tol if args.tol is not None else float(cfg.get("tol", 1e-12))
+    tol = _float_field(cfg, "tol", 1e-12)
     max_iter = _int_field(cfg, "max_iter", 500)
     if max_iter < 1:
-        raise ConfigError("max_iter must be positive")
+        raise BadParams("max_iter must be positive")
     etas = tuple(cfg.get("eta_sequence", (1e-1, 3e-2, 1e-2)))
-    im_parts = _parse_im(args.im) if args.im else [0.5, 1.0, 2.0]
-    if args.grid:
+    im_parts = _parse_im(args.im) if args.im is not None else [0.5, 1.0, 2.0]
+    if args.grid is not None:
         grid = _parse_grid(args.grid)
         table_re = grid
     else:
@@ -212,7 +216,7 @@ def cmd_convolve_add(args):
     worst = 0.0
     for im in im_parts:
         if im <= 0:
-            raise ConfigError("--im values must be positive")
+            raise BadParams("--im values must be positive")
         for re in table_re:
             ev = subordination_pair(mu, nu, complex(re, im), tol=max(tol, 1e-14),
                                     max_iter=max_iter)
@@ -265,14 +269,14 @@ def cmd_convolve_add(args):
 # ---------------------------------------------------------------------------
 
 def cmd_convolve_mult(args):
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     _check_keys(cfg, {"command", "mu", "nu", "order", "tol"}, "convolve-mult")
     if "mu" not in cfg or "nu" not in cfg:
-        raise ConfigError("convolve-mult needs measures 'mu' and 'nu'")
+        raise BadParams("convolve-mult needs measures 'mu' and 'nu'")
     mu = _parse_measure(cfg["mu"], _measures.CircleMeasure)
     nu = _parse_measure(cfg["nu"], _measures.CircleMeasure)
     order = _int_field(cfg, "order", 8)
-    tol = args.tol if args.tol is not None else float(cfg.get("tol", 1e-8))
+    tol = _float_field(cfg, "tol", 1e-8)
     out = _out_dir(args)
     result = free_mult_convolve_unitary(mu, nu, order=order)
     worst = max(max(result.certificates), result.fixed_point_residual)
@@ -311,28 +315,28 @@ _CIRCLE_TRANSFORMS = {
 
 
 def cmd_eval(args):
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     _check_keys(cfg, {"command", "measure", "points"}, "eval")
     if "measure" not in cfg:
-        raise ConfigError("eval needs a 'measure'")
+        raise BadParams("eval needs a 'measure'")
     name = args.transform
     on_line = name in _LINE_TRANSFORMS
     if not on_line and name not in _CIRCLE_TRANSFORMS:
-        raise ConfigError(f"unknown transform {name!r}")
+        raise BadParams(f"unknown transform {name!r}")
     kind = _measures.LineMeasure if on_line else _measures.CircleMeasure
     measure = _parse_measure(cfg["measure"], kind)
     if "points" in cfg:
         if args.grid is not None or args.im is not None:
-            raise ConfigError("'points' replaces --grid and --im; give one")
+            raise BadParams("'points' replaces --grid and --im; give one")
         pts = _parse_points(cfg["points"])
     else:
-        grid = _parse_grid(args.grid) if args.grid else np.linspace(-2, 2, 9)
-        ims = _parse_im(args.im) if args.im else [1.0]
+        grid = np.linspace(-2, 2, 9) if args.grid is None else _parse_grid(args.grid)
+        ims = _parse_im(args.im) if args.im is not None else [1.0]
         pts = [complex(re, im) for im in ims for re in grid]
     if on_line and any(p.imag <= 0 for p in pts):
-        raise ConfigError("line transforms need Im z > 0")
+        raise BadParams("line transforms need Im z > 0")
     if not on_line and any(abs(abs(p) - 1.0) < 1e-12 for p in pts):
-        raise ConfigError("circle transforms are undefined on |z| = 1")
+        raise BadParams("circle transforms are undefined on |z| = 1")
     fn = _LINE_TRANSFORMS.get(name) or _CIRCLE_TRANSFORMS[name]
     rows = []
     for p in pts:
@@ -368,12 +372,12 @@ def _run_verify(identity, cfg):
     kw = {k: _int_field(cfg, k, None)
           for k in ("seed", "N", "trials", "samples") if k in cfg}
     if "eps" in cfg:
-        kw["eps"] = float(cfg["eps"])
+        kw["eps"] = _float_field(cfg, "eps", None)
     if identity in ("prop32", "prop33"):
         # both take N from their spectra; N sizes only the default ones
         spectra = {"lam"} if identity == "prop32" else {"A0", "C0"}
         if "N" in kw and spectra <= cfg.keys():
-            raise ConfigError(f"N is the size of {sorted(spectra)}; do not set it")
+            raise BadParams(f"N is the size of {sorted(spectra)}; do not set it")
         pm1 = _balanced_pm1(kw.pop("N", 600))
     if identity == "prop32":
         lam = np.asarray(cfg["lam"], float) if "lam" in cfg else pm1
@@ -411,18 +415,12 @@ _VERIFY_KEYS = {
 
 def cmd_verify(args):
     identity = args.identity.replace("-", "_")
-    if identity not in _VERIFY_KEYS:
-        raise ConfigError(f"unknown identity {args.identity!r}")
-    cfg = _load_config(args.config)
-    # a set flag is one more config field, checked against the same keys
-    for key in ("seed", "N", "trials", "samples"):
-        if getattr(args, key) is not None:
-            cfg[key] = getattr(args, key)
+    cfg = _load_config(args)
     _check_keys(cfg, _VERIFY_KEYS[identity], "verify")
     try:
         report = _run_verify(identity, cfg)
     except KeyError as exc:
-        raise ConfigError(f"missing config field {exc}") from None
+        raise BadParams(f"missing config field {exc}") from None
     out = _out_dir(args)
     _dump_json(os.path.join(out, "report.json"), report.to_dict())
     _write_atomic(os.path.join(out, "report.csv"),
@@ -490,9 +488,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, TypeError) as exc:
-        # the package raises ValueError and TypeError only for argument
-        # ranges and types, which the config file sets
+    except (ValueError, TypeError) as exc:
+        # a rejected argument raises BadParams, a ValueError; numpy raises
+        # ValueError or TypeError on a malformed config value
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NoConvergence as exc:

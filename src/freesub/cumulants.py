@@ -18,6 +18,8 @@ which serves as an independent cross-check on analytic convolutions.
 from functools import lru_cache
 from itertools import combinations
 
+from .errors import BadParams
+
 _MAX_NC_ORDER = 12
 _MAX_PRODUCT_ORDER = 8
 
@@ -49,11 +51,11 @@ def free_cumulants(m, order):
     """Free cumulants kappa_1..kappa_order from moments m = (m_0=1, m_1, ...)."""
     m = list(m)
     if not m or m[0] != 1:
-        raise ValueError("moment list must start with m_0 = 1")
+        raise BadParams("moment list must start with m_0 = 1")
     if not 1 <= order <= 12:
-        raise ValueError("cumulant order must be in [1, 12]")
+        raise BadParams("cumulant order must be in [1, 12]")
     if len(m) < order + 1:
-        raise ValueError("need moments up to the requested order")
+        raise BadParams("need moments up to the requested order")
     return _moments_to_free_cumulants(m[1:order + 1])
 
 
@@ -94,7 +96,7 @@ def _intervals(lo, hi):
 def noncrossing_partitions(n):
     """All noncrossing partitions of {1..n} as tuples of sorted blocks."""
     if not 1 <= n <= _MAX_NC_ORDER:
-        raise ValueError(f"noncrossing enumeration supports 1 <= n <= {_MAX_NC_ORDER}")
+        raise BadParams(f"noncrossing enumeration supports 1 <= n <= {_MAX_NC_ORDER}")
     parts = _intervals(1, n)
     return tuple(tuple(sorted(p, key=min)) for p in parts)
 
@@ -136,9 +138,9 @@ def free_multiplicative_moments(moments_a, moments_b, order):
     with the Catalan numbers; the order is capped at 8 (C_8 = 1430).
     """
     if not 1 <= order <= _MAX_PRODUCT_ORDER:
-        raise ValueError(f"product moment formula supports 1 <= order <= {_MAX_PRODUCT_ORDER}")
+        raise BadParams(f"product moment formula supports 1 <= order <= {_MAX_PRODUCT_ORDER}")
     if len(moments_a) < order or len(moments_b) < order:
-        raise ValueError("need at least `order` moments of each factor")
+        raise BadParams("need at least `order` moments of each factor")
     kappa_a = _moments_to_free_cumulants(list(moments_a)[:order])
     mb = list(moments_b)
     out = []

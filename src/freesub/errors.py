@@ -1,4 +1,11 @@
-"""Typed exceptions shared across the package."""
+"""Typed exceptions shared across the package.
+
+Every error the package raises is a FreesubError.  A rejected argument
+(a value, size, type or name) raises BadParams, also a ValueError; a
+point outside the analytic domain raises DomainError; the rest name a
+numerical failure.  The Monte Carlo LAPACK wrappers alone raise
+numpy.linalg.LinAlgError, as numpy.linalg.inv does.
+"""
 
 
 class FreesubError(Exception):
@@ -29,12 +36,8 @@ class NonPositiveDensity(FreesubError):
     """
 
 
-class UnknownFamily(FreesubError):
-    """Requested measure family name is not recognized."""
-
-
-class BadParams(FreesubError):
-    """Parameters violate a constructor's contract (e.g. variance <= 0)."""
+class BadParams(FreesubError, ValueError):
+    """An argument's value, type, size or name breaks its contract."""
 
 
 class NoConvergence(FreesubError):
@@ -68,7 +71,3 @@ class DegenerateTransform(FreesubError):
 class JacobianSingular(FreesubError):
     """Newton's Jacobian is numerically singular; the map is locally
     non-invertible at the current iterate."""
-
-
-class DimensionMismatch(FreesubError):
-    """Array dimensions do not factor or agree as required."""

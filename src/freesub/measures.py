@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from .errors import BadParams, UnknownFamily
+from .errors import BadParams
 
 #: default number of density samples for gridded families
 DEFAULT_GRID_N = 2048
@@ -124,7 +124,7 @@ class LineMeasure:
     def moment(self, k: int) -> float:
         """k-th raw moment; k is capped at 32 to bound error growth."""
         if not 0 <= k <= 32:
-            raise ValueError("moment order must be in [0, 32]")
+            raise BadParams("moment order must be in [0, 32]")
         t, w = self.quadrature()
         return float(np.sum(w * t**k))
 
@@ -139,12 +139,7 @@ class LineMeasure:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LineMeasure":
-        if d.get("type") != "line":
-            raise BadParams(f"expected type 'line', got {d.get('type')!r}")
-        grid = d.get("grid")
-        g = None if grid is None else GridSpec(grid["lo"], grid["hi"], grid["n"])
-        dens = d.get("density") or None
-        return cls(atoms=tuple(map(tuple, d.get("atoms", ()))), grid=g, density=dens)
+        return _from_dict(cls, d, "line")
 
 
 @dataclass(frozen=True)
@@ -200,7 +195,7 @@ class CircleMeasure:
         measure on the circle.
         """
         if not -32 <= k <= 32:
-            raise ValueError("moment order must be in [-32, 32]")
+            raise BadParams("moment order must be in [-32, 32]")
         th, w = self.quadrature()
         m = complex(np.sum(w * np.exp(1j * abs(k) * th)))
         return m.conjugate() if k < 0 else m
@@ -216,23 +211,28 @@ class CircleMeasure:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CircleMeasure":
-        if d.get("type") != "circle":
-            raise BadParams(f"expected type 'circle', got {d.get('type')!r}")
-        grid = d.get("grid")
+        return _from_dict(cls, d, "circle")
+
+
+def _from_dict(cls, d, kind):
+    if d.get("type") != kind:
+        raise BadParams(f"expected type {kind!r}, got {d.get('type')!r}")
+    grid = d.get("grid")
+    try:
         g = None if grid is None else GridSpec(grid["lo"], grid["hi"], grid["n"])
-        dens = d.get("density") or None
-        return cls(atoms=tuple(map(tuple, d.get("atoms", ()))), grid=g, density=dens)
+    except (KeyError, TypeError):
+        raise BadParams("grid must be an object with lo, hi and n") from None
+    dens = d.get("density") or None
+    return cls(atoms=tuple(map(tuple, d.get("atoms", ()))), grid=g, density=dens)
 
 
 def from_json(text: str):
     """Measure from ``json.dumps(m.to_dict())``; floats round-trip bit-exactly."""
     d = json.loads(text)
-    kind = d.get("type")
-    if kind == "line":
-        return LineMeasure.from_dict(d)
-    if kind == "circle":
-        return CircleMeasure.from_dict(d)
-    raise BadParams(f"unknown measure type {kind!r}")
+    cls = {"line": LineMeasure, "circle": CircleMeasure}.get(d.get("type"))
+    if cls is None:
+        raise BadParams(f"unknown measure type {d.get('type')!r}")
+    return cls.from_dict(d)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +362,7 @@ def make_standard(name, *params, **kwargs):
     try:
         ctor = _FAMILIES[name]
     except KeyError:
-        raise UnknownFamily(f"no measure family named {name!r}") from None
+        raise BadParams(f"no measure family named {name!r}") from None
     try:
         return ctor(*params, **kwargs)
     except TypeError as exc:

@@ -26,13 +26,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTransform, DomainError, NoConvergence
+from .errors import BadParams, DegenerateTransform, DomainError, NoConvergence
 from .measures import CircleMeasure, measure_from_circle_moments
 from .transforms import _node_sums, eta_transform
 
 _MAX_ORDER = 16
 _RATIO_FLOOR = 1e-9
 _MAX_HALVINGS = 40
+_DISK_TOL = 1e-12      # disk Newton solve: residual target
+_DISK_MAX_ITER = 100   # and step budget per starting point
+_ETA_TOL = 1e-13       # eta fixed point, sampled on _ETA_NODES points
+_ETA_MAX_ITER = 400    # of the circle |z| = _ETA_RADIUS
+_ETA_RADIUS = 0.5
+_ETA_NODES = 256
 # restart points of the disk Newton solve: three rings of 16, staggered
 _RESTARTS = np.concatenate([
     r * np.exp(2j * math.pi * (np.arange(16) + 0.5 * i) / 16)
@@ -72,7 +78,7 @@ def _clamp_into_disk(g, step):
     return g + s * step
 
 
-def _disk_newton(nu, target, g, tol, max_iter):
+def _disk_newton(nu, target, g):
     """Newton on K(g) = target from g, kept inside the open disk.
 
     A step that would leave the disk is shortened to stay inside, then
@@ -84,8 +90,8 @@ def _disk_newton(nu, target, g, tol, max_iter):
     k, kp = map(complex, _k_and_derivative(nu, g))
     resid = abs(k - target)
     it = 0
-    while resid > tol:
-        if it == max_iter:
+    while resid > _DISK_TOL:
+        if it == _DISK_MAX_ITER:
             raise NoConvergence("disk subordination Newton stalled",
                                 iterations=it, residual=resid, point=g)
         it += 1
@@ -117,8 +123,7 @@ def _starting_points(nu, target):
     yield from _RESTARTS[np.argsort(np.abs(k - target), kind="stable")]
 
 
-def disk_subordination_solve(nu: CircleMeasure, target, tol=1e-12,
-                             max_iter=100) -> DiskSubordinationEval:
+def disk_subordination_solve(nu: CircleMeasure, target) -> DiskSubordinationEval:
     """Solve K_nu(g) = target for g in the open unit disk.
 
     Newton from g = 0 with the exact quadrature derivative
@@ -128,12 +133,10 @@ def disk_subordination_solve(nu: CircleMeasure, target, tol=1e-12,
     injective: the descent path from 0 can lead to a root outside the
     disk and stall at the boundary.  The solve then restarts from fixed
     points spread over the disk, best residual first, each with its own
-    budget of ``max_iter`` Newton steps.  A constant K (Haar measure,
+    budget of _DISK_MAX_ITER Newton steps.  A constant K (Haar measure,
     where K vanishes identically on the disk) makes every g a solution;
     that degeneracy is detected up front and surfaced as a typed error.
     """
-    if tol < 1e-12:
-        raise ValueError("tol below 1e-12 is not resolvable here")
     target = complex(target)
     if not cmath.isfinite(target):
         raise DomainError("disk subordination target is not finite")
@@ -145,7 +148,7 @@ def disk_subordination_solve(nu: CircleMeasure, target, tol=1e-12,
     best = None
     for g0 in _starting_points(nu, target):
         try:
-            g, resid = _disk_newton(nu, target, complex(g0), tol, max_iter)
+            g, resid = _disk_newton(nu, target, complex(g0))
         except NoConvergence as exc:
             if best is None or exc.residual < best.residual:
                 best = exc
@@ -182,44 +185,38 @@ class MultConvolution:
         return measure_from_circle_moments(self.moments, n=n)
 
 
-def _omega1_on_circle(mu, nu, radius, nodes, tol, max_iter):
-    theta = (np.arange(nodes) + 0.5) * (2.0 * math.pi / nodes)
+def _moments_on_circle(mu, nu, radius, order):
+    """Moments 1..order of mu x nu read off psi on |z| = radius, and the
+    last residual of the omega1 fixed point there."""
+    theta = (np.arange(_ETA_NODES) + 0.5) * (2.0 * math.pi / _ETA_NODES)
     z = radius * np.exp(1j * theta)
     m1_mu = complex(mu.moment(1))
     m1_nu = complex(nu.moment(1))
-    w = np.zeros(nodes, dtype=complex)
+    w = np.zeros(_ETA_NODES, dtype=complex)
     resid = np.inf
-    for _ in range(max_iter):
+    for _ in range(_ETA_MAX_ITER):
         q = z * _eta_ratio(mu, w, m1_mu)
         t_val = z * _eta_ratio(nu, q, m1_nu)
         resid = float(np.max(np.abs(t_val - w)))
         w = t_val
-        if resid <= tol:
+        if resid <= _ETA_TOL:
             break
     else:
         raise NoConvergence("eta-transform fixed point stalled",
-                            iterations=max_iter, residual=resid)
-    return z, w, resid
-
-
-def _moments_from_omega(mu, z, w, radius, order, m1_mu):
+                            iterations=_ETA_MAX_ITER, residual=resid)
     eta = _eta_ratio(mu, w, m1_mu) * w
     psi = eta / (1.0 - eta)
-    nodes = z.size
     theta = np.angle(z)
-    out = []
-    for k in range(1, order + 1):
-        coeff = np.sum(psi * np.exp(-1j * k * theta)) / (nodes * radius**k)
-        out.append(complex(coeff))
-    return out
+    moments = [complex(np.sum(psi * np.exp(-1j * k * theta))
+                       / (_ETA_NODES * radius**k)) for k in range(1, order + 1)]
+    return moments, resid
 
 
 def free_mult_convolve_unitary(mu: CircleMeasure, nu: CircleMeasure,
-                               order=8, tol=1e-13, max_iter=400,
-                               radius=0.5, nodes=256) -> MultConvolution:
+                               order=8) -> MultConvolution:
     """Moments of the distribution of uv for free unitaries u ~ mu, v ~ nu.
 
-    The subordinated eta-transform is sampled on a circle |z| = radius
+    The subordinated eta-transform is sampled on |z| = _ETA_RADIUS
     inside the disk and the psi power series coefficients are read off
     by the discrete Fourier transform (geometric accuracy, since psi is
     analytic up to |z| = 1).  The same extraction at a second radius
@@ -231,15 +228,9 @@ def free_mult_convolve_unitary(mu: CircleMeasure, nu: CircleMeasure,
     product of centered free factors has zero trace.
     """
     if not 1 <= order <= _MAX_ORDER:
-        raise ValueError(f"order must be in [1, {_MAX_ORDER}]")
-    if not 0.1 <= radius <= 0.8:
-        raise ValueError("radius must stay well inside the disk")
-    m1_mu = complex(mu.moment(1))
-    z, w, resid = _omega1_on_circle(mu, nu, radius, nodes, tol, max_iter)
-    moments = _moments_from_omega(mu, z, w, radius, order, m1_mu)
-    r2 = 0.7 * radius
-    z2, w2, resid2 = _omega1_on_circle(mu, nu, r2, nodes, tol, max_iter)
-    check = _moments_from_omega(mu, z2, w2, r2, order, m1_mu)
+        raise BadParams(f"order must be in [1, {_MAX_ORDER}]")
+    moments, resid = _moments_on_circle(mu, nu, _ETA_RADIUS, order)
+    check, resid2 = _moments_on_circle(mu, nu, 0.7 * _ETA_RADIUS, order)
     certs = tuple(abs(a - b) for a, b in zip(moments, check))
     return MultConvolution(moments=tuple(moments), certificates=certs,
                            fixed_point_residual=max(resid, resid2))

@@ -21,13 +21,14 @@ from functools import cached_property
 import numpy as np
 
 from .domains import halfplane_margin
-from .errors import (BadParams, DimensionMismatch, DomainError,
-                     JacobianSingular, NoConvergence)
+from .errors import BadParams, DomainError, JacobianSingular, NoConvergence
 
 _MAX_N = 8
 _DAMPING = 0.5
 _NEWTON_HANDOFF = 1e-3
 _FD_STEP = 1e-6
+_CAUCHY_MAX_ITER = 500
+_F_MAX_ITER = 50
 
 
 def _as_matrix(b, n=None):
@@ -35,9 +36,9 @@ def _as_matrix(b, n=None):
     if b.ndim == 0:
         b = b.reshape(1, 1)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise DimensionMismatch("expected a square matrix")
+        raise BadParams("expected a square matrix")
     if n is not None and b.shape[0] != n:
-        raise DimensionMismatch(f"expected size {n}, got {b.shape[0]}")
+        raise BadParams(f"expected size {n}, got {b.shape[0]}")
     return b
 
 
@@ -85,7 +86,7 @@ class CovarianceMap:
     def plus(self, other: "CovarianceMap") -> "CovarianceMap":
         """Covariance of the sum of free semicirculars: Kraus concatenation."""
         if other.n != self.n:
-            raise DimensionMismatch("covariance maps act on different sizes")
+            raise BadParams("covariance maps act on different sizes")
         return CovarianceMap(self.kraus + other.kraus)
 
     def symmetrized(self) -> "CovarianceMap":
@@ -113,7 +114,7 @@ class CovarianceMap:
             for k in d["kraus"])
         cm = cls(kraus)
         if cm.n != d.get("n", cm.n):
-            raise DimensionMismatch("serialized size disagrees with Kraus shape")
+            raise BadParams("serialized size disagrees with Kraus shape")
         return cm
 
 
@@ -142,8 +143,7 @@ def _kron(a, b):
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
-def op_semicircular_cauchy(eta: CovarianceMap, b, tol=1e-12,
-                           max_iter=500) -> OpCauchyEval:
+def op_semicircular_cauchy(eta: CovarianceMap, b, tol=1e-12) -> OpCauchyEval:
     """Solve g = (b - eta(g))^{-1} for the semicircular Cauchy transform.
 
     Damped Picard iteration from g = b^{-1} globalizes; Newton on the
@@ -159,7 +159,7 @@ def op_semicircular_cauchy(eta: CovarianceMap, b, tol=1e-12,
     kk = eta._kraus_kron
     g = np.linalg.inv(b)
     scale = max(1.0, float(np.linalg.norm(g)))
-    for it in range(1, max_iter + 1):
+    for it in range(1, _CAUCHY_MAX_ITER + 1):
         lhs = b - eta(g)
         fixed = np.linalg.inv(lhs)
         resid = float(np.linalg.norm(fixed - g))
@@ -177,14 +177,13 @@ def op_semicircular_cauchy(eta: CovarianceMap, b, tol=1e-12,
             continue
         g = g + delta.reshape(n, n)
     raise NoConvergence("matrix Cauchy fixed point stalled",
-                        iterations=max_iter, residual=resid)
+                        iterations=_CAUCHY_MAX_ITER, residual=resid)
 
 
 def op_add_cauchy(eta_x: CovarianceMap, eta_y: CovarianceMap, b,
-                  tol=1e-12, max_iter=500) -> OpCauchyEval:
+                  tol=1e-12) -> OpCauchyEval:
     """Cauchy transform of X + Y via covariance additivity (never via F)."""
-    return op_semicircular_cauchy(eta_x.plus(eta_y), b, tol=tol,
-                                  max_iter=max_iter)
+    return op_semicircular_cauchy(eta_x.plus(eta_y), b, tol=tol)
 
 
 def semicircular_shift_F(eta_y: CovarianceMap, g_xy, b):
@@ -197,8 +196,7 @@ def semicircular_shift_F(eta_y: CovarianceMap, g_xy, b):
     return _as_matrix(b, eta_y.n) - eta_y(_as_matrix(g_xy, eta_y.n))
 
 
-def solve_subordination_F(g_x_eval, g_target, b_start, tol=1e-10,
-                          max_iter=50):
+def solve_subordination_F(g_x_eval, g_target, b_start, tol=1e-10):
     """Invert the Cauchy transform of X: find F with G_X(F) = g_target.
 
     ``g_x_eval(b)`` must return the matrix Cauchy transform of X at b.
@@ -218,7 +216,7 @@ def solve_subordination_F(g_x_eval, g_target, b_start, tol=1e-10,
     if halfplane_margin(w) <= 0:
         raise DomainError("b_start must lie in the matrix upper half plane")
     resid_mat = g_x_eval(w) - g_target
-    for _ in range(max_iter):
+    for _ in range(_F_MAX_ITER):
         resid = float(np.linalg.norm(resid_mat))
         if resid <= tol:
             result = w
@@ -251,5 +249,5 @@ def solve_subordination_F(g_x_eval, g_target, b_start, tol=1e-10,
         w = cand
         resid_mat = cand_mat
     raise NoConvergence("subordination Newton stalled",
-                        iterations=max_iter,
+                        iterations=_F_MAX_ITER,
                         residual=float(np.linalg.norm(resid_mat)))

@@ -17,7 +17,7 @@ reciprocals, so its temporary stays cache-sized for any grid.
 
 import numpy as np
 
-from .errors import DomainError, NonPositiveDensity, ZeroTransform
+from .errors import BadParams, DomainError, NonPositiveDensity, ZeroTransform
 from .measures import CircleMeasure, GridSpec, LineMeasure
 
 _NODE_CLEARANCE = 1e-12
@@ -86,7 +86,7 @@ def _require_clear(pts, nodes, gap, clearance):
 def cauchy_transform(measure: LineMeasure, z):
     """G(z) = integral 1/(z - t) dmu(t); z off the support, vectorized."""
     if not isinstance(measure, LineMeasure):
-        raise TypeError("cauchy_transform expects a LineMeasure")
+        raise BadParams("cauchy_transform expects a LineMeasure")
     pts, scalar = _as_points(z)
     t, w = measure.quadrature()
     clearance = _NODE_CLEARANCE * max(1.0, measure.support_radius())
@@ -114,7 +114,7 @@ def h_transform(measure: LineMeasure, z):
 def circle_cauchy(measure: CircleMeasure, g):
     """K(g) = integral 1/(zeta - g) dnu(zeta); g off the unit circle."""
     if not isinstance(measure, CircleMeasure):
-        raise TypeError("circle_cauchy expects a CircleMeasure")
+        raise BadParams("circle_cauchy expects a CircleMeasure")
     pts, scalar = _as_points(g)
     zeta = measure.unit_nodes()
     _, w = measure.quadrature()
@@ -167,8 +167,8 @@ def stieltjes_invert(g_eval, grid, eta_sequence=(4e-4, 2e-4, 1e-4),
     Heights down to eta = 1e-4 are supported; the extrapolation order
     covers the rest of the way.
 
-    ``grid`` must be increasing with uniform spacing; that is checked
-    before anything is evaluated.
+    ``grid`` must be increasing with uniform spacing and the heights
+    distinct; both are checked before anything is evaluated.
 
     Returns (measure, renorm) where renorm is the factor that rescaled
     the clipped density to unit mass.  Raises NonPositiveDensity if the
@@ -178,13 +178,13 @@ def stieltjes_invert(g_eval, grid, eta_sequence=(4e-4, 2e-4, 1e-4),
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 8:
-        raise ValueError("grid must be a 1-d array with at least 8 points")
+        raise BadParams("grid must be a 1-d array with at least 8 points")
     step = grid[1] - grid[0]
     if not (step > 0 and np.all(np.abs(np.diff(grid) - step) <= 1e-6 * step)):
-        raise ValueError("grid must be increasing with uniform spacing")
+        raise BadParams("grid must be increasing with uniform spacing")
     etas = np.asarray(eta_sequence, dtype=float)
-    if etas.size == 0 or np.any(etas <= 0):
-        raise ValueError("eta_sequence must be positive")
+    if etas.size == 0 or not np.all(etas > 0) or np.unique(etas).size < etas.size:
+        raise BadParams("eta_sequence must hold distinct positive heights")
     coeff = _lagrange_at_zero(etas)
     dens = np.zeros(grid.size)
     for c, eta in zip(coeff, etas):

@@ -15,7 +15,7 @@ from freesub import (
 )
 from freesub import (SubordinationEval, free_cumulants,
                      free_cumulants_to_moments)
-from freesub.errors import DomainError, FreesubError, NoConvergence
+from freesub.errors import BadParams, DomainError, FreesubError, NoConvergence
 
 
 def test_bernoulli_pair_closed_form():
@@ -126,12 +126,18 @@ def test_cumulant_additivity_on_pairs(line_pairs):
 
 def test_rejects_bad_arguments():
     mu = semicircle(0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         subordination_pair(mu, mu, 1.0 - 0.5j)
     with pytest.raises(ValueError):
         subordination_pair(mu, mu, 2j, tol=1e-16)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         convolve_cauchy(mu, mu, np.array([1j, 1 - 1j]))
+    # nan fails every comparison, so a plain tol < floor check lets it through
+    for tol in (np.nan, np.inf):
+        with pytest.raises(BadParams):
+            subordination_pair(mu, mu, 2j, tol=tol)
+        with pytest.raises(BadParams):
+            convolve_cauchy(mu, mu, np.array([1j]), tol=tol)
     for bad in (complex(np.nan, 1.0), complex(0.3, np.nan), complex(np.inf, 1.0)):
         with pytest.raises(DomainError):
             subordination_pair(mu, mu, bad)

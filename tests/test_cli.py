@@ -127,6 +127,47 @@ def test_unread_flags_and_fields_exit_2(tmp_path, capsys, argv, cfg):
     assert "Traceback" not in capsys.readouterr().err
 
 
+# sizes below 1, empty flags and non-numeric or non-positive tolerances are
+# config errors, rejected before any work and any payload
+@pytest.mark.parametrize("argv, cfg", [
+    (["verify", "thm36", "--trials", "0", "--N", "8"], {}),
+    (["verify", "prop33", "--trials", "0", "--N", "8"], {}),
+    (["verify", "thm31-block", "--trials", "0", "--N", "8"], {}),
+    (["verify", "prop32", "--trials", "0", "--N", "8"], {}),
+    (["verify", "thm36", "--N", "0", "--trials", "1"], {}),
+    (["verify", "prop32", "--N", "0", "--trials", "1"], {}),
+    (["verify", "prop33", "--N", "0", "--trials", "1"], {}),
+    (["verify", "thm31-block", "--N", "0", "--trials", "1"], {}),
+    (["verify", "lemma34", "--samples", "0"], {}),
+    (["verify", "lemma34", "--samples", "-1"], {}),
+    (["verify", "lemma34", "--samples", "5"], {"dims": []}),
+    (["eval", "cauchy", "--grid="], {"measure": SC}),
+    (["eval", "cauchy", "--im="], {"measure": SC}),
+    (["eval", "cauchy"], {"measure": {"type": "line", "grid": {"lo": 0}}}),
+    (["convolve-add", "--grid=", "--im", "1"], {"mu": SC, "nu": SC}),
+    (["convolve-add", "--grid=-1:1:11", "--im="], {"mu": SC, "nu": SC}),
+    (["convolve-add", "--grid=-1:1:11", "--im", "1", "--tol", "nan"],
+     {"mu": SC, "nu": SC}),
+    (["convolve-add", "--grid=-1:1:11", "--im", "1", "--tol", "-1"],
+     {"mu": SC, "nu": SC}),
+    (["convolve-add", "--grid=-1:1:11", "--im", "1"],
+     {"mu": SC, "nu": SC, "tol": "1e-9"}),
+    (["convolve-mult", "--tol", "nan"], {"mu": CIRCLE, "nu": CIRCLE}),
+    (["convolve-mult"], {"mu": CIRCLE, "nu": CIRCLE, "tol": True}),
+    (["verify", "prop32", "--N", "8", "--trials", "1"], {"eps": "1"}),
+    (["verify", "prop33", "--N", "8", "--trials", "1"], {"eps": -1.0}),
+])
+def test_rejected_sizes_and_values_exit_2(tmp_path, capsys, argv, cfg):
+    argv = argv + ["--config", write_cfg(tmp_path / "cfg.json", cfg),
+                   "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "summary.json").exists()
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("points", ["abc", [[0, 1, 2]]])
 def test_eval_rejects_malformed_points(tmp_path, capsys, points):
     cfg = write_cfg(tmp_path / "cfg.json", {"measure": SC, "points": points})

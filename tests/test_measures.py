@@ -6,11 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from freesub import (BadParams, CircleMeasure, GridSpec, LineMeasure,
-                     UnknownFamily, arcsine, atomic, bernoulli_pm1,
-                     circle_atoms, from_json, haar_circle, make_standard,
-                     marchenko_pastur, measure_from_circle_moments, rotate,
-                     semicircle)
+from freesub import (BadParams, CircleMeasure, GridSpec, LineMeasure, arcsine,
+                     atomic, bernoulli_pm1, circle_atoms, from_json,
+                     haar_circle, make_standard, marchenko_pastur,
+                     measure_from_circle_moments, rotate, semicircle)
 
 CATALAN = [1, 1, 2, 5, 14, 42]
 
@@ -147,7 +146,7 @@ def test_make_standard_dispatch():
     assert make_standard("bernoulli_pm1").atoms == ((-1.0, 0.5), (1.0, 0.5))
     m = make_standard("atomic", [(0.5, 1.0)])
     assert m.atoms == ((0.5, 1.0),)
-    with pytest.raises(UnknownFamily):
+    with pytest.raises(BadParams):
         make_standard("lognormal", 1)
     with pytest.raises(BadParams):
         make_standard("marchenko_pastur", -1.0)

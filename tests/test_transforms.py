@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from freesub import (DomainError, NonPositiveDensity, atomic, bernoulli_pm1,
-                     cauchy_transform, circle_atoms, circle_cauchy,
-                     eta_transform, h_transform, haar_circle,
+from freesub import (BadParams, DomainError, NonPositiveDensity, atomic,
+                     bernoulli_pm1, cauchy_transform, circle_atoms,
+                     circle_cauchy, eta_transform, h_transform, haar_circle,
                      marchenko_pastur, psi_transform, reciprocal_cauchy,
                      semicircle, stieltjes_invert)
 
@@ -177,6 +177,17 @@ def test_stieltjes_invert_validates_arguments():
     with pytest.raises(ValueError):
         stieltjes_invert(lambda z: 1 / z, np.linspace(-1, 1, 100),
                          eta_sequence=(0.0, -1.0))
+    calls = []
+
+    def g_eval(z):
+        calls.append(z)
+        return 1 / z
+
+    # a repeated height makes the extrapolation weights divide by zero
+    with pytest.raises(BadParams, match="distinct"):
+        stieltjes_invert(g_eval, np.linspace(-1, 1, 100),
+                         eta_sequence=(1e-2, 1e-2))
+    assert not calls
 
 
 def test_stieltjes_invert_rejects_non_uniform_grid():
