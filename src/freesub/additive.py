@@ -13,8 +13,18 @@ series of G', so no differencing step size is involved.  G and G' come
 together from the chunked node-sum kernel ``transforms._node_sums``,
 and each evaluation of the map at a Newton candidate is kept: once the
 candidate is accepted it is the next iterate's value and derivative.
-Densities and moments of the convolution are derived from the
-subordination evaluator.
+G_mu(omega1), which is G_{mu (+) nu}(z), comes out of the solve too:
+the last evaluation of the map formed G_mu and G_mu' at the last iterate,
+and G_mu' carries G_mu along the final step, which corrects a residual
+already below the tolerance, so no further node sum is made.
+
+Densities are solved as a continuation in the Stieltjes height: omega1
+is analytic, hence continuous, in z, so the omega1 already solved at
+t + i*eta_prev, shifted by i*(eta - eta_prev), is a Newton-close start
+at t + i*eta.  The shift keeps Im w >= eta because Im omega1 >= eta_prev.
+The fixed point attracts every start in the half plane above z, so the
+start changes the iteration count and not the answer.  Points off a
+line (moment contours, single points) start cold at z + i.
 """
 
 import cmath
@@ -30,7 +40,9 @@ from .transforms import _node_sums, cauchy_transform, stieltjes_invert
 _DAMPING = 0.5
 _NEWTON_HANDOFF = 1e-3
 _HERGLOTZ_SLACK = 1e-10
+_TOL = 1e-13  # fixed-point residual, relative to max(1, |omega1|)
 _MIN_TOL = 1e-14  # a smaller residual is not resolvable in double precision
+_MAX_ITER = 500
 _CONTOUR_NODES = 256  # trapezoid nodes on the moment contour
 
 
@@ -53,42 +65,49 @@ class SubordinationEval:
 
 
 def _h_and_derivative(measure, w):
+    """h(w) = 1/G(w) - w and h'(w), with G(w) and G'(w)."""
     g, gp = _node_sums(w, *measure.quadrature())
-    return 1.0 / g - w, -gp / g**2 - 1.0
+    return 1.0 / g - w, -gp / g**2 - 1.0, g, gp
 
 
 def _t_and_derivative(mu, nu, z, w):
-    """T(w) = z + h_nu(z + h_mu(w)) and T'(w)."""
-    hmu, dhmu = _h_and_derivative(mu, w)
-    hnu, dhnu = _h_and_derivative(nu, z + hmu)
-    return z + hnu, dhnu * dhmu
+    """T(w) = z + h_nu(z + h_mu(w)) and T'(w), with G_mu(w) and G_mu'(w)."""
+    hmu, dhmu, gmu, dgmu = _h_and_derivative(mu, w)
+    hnu, dhnu, _, _ = _h_and_derivative(nu, z + hmu)
+    return z + hnu, dhnu * dhmu, gmu, dgmu
 
 
-def _solve_omega1(mu, nu, z, tol, max_iter):
-    """Vectorized fixed point of w -> z + h_nu(z + h_mu(w)).
+def _solve_omega1(mu, nu, z, start, tol, max_iter):
+    """Vectorized fixed point of w -> z + h_nu(z + h_mu(w)) from ``start``.
 
-    Returns (omega1, residual, iterations), shaped like z.  Newton steps
-    (on the same analytic map, exact derivative) are attempted every
-    iteration and accepted when they stay in the half plane and shrink
-    the residual; damped Picard is the fallback.  Plain Picard alone is
-    not enough: close to the real axis the fixed point can turn neutral
-    -- at a square-root edge the multiplier tends to 1, and for atomic
-    inputs the map approaches an elliptic Moebius rotation inside the
-    support, where |T'| = 1 and iteration only spirals.  Newton is
-    perfectly conditioned in both regimes.
+    Returns (omega1, G_mu(omega1), residual, iterations), shaped like z.
+    ``start`` must lie in the closed half plane above z; the cold start
+    is z + i.  Newton steps (on the same analytic map, exact derivative)
+    are attempted every iteration and accepted when they stay in the
+    half plane and shrink the residual; damped Picard is the fallback.
+    Plain Picard alone is not enough: close to the real axis the fixed
+    point can turn neutral -- at a square-root edge the multiplier tends
+    to 1, and for atomic inputs the map approaches an elliptic Moebius
+    rotation inside the support, where |T'| = 1 and iteration only
+    spirals.  Newton is perfectly conditioned in both regimes.
 
     T is evaluated once per point and iteration in the common case: T at
     an accepted Newton candidate is the next iterate's T, so only a
-    Picard step forces a fresh evaluation, and T(candidate) is skipped
-    for a point that converges now with a residual below the handoff,
-    where acceptance does not read it.
+    Picard step forces a fresh evaluation.  A point whose residual meets
+    the tolerance takes one last step without evaluating T there; its
+    G_mu is carried along that step to first order by the exact G_mu'
+    of the last evaluation.  The step corrects a residual already below
+    tol, so the carried value matches a node sum at omega1 to second
+    order in it, and none is made.
     """
     shape = np.shape(z)
     z = np.asarray(z, dtype=complex).reshape(-1)
-    w = z + 1j
+    w = np.array(start, dtype=complex).reshape(-1)
     t_val = np.empty_like(z)
     tprime = np.empty_like(z)
-    fresh = np.zeros(z.shape, dtype=bool)  # t_val, tprime hold T(w), T'(w)
+    g_mu = np.empty_like(z)
+    dg_mu = np.empty_like(z)
+    fresh = np.zeros(z.shape, dtype=bool)  # t_val ... dg_mu are at w
     res = np.full(z.shape, np.inf)
     iters = np.zeros(z.shape, dtype=int)
     active = np.ones(z.shape, dtype=bool)
@@ -98,8 +117,8 @@ def _solve_omega1(mu, nu, z, tol, max_iter):
             break
         stale = active & ~fresh
         if stale.any():
-            t_val[stale], tprime[stale] = _t_and_derivative(
-                mu, nu, z[stale], w[stale])
+            t_val[stale], tprime[stale], g_mu[stale], dg_mu[stale] = \
+                _t_and_derivative(mu, nu, z[stale], w[stale])
         za, wa = z[active], w[active]
         step = t_val[active] - wa
         res_a = np.abs(step)
@@ -107,19 +126,23 @@ def _solve_omega1(mu, nu, z, tol, max_iter):
         safe = np.abs(denom) > 1e-12
         cand = np.where(safe, wa - step / np.where(safe, denom, 1.0),
                         wa + _DAMPING * step)
-        still = res_a > tol * np.maximum(1.0, np.abs(wa))
-        need = still | (res_a >= _NEWTON_HANDOFF)
-        t_cand = np.full_like(cand, np.nan)
-        tp_cand = np.full_like(cand, np.nan)
-        t_cand[need], tp_cand[need] = _t_and_derivative(
-            mu, nu, za[need], cand[need])
+        # a NaN residual never converges: it ends in NoConvergence
+        still = ~(res_a <= tol * np.maximum(1.0, np.abs(wa)))
+        t_cand, tp_cand, g_cand, dg_cand = np.full((4, cand.size), np.nan + 0j)
+        t_cand[still], tp_cand[still], g_cand[still], dg_cand[still] = \
+            _t_and_derivative(mu, nu, za[still], cand[still])
         res_cand = np.abs(t_cand - cand)
         ok = safe & (cand.imag > za.imag - _HERGLOTZ_SLACK)
         # near the solution any in-domain Newton step is fine; further out
         # it must beat the current residual or Picard takes over
         ok &= (res_a < _NEWTON_HANDOFF) | (res_cand < 0.9 * res_a)
-        w[active] = np.where(ok, cand, wa + _DAMPING * step)
+        w_new = np.where(ok, cand, wa + _DAMPING * step)
+        done = ~still
+        g_cand[done] = (g_mu[active][done]
+                        + dg_mu[active][done] * (w_new[done] - wa[done]))
+        w[active] = w_new
         t_val[active], tprime[active] = t_cand, tp_cand
+        g_mu[active], dg_mu[active] = g_cand, dg_cand
         fresh[active] = ok
         iters[active] += 1
         res[active] = res_a
@@ -135,7 +158,8 @@ def _solve_omega1(mu, nu, z, tol, max_iter):
             residual=float(res[worst]),
             point=bad_z,
         )
-    return w.reshape(shape), res.reshape(shape), iters.reshape(shape)
+    return (w.reshape(shape), g_mu.reshape(shape), res.reshape(shape),
+            iters.reshape(shape))
 
 
 def _check_tol(tol):
@@ -143,8 +167,8 @@ def _check_tol(tol):
         raise BadParams(f"tol must be finite and >= {_MIN_TOL:g}, got {tol!r}")
 
 
-def subordination_pair(mu: LineMeasure, nu: LineMeasure, z, tol=1e-13,
-                       max_iter=500) -> SubordinationEval:
+def subordination_pair(mu: LineMeasure, nu: LineMeasure, z, tol=_TOL,
+                       max_iter=_MAX_ITER) -> SubordinationEval:
     """Solve the subordination pair at one point z with Im z > 0."""
     z = complex(z)
     if not cmath.isfinite(z):
@@ -152,9 +176,10 @@ def subordination_pair(mu: LineMeasure, nu: LineMeasure, z, tol=1e-13,
     if z.imag <= 0:
         raise DomainError("subordination requires Im z > 0")
     _check_tol(tol)
-    w, _, iters = _solve_omega1(mu, nu, np.asarray([z]), tol, max_iter)
+    zs = np.asarray([z])
+    w, g, _, iters = _solve_omega1(mu, nu, zs, zs + 1j, tol, max_iter)
     omega1 = complex(w[0])
-    g1 = complex(cauchy_transform(mu, omega1))
+    g1 = complex(g[0])
     omega2 = z + 1.0 / g1 - omega1
     g2 = complex(cauchy_transform(nu, omega2))
     return SubordinationEval(
@@ -167,9 +192,11 @@ def subordination_pair(mu: LineMeasure, nu: LineMeasure, z, tol=1e-13,
     )
 
 
-def convolve_cauchy(mu: LineMeasure, nu: LineMeasure, z, tol=1e-13,
-                    max_iter=500):
-    """G_{mu (+) nu} evaluated via subordination; vectorized over z."""
+def convolve_cauchy(mu: LineMeasure, nu: LineMeasure, z):
+    """G_{mu (+) nu} evaluated via subordination; vectorized over z.
+
+    Every point is solved cold from z + i, so any points will do.
+    """
     pts = np.asarray(z, dtype=complex)
     scalar = pts.ndim == 0
     pts = np.atleast_1d(pts)
@@ -177,10 +204,32 @@ def convolve_cauchy(mu: LineMeasure, nu: LineMeasure, z, tol=1e-13,
         raise DomainError("evaluation point is not finite")
     if np.any(pts.imag <= 0):
         raise DomainError("convolve_cauchy requires Im z > 0")
-    _check_tol(tol)
-    w, _, _ = _solve_omega1(mu, nu, pts, tol, max_iter)
-    g = np.asarray(cauchy_transform(mu, w))
+    _, g, _, _ = _solve_omega1(mu, nu, pts, pts + 1j, _TOL, _MAX_ITER)
     return complex(g[0]) if scalar else g
+
+
+def continued_density(mu: LineMeasure, nu: LineMeasure, grid, eta_sequence,
+                      tol=_TOL, max_iter=_MAX_ITER):
+    """stieltjes_invert of G_{mu (+) nu}, solved as a continuation in eta.
+
+    The heights of ``eta_sequence`` are solved in order on the same grid.
+    The first starts cold at z + i; each later one starts at the previous
+    height's omega1 plus i*(eta_new - eta_prev).  That start keeps
+    Im w >= eta_new, because Im omega1 >= eta_prev, and the fixed point
+    attracts from anywhere in the half plane above z, so the start
+    changes the iteration count and not the limit.  Returns
+    stieltjes_invert's (measure, renorm).
+    """
+    _check_tol(tol)
+    last = {}
+
+    def g_eval(zs):
+        start = zs + 1j if not last else last["omega1"] + (zs - last["z"])
+        omega1, g, _, _ = _solve_omega1(mu, nu, zs, start, tol, max_iter)
+        last.update(z=zs, omega1=omega1)
+        return g
+
+    return stieltjes_invert(g_eval, grid, eta_sequence=eta_sequence)
 
 
 def free_add_convolve(mu: LineMeasure, nu: LineMeasure, grid,
@@ -188,15 +237,16 @@ def free_add_convolve(mu: LineMeasure, nu: LineMeasure, grid,
     """Measure of the free additive convolution, densified on ``grid``.
 
     The density comes from stieltjes_invert applied to the subordinated
-    Cauchy transform.  The default eta sequence favors robustness when
+    Cauchy transform, with the heights solved as a continuation
+    (``continued_density``): the first height starts cold at z + i, and
+    each later one starts at the previous height's omega1 plus
+    i*(eta - eta_prev).  The default eta sequence favors robustness when
     the convolution carries atoms (delta inputs), smearing them into
     bumps of the right mass; for smooth targets a much smaller sequence
     recovers the density to the solver floor.  Atoms are not
     reconstructed as atoms.
     """
-    measure, _ = stieltjes_invert(
-        lambda zs: convolve_cauchy(mu, nu, zs), grid,
-        eta_sequence=eta_sequence)
+    measure, _ = continued_density(mu, nu, grid, eta_sequence)
     return measure
 
 

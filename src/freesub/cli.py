@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import measures as _measures
-from .additive import convolve_cauchy, subordination_pair
+from .additive import continued_density, subordination_pair
 from .errors import BadParams, FreesubError, NoConvergence
 from .matrixmodels import (experiment_lemma34, experiment_prop32,
                            experiment_prop33, experiment_thm31_block,
@@ -29,8 +29,7 @@ from .matrixmodels import (experiment_lemma34, experiment_prop32,
 from .multiplicative import free_mult_convolve_unitary
 from .opvalued import CovarianceMap
 from .transforms import (cauchy_transform, circle_cauchy, eta_transform,
-                         h_transform, psi_transform, reciprocal_cauchy,
-                         stieltjes_invert)
+                         h_transform, psi_transform, reciprocal_cauchy)
 
 OUT_DIR_ENV = "FREESUB_OUT_DIR"
 
@@ -229,10 +228,8 @@ def cmd_convolve_add(args):
                 "residual": ev.residual,
                 "iterations": ev.iterations,
             })
-    dens, renorm = stieltjes_invert(
-        lambda zs: convolve_cauchy(mu, nu, zs, tol=max(tol, 1e-14),
-                                   max_iter=max_iter),
-        grid, eta_sequence=etas)
+    dens, renorm = continued_density(mu, nu, grid, etas,
+                                     tol=max(tol, 1e-14), max_iter=max_iter)
 
     _dump_json(os.path.join(out, "measure.json"), dens.to_dict())
     if args.format == "csv":

@@ -204,9 +204,19 @@ class ExperimentReport:
 
 
 def _check_sizes(N, trials):
-    """Reject an empty model or trial count before anything is drawn."""
-    if N < 1 or trials < 1:
-        raise BadParams(f"experiments need N, trials >= 1; got {N = }, {trials = }")
+    """Reject a model size or trial count that is not an integer >= 1
+    before anything is drawn."""
+    for v in (N, trials):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+            raise BadParams(
+                f"experiments need integer N, trials >= 1; got {N = }, {trials = }")
+
+
+def _check_eps(eps):
+    """The imaginary shift must keep the resolvents in the upper half plane."""
+    if isinstance(eps, bool) or not isinstance(eps, (int, float)) \
+            or not 0 < eps < math.inf:
+        raise BadParams(f"eps must be a finite number > 0, got {eps!r}")
 
 
 def _make_report(identity, N, trials, seed, estimates, residuals, tolerances):
@@ -256,6 +266,7 @@ def experiment_prop32(lam_diag, a0, eps=1.0, trials=200, seed=0,
     if a0.shape != (N, N):
         raise BadParams("a0 must match the spectrum size")
     _check_sizes(N, trials)
+    _check_eps(eps)
     if phase_rotations < 1:
         raise BadParams("phase_rotations must be >= 1")
     shifted = np.asfortranarray(a0 + 1j * eps * np.eye(N))
@@ -309,6 +320,7 @@ def experiment_prop33(A0, C0, eps=1.0, trials=200, seed=0) -> ExperimentReport:
     if A0.shape != (N, N) or C0.shape != (N, N):
         raise BadParams("A0 and C0 must share a size")
     _check_sizes(N, trials)
+    _check_eps(eps)
     a = np.asfortranarray(A0 + 1j * eps * np.eye(N))
     c_shift = np.asfortranarray(C0 + 1j * eps * np.eye(N))
     acc = np.zeros((N, N), dtype=complex, order="F")
@@ -350,8 +362,8 @@ def experiment_thm36(theta_law: CircleMeasure, c0=None, N=600, trials=100,
     The reported omega_margin is 1 - ||c0||, which equals
     1 - ||u^{-1} c0|| for every unitary u, so no trial recomputes it.
     """
+    _check_sizes(N, trials)
     N_ = int(N)
-    _check_sizes(N_, trials)
     if c0 is None:
         c0 = 0.7 * _haar(_rng(seed, 999), N_)
     c0 = np.asarray(c0, dtype=complex)

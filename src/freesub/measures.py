@@ -215,6 +215,8 @@ class CircleMeasure:
 
 
 def _from_dict(cls, d, kind):
+    if not isinstance(d, dict):
+        raise BadParams(f"a serialized measure is a JSON object, got {d!r}")
     if d.get("type") != kind:
         raise BadParams(f"expected type {kind!r}, got {d.get('type')!r}")
     grid = d.get("grid")
@@ -229,6 +231,8 @@ def _from_dict(cls, d, kind):
 def from_json(text: str):
     """Measure from ``json.dumps(m.to_dict())``; floats round-trip bit-exactly."""
     d = json.loads(text)
+    if not isinstance(d, dict):
+        raise BadParams(f"a serialized measure is a JSON object, got {d!r}")
     cls = {"line": LineMeasure, "circle": CircleMeasure}.get(d.get("type"))
     if cls is None:
         raise BadParams(f"unknown measure type {d.get('type')!r}")

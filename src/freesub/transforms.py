@@ -183,8 +183,11 @@ def stieltjes_invert(g_eval, grid, eta_sequence=(4e-4, 2e-4, 1e-4),
     if not (step > 0 and np.all(np.abs(np.diff(grid) - step) <= 1e-6 * step)):
         raise BadParams("grid must be increasing with uniform spacing")
     etas = np.asarray(eta_sequence, dtype=float)
-    if etas.size == 0 or not np.all(etas > 0) or np.unique(etas).size < etas.size:
-        raise BadParams("eta_sequence must hold distinct positive heights")
+    if (etas.ndim != 1 or etas.size == 0
+            or not np.all(np.isfinite(etas) & (etas > 0))
+            or np.unique(etas).size < etas.size):
+        raise BadParams("eta_sequence must be a sequence of distinct finite "
+                        "positive heights")
     coeff = _lagrange_at_zero(etas)
     dens = np.zeros(grid.size)
     for c, eta in zip(coeff, etas):

@@ -15,6 +15,7 @@ from freesub import (
 )
 from freesub import (SubordinationEval, free_cumulants,
                      free_cumulants_to_moments)
+from freesub.additive import _solve_omega1, continued_density
 from freesub.errors import BadParams, DomainError, FreesubError, NoConvergence
 
 
@@ -137,7 +138,7 @@ def test_rejects_bad_arguments():
         with pytest.raises(BadParams):
             subordination_pair(mu, mu, 2j, tol=tol)
         with pytest.raises(BadParams):
-            convolve_cauchy(mu, mu, np.array([1j]), tol=tol)
+            continued_density(mu, mu, np.linspace(-1, 1, 9), (1e-2,), tol=tol)
     for bad in (complex(np.nan, 1.0), complex(0.3, np.nan), complex(np.inf, 1.0)):
         with pytest.raises(DomainError):
             subordination_pair(mu, mu, bad)
@@ -159,12 +160,12 @@ def test_no_convergence_reports_worst_point():
     single = []
     for zi in z:
         with pytest.raises(NoConvergence) as info:
-            convolve_cauchy(mu, nu, np.array([zi]), max_iter=2)
+            _solve_omega1(mu, nu, np.array([zi]), np.array([zi + 1j]), 1e-13, 2)
         single.append(info.value.residual)
     worst = int(np.argmax(single))
     assert worst != 0
     with pytest.raises(NoConvergence) as info:
-        convolve_cauchy(mu, nu, np.array(z), max_iter=2)
+        _solve_omega1(mu, nu, np.array(z), np.array(z) + 1j, 1e-13, 2)
     assert info.value.point == z[worst]
     assert info.value.residual == single[worst]
     assert "3 point(s)" in str(info.value)

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 import freesub.additive as additive
 from freesub import (CircleMeasure, GridSpec, LineMeasure, bernoulli_pm1,
-                     semicircle)
+                     cauchy_transform, convolve_cauchy, free_add_convolve,
+                     semicircle, stieltjes_invert)
 from freesub.transforms import _CHUNK_ELEMENTS, _node_sums
 
 
@@ -106,6 +107,47 @@ def test_solve_omega1_reuses_candidate_evaluations(monkeypatch):
     monkeypatch.setattr(additive, "_node_sums", counting)
     sc = semicircle(0, 1)
     z = np.linspace(-3.2, 3.2, 1601) + 1e-4j
-    _, _, iters = additive._solve_omega1(sc, sc, z, 1e-13, 500)
+    _, _, _, iters = additive._solve_omega1(sc, sc, z, z + 1j, 1e-13, 500)
     evaluated = sum(counted) // 2   # T(w) is one node sum per measure
     assert evaluated <= iters.sum() + z.size
+
+
+def test_line_density_continues_omega1_across_heights(monkeypatch):
+    # each height after the first starts at the previous omega1 shifted by
+    # i*(eta - eta_prev), and G_mu(omega1) is carried from the solver's
+    # last evaluation: the cold per-height density for under 3/4 of the
+    # node sums
+    counted = []
+    kernel = additive._node_sums
+
+    def counting(x, nodes, weights):
+        counted.append(np.size(x))
+        return kernel(x, nodes, weights)
+
+    heights = []
+    solve = additive._solve_omega1
+
+    def recording(mu, nu, z, start, tol, max_iter):
+        out = solve(mu, nu, z, start, tol, max_iter)
+        heights.append((z, out[0], out[1]))
+        return out
+
+    monkeypatch.setattr(additive, "_node_sums", counting)
+    monkeypatch.setattr(additive, "_solve_omega1", recording)
+    sc = semicircle(0, 1)
+    grid = np.linspace(-3.2, 3.2, 1601)
+    etas = (4e-4, 2e-4, 1e-4)
+    warm = free_add_convolve(sc, sc, grid, eta_sequence=etas)
+    warm_points = sum(counted)
+    counted.clear()
+    cold, _ = stieltjes_invert(lambda z: convolve_cauchy(sc, sc, z), grid,
+                               eta_sequence=etas)
+    cold_points = sum(counted)
+
+    assert np.max(np.abs(warm.density - cold.density)) <= 1e-12 * cold.density.max()
+    assert len(heights) == 2 * len(etas)
+    for z, omega1, g in heights:
+        assert np.all(omega1.imag >= z.imag)
+        exact = cauchy_transform(sc, omega1)
+        assert np.max(np.abs(g - exact)) <= 1e-13 * np.max(np.abs(exact))
+    assert warm_points <= 0.75 * cold_points

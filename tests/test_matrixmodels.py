@@ -252,6 +252,14 @@ def test_lemma34_sweep_small():
     lambda: experiment_lemma34(samples=0),
     lambda: experiment_lemma34(dims=()),
     lambda: experiment_lemma34(dims=(2, 0)),
+    # a float trial count used to reach range() as a TypeError
+    lambda: experiment_thm36(haar_circle(), N=8, trials=2.5),
+    lambda: experiment_thm36(haar_circle(), N=8.0, trials=2),
+    lambda: experiment_prop32(np.ones(4), np.eye(4), trials=2.5),
+    lambda: experiment_prop33(np.eye(4), np.eye(4), trials=True),
+    lambda: experiment_thm31_block(CovarianceMap((np.eye(2),)),
+                                   CovarianceMap((np.eye(2),)),
+                                   1j * np.eye(2), N=8, trials=1.5),
 ])
 def test_experiments_reject_empty_sizes(monkeypatch, run):
     # rejected before the first draw
@@ -260,6 +268,21 @@ def test_experiments_reject_empty_sizes(monkeypatch, run):
     monkeypatch.setattr("freesub.matrixmodels._rng", no_draw)
     with pytest.raises(BadParams):
         run()
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -1.0, True, "1"])
+@pytest.mark.parametrize("experiment", ["prop32", "prop33"])
+def test_experiments_reject_bad_eps(monkeypatch, experiment, eps):
+    # NaN once gave prop33 a fail report with im_shortfall 0.0, and a
+    # negative eps averaged lower-half-plane resolvents in prop32
+    def no_draw(*args):
+        raise AssertionError("drew before checking eps")
+    monkeypatch.setattr("freesub.matrixmodels._rng", no_draw)
+    with pytest.raises(BadParams, match="eps"):
+        if experiment == "prop32":
+            experiment_prop32(np.ones(4), np.eye(4), eps=eps, trials=2)
+        else:
+            experiment_prop33(np.eye(4), np.eye(4), eps=eps, trials=2)
 
 
 def test_experiment_determinism():

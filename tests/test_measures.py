@@ -182,6 +182,14 @@ def test_from_json_rejects_wrong_type():
         CircleMeasure.from_dict(d | {"atoms": [[0.0, 1.0]], "type": "line"})
 
 
+def test_from_json_rejects_non_objects():
+    for text in ("[1]", "1", "null", '"line"'):
+        with pytest.raises(BadParams, match="JSON object"):
+            from_json(text)
+    with pytest.raises(BadParams, match="JSON object"):
+        LineMeasure.from_dict([1])
+
+
 def test_quadrature_defines_mass():
     for m in (semicircle(0, 1), marchenko_pastur(0.7), arcsine(2.0)):
         _, w = m.quadrature()

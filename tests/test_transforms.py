@@ -190,6 +190,20 @@ def test_stieltjes_invert_validates_arguments():
     assert not calls
 
 
+def test_stieltjes_invert_rejects_scalar_and_nonfinite_heights():
+    calls = []
+
+    def g_eval(z):
+        calls.append(z)
+        return 1 / z
+
+    # a bare number is a 0-d array, which the Lagrange weights cannot index
+    for etas in (0.1, (np.inf,), (1e-2, np.nan), ((1e-2, 2e-2),)):
+        with pytest.raises(BadParams, match="eta_sequence"):
+            stieltjes_invert(g_eval, np.linspace(-1, 1, 100), eta_sequence=etas)
+    assert not calls
+
+
 def test_stieltjes_invert_rejects_non_uniform_grid():
     calls = []
 
