@@ -8,6 +8,11 @@ Works with square complex matrices T viewed as elements of a unital
 
 Membership is always quantified by a signed margin so callers can apply
 boundary bands instead of raw booleans.
+
+Every function also takes a stack (k, n, n) of matrices and returns one
+margin per matrix; a single matrix gives a float.  The stacked LAPACK
+calls factor each matrix exactly as a single call would, so a margin
+does not depend on the stack it was computed in.
 """
 
 import numpy as np
@@ -18,38 +23,44 @@ _SINGULAR_RTOL = 1e-13
 
 
 def _as_square(t):
-    """Coerce to a square complex ndarray and validate it."""
+    """Coerce to a square complex ndarray, or a stack of them, and
+    validate it."""
     m = np.asarray(t, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise BadParams(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise BadParams("matrix has non-finite entries")
     return m
 
 
-def operator_norm(t) -> float:
+def _per_matrix(v):
+    """A float for a single matrix, the array of values for a stack."""
+    return float(v) if v.ndim == 0 else v
+
+
+def operator_norm(t):
     """Largest singular value, computed densely."""
-    return float(np.linalg.norm(_as_square(t), 2))
+    return _per_matrix(np.linalg.svd(_as_square(t), compute_uv=False)[..., 0])
 
 
 def im_part(t) -> np.ndarray:
     """Selfadjoint part of T/i, i.e. (T - T*)/(2i).
 
-    This is the matrix analogue of the imaginary part; it is Hermitian
-    up to rounding and is returned exactly Hermitianized.
+    This is the matrix analogue of the imaginary part.  It is exactly
+    Hermitian: entry (j, i) is computed from the same two real sums as
+    entry (i, j), and dividing by 2i only swaps and halves them.
     """
     m = _as_square(t)
-    h = (m - m.conj().T) / 2j
-    return (h + h.conj().T) / 2
+    return (m - m.conj().mT) / 2j
 
 
-def halfplane_margin(t) -> float:
+def halfplane_margin(t):
     """Smallest eigenvalue of im_part(T).
 
     Positive iff T lies in the open upper half-plane; the margin of the
     lower half-plane is ``halfplane_margin(-T)``.
     """
-    return float(np.linalg.eigvalsh(im_part(t))[0])
+    return _per_matrix(np.linalg.eigvalsh(im_part(t))[..., 0])
 
 
 def contraction_margins(x):
@@ -65,27 +76,26 @@ def contraction_margins(x):
     margin is reported as ``-inf``.
     """
     m = _as_square(x)
-    eye = np.eye(m.shape[0])
-    norm_margin = 1.0 - operator_norm(m)
-    a = eye - m
+    norm_margin = 1.0 - np.linalg.svd(m, compute_uv=False)[..., 0]
+    a = np.eye(m.shape[-1]) - m
     s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= _SINGULAR_RTOL * max(1.0, float(s[0])):
-        return norm_margin, float("-inf")
-    r = np.linalg.inv(a)
-    resolvent_margin = float(np.linalg.eigvalsh(r + r.conj().T)[0]) - 1.0
-    return norm_margin, resolvent_margin
+    regular = s[..., -1] > _SINGULAR_RTOL * np.maximum(1.0, s[..., 0])
+    resolvent_margin = np.full(regular.shape, -np.inf)
+    r = np.linalg.inv(a[regular])
+    resolvent_margin[regular] = np.linalg.eigvalsh(r + r.conj().mT)[..., 0] - 1.0
+    return _per_matrix(norm_margin), _per_matrix(resolvent_margin)
 
 
-def resolvent_identity_residual(x) -> float:
+def resolvent_identity_residual(x):
     """Residual of (1-x)^{-1} + (1-x*)^{-1} = 1 + (1-x)^{-1}(1-xx*)(1-x*)^{-1}.
 
     The identity is algebraically exact whenever 1-x is invertible, so
     the residual measures pure floating-point conditioning.
     """
     m = _as_square(x)
-    eye = np.eye(m.shape[0])
+    eye = np.eye(m.shape[-1])
     a = np.linalg.inv(eye - m)
-    b = a.conj().T  # = (1 - x*)^{-1}
+    b = a.conj().mT  # = (1 - x*)^{-1}
     lhs = a + b
-    rhs = eye + a @ (eye - m @ m.conj().T) @ b
-    return float(np.linalg.norm(lhs - rhs, 2))
+    rhs = eye + a @ (eye - m @ m.conj().mT) @ b
+    return _per_matrix(np.linalg.svd(lhs - rhs, compute_uv=False)[..., 0])

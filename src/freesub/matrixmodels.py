@@ -28,7 +28,10 @@ through numpy.linalg or ``@``: numpy and scipy link separate OpenBLAS
 builds with separate thread pools, and a trial that alternates
 between the two pools runs markedly slower than one that stays in
 either.  thm36's only numpy.linalg call is its ||c0|| check, before the
-trial loop.
+trial loop.  A Haar conjugation u m u* is one zgemm on the column-scaled
+u when m is diagonal (thm36's eigenphases, and prop32's a0 and prop33's
+C0 when they are exactly diagonal, which is checked once before the
+loop) and two otherwise.
 """
 
 import json
@@ -40,7 +43,7 @@ from scipy.linalg import blas, lapack
 from scipy.optimize import least_squares
 
 from .domains import contraction_margins, halfplane_margin, \
-    resolvent_identity_residual
+    operator_norm, resolvent_identity_residual
 from .errors import BadParams, DegenerateTransform
 from .measures import CircleMeasure
 from .multiplicative import disk_subordination_solve
@@ -53,6 +56,7 @@ _SOLVE_TOL = 0.02         # thm36: disk solve residual
 _SOLVER_TOL = 1e-11       # thm31_block: deterministic Cauchy solves
 _IDENTITY_SAMPLES = 1000  # lemma34: samples checked against the identity
 _IDENTITY_TOL = 1e-11     # lemma34: their identity residual
+_SWEEP_BLOCK = 256        # lemma34: draws whose linear algebra is stacked
 
 
 def _entropy(seed):
@@ -122,8 +126,21 @@ def _inv(a):
 
 
 def _conjugate(u, m):
-    """u m u* with two zgemm calls."""
+    """u m u* by zgemm.  A 1-d m is the diagonal of the middle factor:
+    u diag(m) u* is one zgemm on the column-scaled u.  A square m takes
+    two."""
+    if m.ndim == 1:
+        return blas.zgemm(1.0, u * m, u, trans_b=2)
     return blas.zgemm(1.0, blas.zgemm(1.0, u, m), u, trans_b=2)
+
+
+def _shifted(m, eps):
+    """m + i eps as a middle factor for ``_conjugate``: its diagonal if m
+    is exactly diagonal, else the matrix in Fortran order."""
+    diag = np.diagonal(m)
+    if np.count_nonzero(m) == np.count_nonzero(diag):
+        return diag + 1j * eps
+    return np.asfortranarray(m + 1j * eps * np.eye(len(m)))
 
 
 def sample_angles(measure: CircleMeasure, size, rng):
@@ -144,8 +161,7 @@ def sample_angles(measure: CircleMeasure, size, rng):
 def _phase_unitary(theta_law, N, rng):
     """V diag(e^{i theta}) V* with V Haar and eigenphases from theta_law."""
     theta = sample_angles(theta_law, N, rng)
-    v = _haar(rng, N)
-    return blas.zgemm(1.0, v * np.exp(1j * theta), v, trans_b=2)
+    return _conjugate(_haar(rng, N), np.exp(1j * theta))
 
 
 def partial_trace(Z, n, N):
@@ -203,13 +219,12 @@ class ExperimentReport:
         return ",".join(cells + [self.verdict])
 
 
-def _check_sizes(N, trials):
-    """Reject a model size or trial count that is not an integer >= 1
-    before anything is drawn."""
-    for v in (N, trials):
+def _check_sizes(**sizes):
+    """Reject a size (N, trials, samples, a dimension) that is not an
+    integer >= 1 before anything is drawn."""
+    for name, v in sizes.items():
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-            raise BadParams(
-                f"experiments need integer N, trials >= 1; got {N = }, {trials = }")
+            raise BadParams(f"experiments need integer {name} >= 1, got {v!r}")
 
 
 def _check_eps(eps):
@@ -265,11 +280,11 @@ def experiment_prop32(lam_diag, a0, eps=1.0, trials=200, seed=0,
     a0 = np.asarray(a0, dtype=complex)
     if a0.shape != (N, N):
         raise BadParams("a0 must match the spectrum size")
-    _check_sizes(N, trials)
+    _check_sizes(N=N, trials=trials)
     _check_eps(eps)
     if phase_rotations < 1:
         raise BadParams("phase_rotations must be >= 1")
-    shifted = np.asfortranarray(a0 + 1j * eps * np.eye(N))
+    shifted = _shifted(a0, eps)
     idx = np.arange(N)
     acc = np.zeros((N, N), dtype=complex, order="F")
     for t in range(trials):
@@ -319,10 +334,10 @@ def experiment_prop33(A0, C0, eps=1.0, trials=200, seed=0) -> ExperimentReport:
     N = A0.shape[0] if A0.ndim == 2 else 0
     if A0.shape != (N, N) or C0.shape != (N, N):
         raise BadParams("A0 and C0 must share a size")
-    _check_sizes(N, trials)
+    _check_sizes(N=N, trials=trials)
     _check_eps(eps)
     a = np.asfortranarray(A0 + 1j * eps * np.eye(N))
-    c_shift = np.asfortranarray(C0 + 1j * eps * np.eye(N))
+    c_shift = _shifted(C0, eps)
     acc = np.zeros((N, N), dtype=complex, order="F")
     for t in range(trials):
         m = _conjugate(_haar(_rng(seed, t), N), c_shift)
@@ -362,7 +377,7 @@ def experiment_thm36(theta_law: CircleMeasure, c0=None, N=600, trials=100,
     The reported omega_margin is 1 - ||c0||, which equals
     1 - ||u^{-1} c0|| for every unitary u, so no trial recomputes it.
     """
-    _check_sizes(N, trials)
+    _check_sizes(N=N, trials=trials)
     N_ = int(N)
     if c0 is None:
         c0 = 0.7 * _haar(_rng(seed, 999), N_)
@@ -418,7 +433,7 @@ def experiment_thm31_block(eta_x: CovarianceMap, eta_y: CovarianceMap, b,
     b = np.asarray(b, dtype=complex)
     if b.shape != (n, n):
         raise BadParams("b must match the covariance size")
-    _check_sizes(N, trials)
+    _check_sizes(N=N, trials=trials)
     if n * N > 4096:
         raise BadParams("n*N capped at 4096")
     if halfplane_margin(b) < 0.5:
@@ -476,32 +491,57 @@ def experiment_lemma34(dims=(2, 3, 4, 5, 6), samples=10000,
     lambda_min(2 Re (1-x)^{-1}) - 1.  On well-conditioned samples the
     exact factorization residual of the resolvent identity is also
     accumulated; it must sit at rounding level.
+
+    The draws are made one sample at a time, in a fixed order; the
+    linear algebra runs on per-dimension stacks of up to _SWEEP_BLOCK
+    consecutive draws.  A stacked LAPACK call factors each matrix as a
+    single call would, so the report does not depend on the block size.
     """
+    dims = tuple(dims)
+    if not dims:
+        raise BadParams("lemma34 needs nonempty dims")
+    _check_sizes(samples=samples)
+    for d in dims:
+        _check_sizes(dims=d)
     dims = tuple(int(d) for d in dims)
-    if samples < 1 or not dims or min(dims) < 1:
-        raise BadParams("lemma34 needs samples >= 1 and nonempty dims >= 1")
     rng = _rng(seed)
     violations = 0
     max_identity = 0.0
     checked = 0
     done = 0
     while done < samples:
-        d = dims[int(rng.integers(len(dims)))]
-        target = float(rng.uniform(0.0, 2.0))
-        if abs(1.0 - target) <= 1e-6:
-            continue
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        x = a * (target / np.linalg.norm(a, 2))
-        norm_margin, resolvent_margin = contraction_margins(x)
-        if (norm_margin > 0) != (resolvent_margin > 0):
-            violations += 1
+        drawn = []
+        while len(drawn) < min(_SWEEP_BLOCK, samples - done):
+            d = dims[int(rng.integers(len(dims)))]
+            target = float(rng.uniform(0.0, 2.0))
+            if abs(1.0 - target) <= 1e-6:
+                continue
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            drawn.append((d, target, a))
+        done += len(drawn)
+        stacks = {}
+        s_min = np.empty(len(drawn))
+        for d in sorted({d for d, _, _ in drawn}):
+            at = np.array([i for i, (e, _, _) in enumerate(drawn) if e == d])
+            a = np.stack([drawn[i][2] for i in at])
+            target = np.array([drawn[i][1] for i in at])
+            x = a * (target / operator_norm(a))[:, None, None]
+            norm_margin, resolvent_margin = contraction_margins(x)
+            violations += int(np.count_nonzero(
+                (norm_margin > 0) != (resolvent_margin > 0)))
+            stacks[d] = at, x
+            if checked < _IDENTITY_SAMPLES:
+                s_min[at] = np.linalg.svd(np.eye(d) - x, compute_uv=False)[:, -1]
         if checked < _IDENTITY_SAMPLES:
-            s_min = np.linalg.svd(np.eye(d) - x, compute_uv=False)[-1]
-            if s_min >= 0.1:
-                max_identity = max(max_identity,
-                                   resolvent_identity_residual(x))
-                checked += 1
-        done += 1
+            # the first well-conditioned draws in draw order
+            take = np.zeros(len(drawn), dtype=bool)
+            take[np.flatnonzero(s_min >= 0.1)[:_IDENTITY_SAMPLES - checked]] = True
+            for at, x in stacks.values():
+                sel = take[at]
+                if sel.any():
+                    max_identity = max(max_identity, float(np.max(
+                        resolvent_identity_residual(x[sel]))))
+            checked += int(np.count_nonzero(take))
     return _make_report(
         "lemma34", max(dims), samples, seed,
         estimates={"identity_checked": checked},

@@ -25,20 +25,20 @@ from .errors import BadParams, DomainError, JacobianSingular, NoConvergence
 
 _MAX_N = 8
 _DAMPING = 0.5
-_NEWTON_HANDOFF = 1e-3
 _FD_STEP = 1e-6
 _CAUCHY_MAX_ITER = 500
 _F_MAX_ITER = 50
 
 
 def _as_matrix(b, n=None):
+    """A complex (..., n, n) stack of matrices; a scalar is 1 x 1."""
     b = np.asarray(b, dtype=complex)
     if b.ndim == 0:
         b = b.reshape(1, 1)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise BadParams("expected a square matrix")
-    if n is not None and b.shape[0] != n:
-        raise BadParams(f"expected size {n}, got {b.shape[0]}")
+    if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
+        raise BadParams("expected a square matrix or a stack of them")
+    if n is not None and b.shape[-1] != n:
+        raise BadParams(f"expected size {n}, got {b.shape[-1]}")
     return b
 
 
@@ -56,6 +56,8 @@ class CovarianceMap:
         if n > _MAX_N:
             raise BadParams(f"dimension cap is {_MAX_N}")
         mats = tuple(_as_matrix(k, n) for k in mats)
+        if any(k.ndim != 2 for k in mats):
+            raise BadParams("each Kraus term must be one matrix")
         for k in mats:
             k.setflags(write=False)
         object.__setattr__(self, "kraus", mats)
@@ -65,15 +67,11 @@ class CovarianceMap:
         return self.kraus[0].shape[0]
 
     def __call__(self, b):
+        """eta(b) for a matrix b, or for each matrix of a stack (..., n, n),
+        as one product with the cached n^2 x n^2 matrix of eta."""
         b = _as_matrix(b, self.n)
-        out = np.zeros_like(b)
-        for k, k_adj in zip(self.kraus, self._adjoints):
-            out += k @ b @ k_adj
-        return out
-
-    @cached_property
-    def _adjoints(self):
-        return tuple(k.conj().T for k in self.kraus)
+        vec = b.reshape(b.shape[:-2] + (self.n ** 2, 1))
+        return (self._kraus_kron @ vec).reshape(b.shape)
 
     @cached_property
     def _kraus_kron(self):
@@ -120,7 +118,11 @@ class CovarianceMap:
 
 @dataclass(frozen=True)
 class OpCauchyEval:
-    """Converged matrix Cauchy transform value at a half-plane point."""
+    """Converged matrix Cauchy transform at a half-plane point or stack.
+
+    ``b`` and ``g`` have the caller's shape; ``residual`` is the worst
+    over the stack and ``iterations`` the number of passes it took.
+    """
 
     b: np.ndarray = field(compare=False)
     g: np.ndarray = field(compare=False)
@@ -132,52 +134,92 @@ class OpCauchyEval:
             m = np.array(getattr(self, name), dtype=complex)
             m.setflags(write=False)
             object.__setattr__(self, name, m)
-        if halfplane_margin(-self.g) <= 0:
+        if np.any(halfplane_margin(-self.g) <= 0):
             raise DomainError("Cauchy transform value left the lower half plane")
 
 
 def _kron(a, b):
-    """np.kron of two square matrices: the same products, without its
-    shape handling, which costs more than the product at these sizes."""
-    n = a.shape[0] * b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
+    """np.kron of two square matrices, or of each pair of two broadcast
+    stacks: the same products, without np.kron's shape handling, which
+    costs more than the product at these sizes."""
+    n = a.shape[-1] * b.shape[-1]
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (n, n))
 
 
 def op_semicircular_cauchy(eta: CovarianceMap, b, tol=1e-12) -> OpCauchyEval:
     """Solve g = (b - eta(g))^{-1} for the semicircular Cauchy transform.
 
-    Damped Picard iteration from g = b^{-1} globalizes; Newton on the
-    multiplied-out residual (b - eta(g))g - I finishes.  The Newton
-    Jacobian is exact: with row-major vec, vec(eta(d)g) factors through
-    kron(k_j, conj(k_j)), so no differencing is needed.
+    ``b`` is one matrix or a stack (..., n, n), and g comes back in its
+    shape.  A stack is iterated together, one stacked inverse and one
+    stacked Newton solve per pass; each matrix leaves the stack at its
+    own tolerance, so its value does not depend on the stack around it
+    (unless a Newton system in the stack is exactly singular, which
+    sends that whole pass to Picard).
+
+    Every pass tries a Newton step on the multiplied-out residual
+    (b - eta(g))g - I from g = b^{-1} on.  The candidate must stay in
+    Im g < 0 and lower the residual at the next pass; otherwise it is
+    undone and a damped Picard step, which never leaves the lower half
+    plane, is taken instead.  The Newton Jacobian is exact: with
+    row-major vec, vec(eta(d)g) factors through kron(k_j, conj(k_j)), so
+    no differencing is needed.
     """
-    b = _as_matrix(b, eta.n)
-    if halfplane_margin(b) <= 0:
-        raise DomainError("op_semicircular_cauchy needs Im b > 0")
     n = eta.n
+    b = _as_matrix(b, n)
+    if np.any(halfplane_margin(b) <= 0):
+        raise DomainError("op_semicircular_cauchy needs Im b > 0")
+    points = b.reshape(-1, n, n)
+    out = np.empty_like(points)
+    at = np.arange(len(points))  # where each matrix still iterating goes
     eye = np.eye(n)
     kk = eta._kraus_kron
-    g = np.linalg.inv(b)
-    scale = max(1.0, float(np.linalg.norm(g)))
+    g = np.linalg.inv(points)
+    tol_abs = tol * np.maximum(1.0, np.linalg.norm(g, axis=(-2, -1)))
+    worst = 0.0
+    # each Newton candidate on trial keeps the iterate it came from
+    trial = np.zeros(len(points), dtype=bool)
+    g_prev, fixed_prev, res_prev = g, g, np.full(len(points), np.inf)
     for it in range(1, _CAUCHY_MAX_ITER + 1):
-        lhs = b - eta(g)
+        lhs = points - eta(g)
         fixed = np.linalg.inv(lhs)
-        resid = float(np.linalg.norm(fixed - g))
-        if resid <= tol * scale:
-            return OpCauchyEval(b=b, g=g, residual=resid, iterations=it)
-        if resid > _NEWTON_HANDOFF * scale:
-            g = (1.0 - _DAMPING) * g + _DAMPING * fixed
-            continue
+        res = np.linalg.norm(fixed - g, axis=(-2, -1))
+        # a NaN residual never wins, so its candidate is undone too
+        undo = trial & ~(res < res_prev)
+        if undo.any():
+            back = undo[:, None, None]
+            g = np.where(back, g_prev, g)
+            fixed = np.where(back, fixed_prev, fixed)
+            res = np.where(undo, res_prev, res)
+        done = res <= tol_abs
+        if done.any():
+            out[at[done]] = g[done]
+            worst = max(worst, float(res[done].max()))
+            if done.all():
+                return OpCauchyEval(b=b, g=out.reshape(b.shape),
+                                    residual=worst, iterations=it)
+            left = ~done
+            at, points, tol_abs, g, lhs, fixed, res, undo = (
+                v[left] for v in (at, points, tol_abs, g, lhs, fixed, res, undo))
         phi = lhs @ g - eye
-        jac = _kron(lhs, eye) - _kron(eye, g.T) @ kk
+        jac = _kron(lhs, eye) - _kron(eye, g.mT) @ kk
         try:
-            delta = np.linalg.solve(jac, -phi.reshape(-1))
+            delta = np.linalg.solve(jac, -phi.reshape(-1, n * n, 1))
         except np.linalg.LinAlgError:
-            g = (1.0 - _DAMPING) * g + _DAMPING * fixed
-            continue
-        g = g + delta.reshape(n, n)
+            delta = np.full(phi.shape, np.nan)
+        cand = g + delta.reshape(g.shape)
+        finite = np.isfinite(cand).all(axis=(-2, -1))
+        if not finite.all():
+            cand[~finite] = g[~finite]  # checkable stand-in, never kept
+        trial = finite & ~undo & (halfplane_margin(-cand) > 0)
+        g_prev, fixed_prev, res_prev = g, fixed, res
+        if trial.all():
+            g = cand
+        else:
+            g = np.where(trial[:, None, None], cand, g + _DAMPING * (fixed - g))
     raise NoConvergence("matrix Cauchy fixed point stalled",
-                        iterations=_CAUCHY_MAX_ITER, residual=resid)
+                        iterations=_CAUCHY_MAX_ITER,
+                        residual=float(np.max(res)))
 
 
 def op_add_cauchy(eta_x: CovarianceMap, eta_y: CovarianceMap, b,
@@ -199,22 +241,29 @@ def semicircular_shift_F(eta_y: CovarianceMap, g_xy, b):
 def solve_subordination_F(g_x_eval, g_target, b_start, tol=1e-10):
     """Invert the Cauchy transform of X: find F with G_X(F) = g_target.
 
-    ``g_x_eval(b)`` must return the matrix Cauchy transform of X at b.
+    ``g_x_eval(b)`` must return the matrix Cauchy transform of X at b;
+    it also accepts a (k, n, n) stack and returns the stack of values.
     G_X is holomorphic on the matrix upper half plane, so its derivative
     is complex linear: Newton differences G_X along the n^2 complex unit
-    directions and solves one complex n^2 x n^2 system per step.
-    Candidate steps are cut back until the iterate keeps a positive
-    half-plane margin.  Raises JacobianSingular where G_X is locally
+    directions, all n^2 perturbed points in one call, and solves one
+    complex n^2 x n^2 system per step.  Candidate steps are cut back
+    until the iterate keeps a positive half-plane margin, one call per
+    candidate evaluated.  Raises JacobianSingular where G_X is locally
     non-invertible and the subordination point cannot be extracted this
     way.
     """
     g_target = np.asarray(g_target, dtype=complex)
+    if g_target.ndim != 2:
+        raise BadParams("g_target must be one matrix")
     if halfplane_margin(-g_target) <= 0:
         raise DomainError("target is not the value of a Cauchy transform")
-    w = _as_matrix(b_start, g_target.shape[0]).copy()
-    n = w.shape[0]
+    n = g_target.shape[0]
+    w = _as_matrix(b_start, n).copy()
+    if w.ndim != 2:
+        raise BadParams("b_start must be one matrix")
     if halfplane_margin(w) <= 0:
         raise DomainError("b_start must lie in the matrix upper half plane")
+    directions = np.eye(n * n).reshape(n * n, n, n)
     resid_mat = g_x_eval(w) - g_target
     for _ in range(_F_MAX_ITER):
         resid = float(np.linalg.norm(resid_mat))
@@ -224,11 +273,11 @@ def solve_subordination_F(g_x_eval, g_target, b_start, tol=1e-10):
                 raise DomainError("recovered subordination point left the half plane")
             return result
         delta = _FD_STEP * max(1.0, float(np.linalg.norm(w)))
-        jac = np.empty((n * n, n * n), dtype=complex)
-        for col in range(n * n):
-            pert = w.copy()
-            pert.flat[col] += delta
-            jac[:, col] = ((g_x_eval(pert) - g_target) - resid_mat).reshape(-1) / delta
+        pert = w + delta * directions
+        moved = g_x_eval(pert) - g_target
+        if moved.shape != pert.shape:
+            raise BadParams("g_x_eval must return one value per matrix of a stack")
+        jac = (moved - resid_mat).reshape(n * n, n * n).T / delta
         try:
             step = np.linalg.solve(jac, -resid_mat.reshape(-1)).reshape(n, n)
         except np.linalg.LinAlgError:

@@ -156,6 +156,9 @@ def test_unread_flags_and_fields_exit_2(tmp_path, capsys, argv, cfg):
     (["convolve-mult"], {"mu": CIRCLE, "nu": CIRCLE, "tol": True}),
     (["verify", "prop32", "--N", "8", "--trials", "1"], {"eps": "1"}),
     (["verify", "prop33", "--N", "8", "--trials", "1"], {"eps": -1.0}),
+    # a float dimension was once truncated, with exit 0
+    (["verify", "lemma34", "--samples", "5"], {"dims": [2.5, 3]}),
+    (["verify", "lemma34", "--samples", "5"], {"dims": [True]}),
 ])
 def test_rejected_sizes_and_values_exit_2(tmp_path, capsys, argv, cfg):
     argv = argv + ["--config", write_cfg(tmp_path / "cfg.json", cfg),

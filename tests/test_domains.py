@@ -6,6 +6,7 @@ import pytest
 from freesub import (contraction_margins, halfplane_margin,
                      resolvent_identity_residual)
 from freesub.domains import im_part, operator_norm
+from freesub.errors import BadParams
 
 
 def test_im_part_of_imaginary_identity():
@@ -99,3 +100,39 @@ def test_margins_share_one_svd(rng):
     for n in (1, 2, 5, 40):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         assert np.linalg.svd(a, compute_uv=False)[0] == operator_norm(a)
+
+
+def test_stacked_margins_match_per_matrix_calls(rng):
+    # a stack gives one value per matrix, the float a single call gives
+    for n in (1, 2, 5):
+        x = rng.standard_normal((7, n, n)) + 1j * rng.standard_normal((7, n, n))
+        x *= rng.uniform(0, 2, size=(7, 1, 1)) / np.linalg.norm(
+            x, 2, axis=(-2, -1))[:, None, None]
+        x[3] = np.eye(n)  # 1 - x singular: resolvent margin -inf
+        for fn in (operator_norm, halfplane_margin):
+            got = fn(x)
+            assert isinstance(got, np.ndarray) and got.shape == (7,)
+            assert got.tolist() == [fn(m) for m in x]
+        assert np.array_equal(im_part(x), np.stack([im_part(m) for m in x]))
+        norm_m, res_m = contraction_margins(x)
+        pairs = [contraction_margins(m) for m in x]
+        assert norm_m.tolist() == [p[0] for p in pairs]
+        assert res_m.tolist() == [p[1] for p in pairs]
+        assert res_m[3] == -np.inf
+        ok = np.delete(x, 3, axis=0)
+        assert resolvent_identity_residual(ok).tolist() == \
+            [resolvent_identity_residual(m) for m in ok]
+    for fn in (operator_norm, halfplane_margin, resolvent_identity_residual):
+        assert isinstance(fn(0.5 * np.eye(3)), float)
+    assert all(isinstance(v, float) for v in contraction_margins(np.eye(2) / 2))
+
+
+@pytest.mark.parametrize("fn", [
+    operator_norm, im_part, halfplane_margin, contraction_margins,
+    resolvent_identity_residual,
+])
+def test_margins_reject_non_square_stacks(fn):
+    with pytest.raises(BadParams):
+        fn(np.zeros((3, 2, 3)))
+    with pytest.raises(BadParams):
+        fn(np.zeros(4))

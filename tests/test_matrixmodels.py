@@ -16,8 +16,10 @@ from freesub import (
     haar_circle,
 )
 from freesub.errors import BadParams
-from freesub.matrixmodels import (_haar, _inv, _make_report, _phase_unitary,
-                                  _rng, partial_trace, sample_angles)
+from freesub import matrixmodels
+from freesub.matrixmodels import (_conjugate, _haar, _inv, _make_report,
+                                  _phase_unitary, _rng, partial_trace,
+                                  sample_angles)
 
 
 def balanced(N):
@@ -31,6 +33,35 @@ def test_phase_unitary_sample():
     assert np.linalg.norm(u.conj().T @ u - np.eye(48)) <= 1e-12
     ev = np.linalg.eigvals(u)
     assert np.max(np.minimum(np.abs(ev - 1), np.abs(ev + 1))) <= 1e-10
+
+
+def test_conjugate_by_a_diagonal_matches_the_matrix():
+    rng = _rng(6, 0)
+    u = _haar(rng, 40)
+    d = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    want = _conjugate(u, np.asfortranarray(np.diag(d)))
+    got = _conjugate(u, d)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("diagonal, zgemms", [(True, 1), (False, 2)])
+def test_prop33_trial_zgemm_count(monkeypatch, diagonal, zgemms):
+    # an exactly diagonal C0 is conjugated with one zgemm per trial
+    calls = []
+    zgemm = matrixmodels.blas.zgemm
+
+    class CountingBlas:
+        @staticmethod
+        def zgemm(*args, **kwargs):
+            calls.append(1)
+            return zgemm(*args, **kwargs)
+
+    c0 = np.diag(np.linspace(0.5, 1.5, 16))
+    if not diagonal:
+        c0[0, 1] = 0.1
+    monkeypatch.setattr(matrixmodels, "blas", CountingBlas)
+    experiment_prop33(np.diag(balanced(16)), c0, trials=1)
+    assert len(calls) == zgemms
 
 
 def test_haar_draw_is_unitary_at_600():
@@ -260,6 +291,12 @@ def test_lemma34_sweep_small():
     lambda: experiment_thm31_block(CovarianceMap((np.eye(2),)),
                                    CovarianceMap((np.eye(2),)),
                                    1j * np.eye(2), N=8, trials=1.5),
+    # a float sample count once ran 3 samples and reported trials 2.5, and
+    # a float dimension was truncated to 2
+    lambda: experiment_lemma34(dims=(2,), samples=2.5),
+    lambda: experiment_lemma34(samples=True),
+    lambda: experiment_lemma34(dims=(2.7,)),
+    lambda: experiment_lemma34(dims=(2, True)),
 ])
 def test_experiments_reject_empty_sizes(monkeypatch, run):
     # rejected before the first draw

@@ -66,6 +66,8 @@ def test_covariance_validation():
         CovarianceMap((np.zeros((9, 9)),))
     with pytest.raises(BadParams):
         CovarianceMap((np.zeros((2, 3)),))
+    with pytest.raises(BadParams):
+        CovarianceMap((np.zeros((1, 2, 2)),))
 
 
 def test_covariance_serialization_roundtrip():
@@ -156,25 +158,25 @@ def test_solve_subordination_roundtrip():
 
 
 def test_solve_subordination_call_count():
-    # Newton differences G_X along the n^2 complex directions only, so a
-    # run whose full steps are all accepted makes 1 + steps * (n^2 + 1)
-    # calls; this n = 3 point takes four steps (41 calls)
+    # one call at b_start, then per Newton step one call on the stack of
+    # the n^2 perturbed points and one per line-search candidate; this
+    # n = 3 point accepts four full steps, so 1 + 2 * 4 calls
     rng = np.random.default_rng(3)
     n = 3
     eta_x = cm(rng.normal(size=(n, n)) / 2)
     eta_y = cm(rng.normal(size=(n, n)) / 2)
     b = random_upper(rng, n)
     gxy = op_add_cauchy(eta_x, eta_y, b)
-    calls = 0
+    shapes = []
 
     def g_x(w):
-        nonlocal calls
-        calls += 1
+        shapes.append(np.shape(w))
         return op_semicircular_cauchy(eta_x, w).g
 
     f = solve_subordination_F(g_x, gxy.g, b)
-    assert (calls - 1) % (n * n + 1) == 0
-    assert calls <= 51
+    steps = (len(shapes) - 1) // 2
+    assert shapes == [(n, n)] + [(n * n, n, n), (n, n)] * steps
+    assert steps == 4
     assert np.max(np.abs(g_x(f) - gxy.g)) <= 1e-10
 
 
@@ -200,10 +202,15 @@ def test_solve_subordination_flags_flat_map():
     const = -0.5j * np.eye(2)
 
     def g_flat(w):
-        return const
+        return np.broadcast_to(const, np.shape(w))
 
     with pytest.raises(JacobianSingular):
         solve_subordination_F(g_flat, -0.25j * np.eye(2), 1j * np.eye(2))
+    # a callback that ignores the stack is a contract error, not a
+    # Jacobian
+    with pytest.raises(BadParams):
+        solve_subordination_F(lambda w: const, -0.25j * np.eye(2),
+                              1j * np.eye(2))
 
 
 def test_larger_blocks_converge():
@@ -239,3 +246,46 @@ def test_covariance_kron_matrix_is_vec_action():
     rhs = np.kron(np.eye(3), g.T) @ eta._kraus_kron @ d.reshape(-1)
     assert np.allclose(lhs, rhs, atol=1e-12)
     assert eta._kraus_kron is eta._kraus_kron
+
+
+def test_stacked_cauchy_matches_per_matrix_solves():
+    # points at different heights converge after different numbers of
+    # passes; each must still get the value of its own solve
+    rng = np.random.default_rng(30)
+    for n in (1, 2, 3):
+        eta = cm(rng.normal(size=(n, n)) / 2, 1j * rng.normal(size=(n, n)) / 3)
+        b = np.stack([random_upper(rng, n, lift)
+                      for lift in (0.05, 0.3, 1.0, 4.0, 0.5, 2.0)])
+        b = b.reshape(2, 3, n, n)
+        res = op_semicircular_cauchy(eta, b)
+        assert res.g.shape == res.b.shape == b.shape
+        singles = [op_semicircular_cauchy(eta, p) for p in b.reshape(-1, n, n)]
+        for got, one in zip(res.g.reshape(-1, n, n), singles):
+            assert np.max(np.abs(got - one.g)) <= 1e-13
+        assert res.residual == max(one.residual for one in singles)
+        assert res.iterations == max(one.iterations for one in singles)
+        assert isinstance(res.iterations, int)
+
+
+def test_covariance_map_on_stack_matches_loop():
+    rng = np.random.default_rng(31)
+    eta = cm(*(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+               for _ in range(3)))
+    b = rng.normal(size=(4, 2, 3, 3)) + 1j * rng.normal(size=(4, 2, 3, 3))
+    out = eta(b)
+    assert out.shape == b.shape
+    for i in np.ndindex(4, 2):
+        assert np.max(np.abs(out[i] - eta(b[i]))) <= 1e-14
+
+
+def test_stack_shapes_are_checked():
+    eta = cm(np.eye(2))
+    with pytest.raises(BadParams):
+        eta(np.zeros((3, 2, 3)))
+    with pytest.raises(BadParams):
+        op_semicircular_cauchy(eta, 1j * np.ones((3, 2, 3)))
+    with pytest.raises(BadParams):
+        op_semicircular_cauchy(eta, 1j * np.ones((3, 3, 3)))
+    g = lambda w: op_semicircular_cauchy(eta, w).g  # noqa: E731
+    with pytest.raises(BadParams):
+        solve_subordination_F(g, -1j * np.eye(2), 1j * np.ones((2, 2, 2)))
