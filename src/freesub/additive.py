@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, DomainError, NoConvergence
+from .errors import DomainError, NoConvergence, int_in_range, real_above
 from .measures import LineMeasure
 from .transforms import _node_sums, cauchy_transform, stieltjes_invert
 
@@ -162,11 +162,6 @@ def _solve_omega1(mu, nu, z, start, tol, max_iter):
             iters.reshape(shape))
 
 
-def _check_tol(tol):
-    if not _MIN_TOL <= tol < math.inf:
-        raise BadParams(f"tol must be finite and >= {_MIN_TOL:g}, got {tol!r}")
-
-
 def subordination_pair(mu: LineMeasure, nu: LineMeasure, z, tol=_TOL,
                        max_iter=_MAX_ITER) -> SubordinationEval:
     """Solve the subordination pair at one point z with Im z > 0."""
@@ -175,7 +170,8 @@ def subordination_pair(mu: LineMeasure, nu: LineMeasure, z, tol=_TOL,
         raise DomainError("evaluation point is not finite")
     if z.imag <= 0:
         raise DomainError("subordination requires Im z > 0")
-    _check_tol(tol)
+    tol = real_above("tol", tol, _MIN_TOL, closed=True)
+    max_iter = int_in_range("max_iter", max_iter, 1)
     zs = np.asarray([z])
     w, g, _, iters = _solve_omega1(mu, nu, zs, zs + 1j, tol, max_iter)
     omega1 = complex(w[0])
@@ -220,7 +216,8 @@ def continued_density(mu: LineMeasure, nu: LineMeasure, grid, eta_sequence,
     changes the iteration count and not the limit.  Returns
     stieltjes_invert's (measure, renorm).
     """
-    _check_tol(tol)
+    tol = real_above("tol", tol, _MIN_TOL, closed=True)
+    max_iter = int_in_range("max_iter", max_iter, 1)
     last = {}
 
     def g_eval(zs):
@@ -250,7 +247,7 @@ def free_add_convolve(mu: LineMeasure, nu: LineMeasure, grid,
     return measure
 
 
-def convolve_moments(mu: LineMeasure, nu: LineMeasure, order):
+def convolve_moments(mu: LineMeasure, nu: LineMeasure, order: int):
     """First ``order`` moments of mu (+) nu by contour integration.
 
     m_k = (1/2 pi i) * contour integral of z^k G(z) dz over a circle
@@ -259,6 +256,7 @@ def convolve_moments(mu: LineMeasure, nu: LineMeasure, order):
     Node angles are offset by half a step so no node hits the real axis,
     and conjugate symmetry G(conj z) = conj G(z) halves the work.
     """
+    order = int_in_range("order", order, 1)
     radius = mu.support_radius() + nu.support_radius() + 2.0
     step = 2.0 * math.pi / _CONTOUR_NODES
     theta = (np.arange(_CONTOUR_NODES // 2) + 0.5) * step

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import measures as _measures
 from .additive import continued_density, subordination_pair
-from .errors import BadParams, FreesubError, NoConvergence
+from .errors import BadParams, FreesubError, NoConvergence, int_in_range, \
+    real_above
 from .matrixmodels import (experiment_lemma34, experiment_prop32,
                            experiment_prop33, experiment_thm31_block,
                            experiment_thm36)
@@ -103,7 +104,7 @@ def _parse_measure(spec, kind=None):
         extra = set(spec) - {"family", "params", "n"}
         if extra:
             raise BadParams(f"unknown measure fields: {sorted(extra)}")
-        kwargs = {"n": int(spec["n"])} if "n" in spec else {}
+        kwargs = {"n": spec["n"]} if "n" in spec else {}
         params = spec.get("params", [])
         if spec["family"] in ("atomic", "circle_atoms"):
             params = [[tuple(p) for p in params]]
@@ -121,9 +122,9 @@ def _parse_grid(text):
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         raise BadParams(f"bad --grid {text!r}; expected lo:hi:n") from None
-    if n < 2 or not hi > lo:
-        raise BadParams("grid needs hi > lo and n >= 2")
-    return np.linspace(lo, hi, n)
+    lo = real_above("grid lo", lo)
+    return np.linspace(lo, real_above("grid hi", hi, lo),
+                       int_in_range("grid n", n, 2))
 
 
 def _parse_im(text):
@@ -139,23 +140,6 @@ def _complex_entry(v):
     if isinstance(v, (list, tuple)) and len(v) == 2:
         return complex(v[0], v[1])
     raise BadParams("matrix entries must be numbers or [re, im] pairs")
-
-
-def _int_field(cfg, key, default):
-    """An integer config field; a float, string or bool is rejected."""
-    v = cfg.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise BadParams(f"{key!r} must be an integer, got {v!r}")
-    return v
-
-
-def _float_field(cfg, key, default):
-    """A finite number > 0 config field; a string or bool is rejected."""
-    v = cfg.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)) \
-            or not 0 < v <= sys.float_info.max:
-        raise BadParams(f"{key!r} must be a finite number > 0, got {v!r}")
-    return float(v)
 
 
 def _parse_points(value):
@@ -195,10 +179,9 @@ def cmd_convolve_add(args):
         raise BadParams("convolve-add needs measures 'mu' and 'nu'")
     mu = _parse_measure(cfg["mu"], _measures.LineMeasure)
     nu = _parse_measure(cfg["nu"], _measures.LineMeasure)
-    tol = _float_field(cfg, "tol", 1e-12)
-    max_iter = _int_field(cfg, "max_iter", 500)
-    if max_iter < 1:
-        raise BadParams("max_iter must be positive")
+    # the library checks tol and max_iter before any solve
+    tol = cfg.get("tol", 1e-12)
+    max_iter = cfg.get("max_iter", 500)
     etas = tuple(cfg.get("eta_sequence", (1e-1, 3e-2, 1e-2)))
     im_parts = _parse_im(args.im) if args.im is not None else [0.5, 1.0, 2.0]
     if args.grid is not None:
@@ -209,15 +192,13 @@ def cmd_convolve_add(args):
         hi = mu.support()[1] + nu.support()[1] + 0.5
         grid = np.linspace(lo, hi, 801)
         table_re = np.linspace(lo, hi, 33)
-    out = _out_dir(args)
 
     rows = []
     worst = 0.0
     for im in im_parts:
-        if im <= 0:
-            raise BadParams("--im values must be positive")
+        im = real_above("--im value", im, 0.0)
         for re in table_re:
-            ev = subordination_pair(mu, nu, complex(re, im), tol=max(tol, 1e-14),
+            ev = subordination_pair(mu, nu, complex(re, im), tol=tol,
                                     max_iter=max_iter)
             worst = max(worst, ev.residual)
             rows.append({
@@ -228,9 +209,9 @@ def cmd_convolve_add(args):
                 "residual": ev.residual,
                 "iterations": ev.iterations,
             })
-    dens, renorm = continued_density(mu, nu, grid, etas,
-                                     tol=max(tol, 1e-14), max_iter=max_iter)
-
+    dens, renorm = continued_density(mu, nu, grid, etas, tol=tol,
+                                     max_iter=max_iter)
+    out = _out_dir(args)
     _dump_json(os.path.join(out, "measure.json"), dens.to_dict())
     if args.format == "csv":
         header = ("z_re,z_im,omega1_re,omega1_im,omega2_re,omega2_im,"
@@ -272,11 +253,11 @@ def cmd_convolve_mult(args):
         raise BadParams("convolve-mult needs measures 'mu' and 'nu'")
     mu = _parse_measure(cfg["mu"], _measures.CircleMeasure)
     nu = _parse_measure(cfg["nu"], _measures.CircleMeasure)
-    order = _int_field(cfg, "order", 8)
-    tol = _float_field(cfg, "tol", 1e-8)
-    out = _out_dir(args)
+    order = cfg.get("order", 8)
+    tol = real_above("tol", cfg.get("tol", 1e-8), 0.0)  # this command's gate
     result = free_mult_convolve_unitary(mu, nu, order=order)
     worst = max(max(result.certificates), result.fixed_point_residual)
+    out = _out_dir(args)
     _dump_json(os.path.join(out, "moments.json"), {
         "moments": [[m.real, m.imag] for m in result.moments],
         "certificates": list(result.certificates),
@@ -335,9 +316,10 @@ def cmd_eval(args):
     if not on_line and any(abs(abs(p) - 1.0) < 1e-12 for p in pts):
         raise BadParams("circle transforms are undefined on |z| = 1")
     fn = _LINE_TRANSFORMS.get(name) or _CIRCLE_TRANSFORMS[name]
+    # one call for all points: a node sum does not depend on its batch
+    values = fn(measure, np.array(pts, dtype=complex))
     rows = []
-    for p in pts:
-        v = complex(fn(measure, p))
+    for p, v in zip(pts, values.tolist()):
         margin = p.imag if on_line else 1.0 - abs(p)
         rows.append({"point": [p.real, p.imag], "value": [v.real, v.imag],
                      "margin": margin})
@@ -365,24 +347,27 @@ def _balanced_pm1(N):
 
 
 def _run_verify(identity, cfg):
-    # the experiments hold their own defaults: pass only what is set
-    kw = {k: _int_field(cfg, k, None)
-          for k in ("seed", "N", "trials", "samples") if k in cfg}
-    if "eps" in cfg:
-        kw["eps"] = _float_field(cfg, "eps", None)
+    # the experiments hold their own defaults and check what is set
+    kw = {k: cfg[k] for k in ("seed", "N", "trials", "samples", "eps", "dims")
+          if k in cfg}
     if identity in ("prop32", "prop33"):
         # both take N from their spectra; N sizes only the default ones
         spectra = {"lam"} if identity == "prop32" else {"A0", "C0"}
         if "N" in kw and spectra <= cfg.keys():
             raise BadParams(f"N is the size of {sorted(spectra)}; do not set it")
-        pm1 = _balanced_pm1(kw.pop("N", 600))
+        N = int_in_range("N", kw.pop("N", 600), 1)
     if identity == "prop32":
-        lam = np.asarray(cfg["lam"], float) if "lam" in cfg else pm1
+        lam = np.asarray(cfg["lam"], float) if "lam" in cfg else _balanced_pm1(N)
         a0 = _parse_matrix(cfg["a0"]) if "a0" in cfg else np.diag(_balanced_pm1(lam.size))
         return experiment_prop32(lam, a0, **kw)
     if identity == "prop33":
-        A0 = _parse_matrix(cfg["A0"]) if "A0" in cfg else np.diag(pm1)
-        C0 = _parse_matrix(cfg["C0"]) if "C0" in cfg else np.diag(pm1)
+        # the off-diagonal noise in D grows with the spread of C0's
+        # spectrum: diag(+-1) misses the 0.05 gate at N = 600 and trials
+        # = 200, where criterion 7's linspace(0.5, 1.5) passes
+        A0 = _parse_matrix(cfg["A0"]) if "A0" in cfg else \
+            np.diag(_balanced_pm1(N))
+        C0 = _parse_matrix(cfg["C0"]) if "C0" in cfg else \
+            np.diag(np.linspace(0.5, 1.5, N))
         return experiment_prop33(A0, C0, **kw)
     if identity == "thm36":
         law = _parse_measure(cfg["theta_law"], _measures.CircleMeasure) \
@@ -396,8 +381,6 @@ def _run_verify(identity, cfg):
             CovarianceMap((np.array([[0.5, -0.2], [0.1, 0.7]]),))
         b = _parse_matrix(cfg["b"]) if "b" in cfg else 1j * np.eye(ex.n)
         return experiment_thm31_block(ex, ey, b, **kw)
-    if "dims" in cfg:
-        kw["dims"] = cfg["dims"]
     return experiment_lemma34(**kw)
 
 
@@ -486,8 +469,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ValueError, TypeError) as exc:
-        # a rejected argument raises BadParams, a ValueError; numpy raises
-        # ValueError or TypeError on a malformed config value
+        # a rejected argument raises BadParams, a ValueError; parsing a
+        # malformed matrix, list or measure spec raises either
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NoConvergence as exc:

@@ -18,7 +18,7 @@ which serves as an independent cross-check on analytic convolutions.
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import BadParams
+from .errors import BadParams, int_in_range
 
 _MAX_NC_ORDER = 12
 _MAX_PRODUCT_ORDER = 8
@@ -47,13 +47,12 @@ def _moments_to_free_cumulants(moments):
     return kappa
 
 
-def free_cumulants(m, order):
+def free_cumulants(m, order: int):
     """Free cumulants kappa_1..kappa_order from moments m = (m_0=1, m_1, ...)."""
     m = list(m)
     if not m or m[0] != 1:
         raise BadParams("moment list must start with m_0 = 1")
-    if not 1 <= order <= 12:
-        raise BadParams("cumulant order must be in [1, 12]")
+    order = int_in_range("order", order, 1, 12)
     if len(m) < order + 1:
         raise BadParams("need moments up to the requested order")
     return _moments_to_free_cumulants(m[1:order + 1])
@@ -95,9 +94,7 @@ def _intervals(lo, hi):
 @lru_cache(maxsize=None)
 def noncrossing_partitions(n):
     """All noncrossing partitions of {1..n} as tuples of sorted blocks."""
-    if not 1 <= n <= _MAX_NC_ORDER:
-        raise BadParams(f"noncrossing enumeration supports 1 <= n <= {_MAX_NC_ORDER}")
-    parts = _intervals(1, n)
+    parts = _intervals(1, int_in_range("n", n, 1, _MAX_NC_ORDER))
     return tuple(tuple(sorted(p, key=min)) for p in parts)
 
 
@@ -131,14 +128,13 @@ def _kreweras_table(n):
     return table
 
 
-def free_multiplicative_moments(moments_a, moments_b, order):
+def free_multiplicative_moments(moments_a, moments_b, order: int):
     """Moments of the free product ab from the moments of a and b.
 
     Exact sum over NC(n) for each n up to the order, so the cost grows
     with the Catalan numbers; the order is capped at 8 (C_8 = 1430).
     """
-    if not 1 <= order <= _MAX_PRODUCT_ORDER:
-        raise BadParams(f"product moment formula supports 1 <= order <= {_MAX_PRODUCT_ORDER}")
+    order = int_in_range("order", order, 1, _MAX_PRODUCT_ORDER)
     if len(moments_a) < order or len(moments_b) < order:
         raise BadParams("need at least `order` moments of each factor")
     kappa_a = _moments_to_free_cumulants(list(moments_a)[:order])

@@ -1,11 +1,22 @@
-"""Typed exceptions shared across the package.
+"""Typed exceptions shared across the package, and its two argument checks.
 
 Every error the package raises is a FreesubError.  A rejected argument
 (a value, size, type or name) raises BadParams, also a ValueError; a
 point outside the analytic domain raises DomainError; the rest name a
 numerical failure.  The Monte Carlo LAPACK wrappers alone raise
 numpy.linalg.LinAlgError, as numpy.linalg.inv does.
+
+Every numeric argument of the package is checked by one of two
+functions here, once, where the library first reads it:
+``int_in_range`` for a count, order, size or seed, and ``real_above``
+for a tolerance, scale or position.  Both reject a bool and a string,
+``int_in_range`` also any float (2.0 included), and ``real_above`` a
+NaN or an infinity, all with BadParams; both return the plain int or
+float.
 """
+
+import math
+import numbers
 
 
 class FreesubError(Exception):
@@ -71,3 +82,29 @@ class DegenerateTransform(FreesubError):
 class JacobianSingular(FreesubError):
     """Newton's Jacobian is numerically singular; the map is locally
     non-invertible at the current iterate."""
+
+
+def int_in_range(name, value, lo=None, hi=None):
+    """``value`` as an int with lo <= value <= hi; None leaves an end open."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise BadParams(f"{name} must be an integer, got {value!r}")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        raise BadParams(f"{name} must be in [{'-inf' if lo is None else lo}, "
+                        f"{'inf' if hi is None else hi}], got {value!r}")
+    return int(value)
+
+
+def real_above(name, value, floor=-math.inf, closed=False):
+    """``value`` as a finite float above ``floor``; ``closed`` admits the
+    floor itself."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise BadParams(f"{name} must be a real number, got {value!r}")
+    try:
+        v = float(value)
+    except OverflowError:  # an int beyond the float range
+        v = math.inf
+    if not (math.isfinite(v) and (v > floor or closed and v == floor)):
+        bound = "" if floor == -math.inf else \
+            f" {'>=' if closed else '>'} {floor:g}"
+        raise BadParams(f"{name} must be a finite number{bound}, got {value!r}")
+    return v

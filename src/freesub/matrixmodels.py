@@ -44,7 +44,7 @@ from scipy.optimize import least_squares
 
 from .domains import contraction_margins, halfplane_margin, \
     operator_norm, resolvent_identity_residual
-from .errors import BadParams, DegenerateTransform
+from .errors import BadParams, DegenerateTransform, int_in_range, real_above
 from .measures import CircleMeasure
 from .multiplicative import disk_subordination_solve
 from .opvalued import CovarianceMap, _kron, op_add_cauchy, \
@@ -219,21 +219,6 @@ class ExperimentReport:
         return ",".join(cells + [self.verdict])
 
 
-def _check_sizes(**sizes):
-    """Reject a size (N, trials, samples, a dimension) that is not an
-    integer >= 1 before anything is drawn."""
-    for name, v in sizes.items():
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-            raise BadParams(f"experiments need integer {name} >= 1, got {v!r}")
-
-
-def _check_eps(eps):
-    """The imaginary shift must keep the resolvents in the upper half plane."""
-    if isinstance(eps, bool) or not isinstance(eps, (int, float)) \
-            or not 0 < eps < math.inf:
-        raise BadParams(f"eps must be a finite number > 0, got {eps!r}")
-
-
 def _make_report(identity, N, trials, seed, estimates, residuals, tolerances):
     # pass iff every residual is within tolerance; a miss by <= 10% of a
     # positive tolerance is flagged boundary rather than an outright fail
@@ -280,10 +265,11 @@ def experiment_prop32(lam_diag, a0, eps=1.0, trials=200, seed=0,
     a0 = np.asarray(a0, dtype=complex)
     if a0.shape != (N, N):
         raise BadParams("a0 must match the spectrum size")
-    _check_sizes(N=N, trials=trials)
-    _check_eps(eps)
-    if phase_rotations < 1:
-        raise BadParams("phase_rotations must be >= 1")
+    int_in_range("N", N, 1)
+    trials = int_in_range("trials", trials, 1)
+    eps = real_above("eps", eps, 0.0)
+    seed = int_in_range("seed", seed)
+    phase_rotations = int_in_range("phase_rotations", phase_rotations, 1)
     shifted = _shifted(a0, eps)
     idx = np.arange(N)
     acc = np.zeros((N, N), dtype=complex, order="F")
@@ -334,8 +320,10 @@ def experiment_prop33(A0, C0, eps=1.0, trials=200, seed=0) -> ExperimentReport:
     N = A0.shape[0] if A0.ndim == 2 else 0
     if A0.shape != (N, N) or C0.shape != (N, N):
         raise BadParams("A0 and C0 must share a size")
-    _check_sizes(N=N, trials=trials)
-    _check_eps(eps)
+    int_in_range("N", N, 1)
+    trials = int_in_range("trials", trials, 1)
+    eps = real_above("eps", eps, 0.0)
+    seed = int_in_range("seed", seed)
     a = np.asfortranarray(A0 + 1j * eps * np.eye(N))
     c_shift = _shifted(C0, eps)
     acc = np.zeros((N, N), dtype=complex, order="F")
@@ -377,12 +365,13 @@ def experiment_thm36(theta_law: CircleMeasure, c0=None, N=600, trials=100,
     The reported omega_margin is 1 - ||c0||, which equals
     1 - ||u^{-1} c0|| for every unitary u, so no trial recomputes it.
     """
-    _check_sizes(N=N, trials=trials)
-    N_ = int(N)
+    N = int_in_range("N", N, 1)
+    trials = int_in_range("trials", trials, 1)
+    seed = int_in_range("seed", seed)
     if c0 is None:
-        c0 = 0.7 * _haar(_rng(seed, 999), N_)
+        c0 = 0.7 * _haar(_rng(seed, 999), N)
     c0 = np.asarray(c0, dtype=complex)
-    if c0.shape != (N_, N_):
+    if c0.shape != (N, N):
         raise BadParams("c0 must be N x N")
     nrm = np.linalg.norm(c0, 2)
     if nrm > 0.9:
@@ -391,23 +380,23 @@ def experiment_thm36(theta_law: CircleMeasure, c0=None, N=600, trials=100,
     c0 = np.asfortranarray(c0)
     total = 0.0 + 0.0j
     for t in range(trials):
-        u = _phase_unitary(theta_law, N_, _rng(seed, t))
+        u = _phase_unitary(theta_law, N, _rng(seed, t))
         u -= c0
-        total += np.trace(_inv(u)) / N_
+        total += np.trace(_inv(u)) / N
     m_hat = total / trials
     estimates = {"m_hat": complex(m_hat), "omega_margin": float(omega_margin)}
     try:
         sol = disk_subordination_solve(theta_law, m_hat)
     except DegenerateTransform:
         return _make_report(
-            "thm36", N_, trials, seed,
+            "thm36", N, trials, seed,
             estimates=estimates,
             residuals={"haar_abs": abs(m_hat)},
             tolerances={"haar_abs": _GATE},
         )
     estimates.update({"g": sol.g, "ball_margin": sol.ball_margin})
     return _make_report(
-        "thm36", N_, trials, seed,
+        "thm36", N, trials, seed,
         estimates=estimates,
         residuals={"solve": sol.residual,
                    "g_excess": max(0.0, abs(sol.g) - 0.99)},
@@ -433,7 +422,9 @@ def experiment_thm31_block(eta_x: CovarianceMap, eta_y: CovarianceMap, b,
     b = np.asarray(b, dtype=complex)
     if b.shape != (n, n):
         raise BadParams("b must match the covariance size")
-    _check_sizes(N=N, trials=trials)
+    N = int_in_range("N", N, 1)
+    trials = int_in_range("trials", trials, 1)
+    seed = int_in_range("seed", seed)
     if n * N > 4096:
         raise BadParams("n*N capped at 4096")
     if halfplane_margin(b) < 0.5:
@@ -497,13 +488,11 @@ def experiment_lemma34(dims=(2, 3, 4, 5, 6), samples=10000,
     consecutive draws.  A stacked LAPACK call factors each matrix as a
     single call would, so the report does not depend on the block size.
     """
-    dims = tuple(dims)
+    dims = tuple(int_in_range("dims entry", d, 1) for d in dims)
     if not dims:
         raise BadParams("lemma34 needs nonempty dims")
-    _check_sizes(samples=samples)
-    for d in dims:
-        _check_sizes(dims=d)
-    dims = tuple(int(d) for d in dims)
+    samples = int_in_range("samples", samples, 1)
+    seed = int_in_range("seed", seed)
     rng = _rng(seed)
     violations = 0
     max_identity = 0.0

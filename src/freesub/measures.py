@@ -22,12 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from .errors import BadParams
+from .errors import BadParams, int_in_range, real_above
 
 #: default number of density samples for gridded families
 DEFAULT_GRID_N = 2048
 
 _MASS_TOL = 1e-9
+_MIN_SAMPLES = 8  # density grids need at least this many samples
 _TWO_PI = 2.0 * math.pi
 
 
@@ -40,10 +41,8 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
-        if self.n < 8:
-            raise BadParams("density grids need at least 8 samples")
-        if not (self.hi > self.lo):
-            raise BadParams("grid requires hi > lo")
+        int_in_range("grid size n", self.n, _MIN_SAMPLES)
+        real_above("grid hi", self.hi, real_above("grid lo", self.lo))
 
     @property
     def step(self) -> float:
@@ -59,28 +58,12 @@ class GridSpec:
         return w
 
 
-def _validate_parts(atoms, grid, density):
-    atoms = tuple((float(t), float(w)) for t, w in atoms)
-    for _, w in atoms:
-        if not (0.0 < w <= 1.0):
-            raise BadParams(f"atom weight {w} outside (0, 1]")
-    if (grid is None) != (density is None):
-        raise BadParams("grid and density must be given together")
-    if density is not None:
-        density = np.asarray(density, dtype=float)
-        if density.ndim != 1 or density.size != grid.n:
-            raise BadParams("density length must equal grid.n")
-        if not np.all(np.isfinite(density)):
-            raise BadParams("density has non-finite samples")
-        if np.any(density < 0):
-            raise BadParams("density samples must be nonnegative")
-        density.setflags(write=False)
-    return atoms, density
-
-
 @dataclass(frozen=True)
-class LineMeasure:
-    """Probability measure on the real line: atoms + gridded density."""
+class _Measure:
+    """Atoms plus an optional density on a GridSpec, flattened into one
+    finite positive quadrature.  The subclasses differ only in where the
+    grid nodes sit and how they are weighted (``_grid_quadrature``) and
+    in how an atom's position is stored (``_position``)."""
 
     atoms: tuple = ()
     grid: GridSpec = None
@@ -89,16 +72,30 @@ class LineMeasure:
     _weights: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        atoms, density = _validate_parts(self.atoms, self.grid, self.density)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "density", density)
-        ts = [t for t, _ in atoms]
-        ws = [w for _, w in atoms]
+        atoms = []
+        for t, w in self.atoms:
+            w = real_above("atom weight", w, 0.0)
+            if w > 1.0:
+                raise BadParams(f"atom weight {w} outside (0, 1]")
+            atoms.append((self._position(real_above("atom position", t)), w))
+        atoms = tuple(atoms)
+        if (self.grid is None) != (self.density is None):
+            raise BadParams("grid and density must be given together")
+        ts = np.array([t for t, _ in atoms], dtype=float)
+        ws = np.array([w for _, w in atoms], dtype=float)
+        density = self.density
         if density is not None:
-            ts = np.concatenate([ts, self.grid.points()])
-            ws = np.concatenate([ws, self.grid.trapezoid_weights() * density])
-        else:
-            ts, ws = np.asarray(ts, float), np.asarray(ws, float)
+            density = np.asarray(density, dtype=float)
+            if density.ndim != 1 or density.size != self.grid.n:
+                raise BadParams("density length must equal grid.n")
+            if not np.all(np.isfinite(density)):
+                raise BadParams("density has non-finite samples")
+            if np.any(density < 0):
+                raise BadParams("density samples must be nonnegative")
+            density.setflags(write=False)
+            nodes, cell = self._grid_quadrature()
+            ts = np.concatenate([ts, nodes])
+            ws = np.concatenate([ws, cell * density])
         if ts.size == 0:
             raise BadParams("measure needs atoms or a density")
         mass = float(ws.sum())
@@ -106,12 +103,53 @@ class LineMeasure:
             raise BadParams(f"total mass {mass} deviates from 1 by > {_MASS_TOL}")
         ts.setflags(write=False)
         ws.setflags(write=False)
-        object.__setattr__(self, "_nodes", ts)
-        object.__setattr__(self, "_weights", ws)
+        for name, value in (("atoms", atoms), ("density", density),
+                            ("_nodes", ts), ("_weights", ws)):
+            object.__setattr__(self, name, value)
 
     def quadrature(self):
         """Nodes and weights of the measure as a finite positive sum."""
         return self._nodes, self._weights
+
+    def to_dict(self) -> dict:
+        return {
+            "type": self._KIND,
+            "atoms": [[t, w] for t, w in self.atoms],
+            "grid": None if self.grid is None else
+                {"lo": self.grid.lo, "hi": self.grid.hi, "n": self.grid.n},
+            "density": [] if self.density is None else self.density.tolist(),
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        if not isinstance(d, dict):
+            raise BadParams(f"a serialized measure is a JSON object, got {d!r}")
+        if d.get("type") != cls._KIND:
+            raise BadParams(f"expected type {cls._KIND!r}, got {d.get('type')!r}")
+        grid = d.get("grid")
+        try:
+            g = None if grid is None else GridSpec(grid["lo"], grid["hi"], grid["n"])
+        except (KeyError, TypeError):
+            raise BadParams("grid must be an object with lo, hi and n") from None
+        dens = d.get("density") or None
+        return cls(atoms=tuple(map(tuple, d.get("atoms", ()))), grid=g,
+                   density=dens)
+
+
+class LineMeasure(_Measure):
+    """Probability measure on the real line: atoms + gridded density.
+
+    The density's quadrature is the trapezoid rule on the grid points.
+    """
+
+    _KIND = "line"
+
+    @staticmethod
+    def _position(t):
+        return t
+
+    def _grid_quadrature(self):
+        return self.grid.points(), self.grid.trapezoid_weights()
 
     def support(self):
         """Smallest interval containing all nodes."""
@@ -123,27 +161,12 @@ class LineMeasure:
 
     def moment(self, k: int) -> float:
         """k-th raw moment; k is capped at 32 to bound error growth."""
-        if not 0 <= k <= 32:
-            raise BadParams("moment order must be in [0, 32]")
+        k = int_in_range("k", k, 0, 32)
         t, w = self.quadrature()
         return float(np.sum(w * t**k))
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "line",
-            "atoms": [[t, w] for t, w in self.atoms],
-            "grid": None if self.grid is None else
-                {"lo": self.grid.lo, "hi": self.grid.hi, "n": self.grid.n},
-            "density": [] if self.density is None else self.density.tolist(),
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LineMeasure":
-        return _from_dict(cls, d, "line")
-
-
-@dataclass(frozen=True)
-class CircleMeasure:
+class CircleMeasure(_Measure):
     """Probability measure on the unit circle.
 
     Atoms are (angle, weight) with angles reduced mod 2*pi.  The density
@@ -152,41 +175,18 @@ class CircleMeasure:
     extension, which is spectrally accurate for smooth densities).
     """
 
-    atoms: tuple = ()
-    grid: GridSpec = None
-    density: np.ndarray = None
-    _angles: np.ndarray = field(default=None, repr=False, compare=False)
-    _weights: np.ndarray = field(default=None, repr=False, compare=False)
+    _KIND = "circle"
 
-    def __post_init__(self):
-        atoms = tuple((float(a) % _TWO_PI, float(w)) for a, w in self.atoms)
-        atoms, density = _validate_parts(atoms, self.grid, self.density)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "density", density)
-        th = [a for a, _ in atoms]
-        ws = [w for _, w in atoms]
-        if density is not None:
-            step = (self.grid.hi - self.grid.lo) / self.grid.n
-            th = np.concatenate([th, self.grid.lo + step * np.arange(self.grid.n)])
-            ws = np.concatenate([ws, np.full(self.grid.n, step) * density])
-        else:
-            th, ws = np.asarray(th, float), np.asarray(ws, float)
-        if th.size == 0:
-            raise BadParams("measure needs atoms or a density")
-        mass = float(ws.sum())
-        if abs(mass - 1.0) > _MASS_TOL:
-            raise BadParams(f"total mass {mass} deviates from 1 by > {_MASS_TOL}")
-        th.setflags(write=False)
-        ws.setflags(write=False)
-        object.__setattr__(self, "_angles", th)
-        object.__setattr__(self, "_weights", ws)
+    @staticmethod
+    def _position(angle):
+        return angle % _TWO_PI
 
-    def quadrature(self):
-        """Angles and weights as a finite positive sum on [0, 2*pi)."""
-        return self._angles, self._weights
+    def _grid_quadrature(self):
+        lo, hi, n = self.grid.lo, self.grid.hi, self.grid.n
+        return lo + (hi - lo) / n * np.arange(n), np.full(n, (hi - lo) / n)
 
     def unit_nodes(self) -> np.ndarray:
-        return np.exp(1j * self._angles)
+        return np.exp(1j * self._nodes)
 
     def moment(self, k: int) -> complex:
         """k-th moment of the unit-circle variable; negative k allowed.
@@ -194,38 +194,10 @@ class CircleMeasure:
         Negative orders use the conjugate symmetry of moments of a real
         measure on the circle.
         """
-        if not -32 <= k <= 32:
-            raise BadParams("moment order must be in [-32, 32]")
+        k = int_in_range("k", k, -32, 32)
         th, w = self.quadrature()
         m = complex(np.sum(w * np.exp(1j * abs(k) * th)))
         return m.conjugate() if k < 0 else m
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "circle",
-            "atoms": [[a, w] for a, w in self.atoms],
-            "grid": None if self.grid is None else
-                {"lo": self.grid.lo, "hi": self.grid.hi, "n": self.grid.n},
-            "density": [] if self.density is None else self.density.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CircleMeasure":
-        return _from_dict(cls, d, "circle")
-
-
-def _from_dict(cls, d, kind):
-    if not isinstance(d, dict):
-        raise BadParams(f"a serialized measure is a JSON object, got {d!r}")
-    if d.get("type") != kind:
-        raise BadParams(f"expected type {kind!r}, got {d.get('type')!r}")
-    grid = d.get("grid")
-    try:
-        g = None if grid is None else GridSpec(grid["lo"], grid["hi"], grid["n"])
-    except (KeyError, TypeError):
-        raise BadParams("grid must be an object with lo, hi and n") from None
-    dens = d.get("density") or None
-    return cls(atoms=tuple(map(tuple, d.get("atoms", ()))), grid=g, density=dens)
 
 
 def from_json(text: str):
@@ -242,6 +214,11 @@ def from_json(text: str):
 # ---------------------------------------------------------------------------
 # standard families
 # ---------------------------------------------------------------------------
+
+def _cell_edges(lo, hi, n):
+    """The n + 1 edges of n equal cells of [lo, hi]; n is a grid size."""
+    return np.linspace(lo, hi, int_in_range("n", n, _MIN_SAMPLES) + 1)
+
 
 def _measure_from_cell_masses(a, b, cell_mass):
     """Midpoint grid whose trapezoid rule reproduces the given cell masses.
@@ -271,11 +248,10 @@ def semicircle(center=0.0, variance=1.0, n=DEFAULT_GRID_N) -> LineMeasure:
     Support is [center - 2*sigma, center + 2*sigma]; the standard case
     has density sqrt(4 - t^2)/(2*pi).
     """
-    if variance <= 0:
-        raise BadParams("variance must be positive")
-    s = math.sqrt(variance)
+    s = math.sqrt(real_above("variance", variance, 0.0))
+    center = real_above("center", center)
     a, b = center - 2.0 * s, center + 2.0 * s
-    edges = np.linspace(-2.0, 2.0, n + 1)
+    edges = _cell_edges(-2.0, 2.0, n)
     cdf = _semicircle_std_cdf(edges)
     mass = np.diff(cdf)
     mass /= mass.sum()
@@ -285,10 +261,9 @@ def semicircle(center=0.0, variance=1.0, n=DEFAULT_GRID_N) -> LineMeasure:
 
 def arcsine(scale=1.0, n=DEFAULT_GRID_N) -> LineMeasure:
     """Arcsine law on [-2*scale, 2*scale], density 1/(pi*sqrt(4s^2 - t^2))."""
-    if scale <= 0:
-        raise BadParams("scale must be positive")
+    scale = real_above("scale", scale, 0.0)
     a, b = -2.0 * scale, 2.0 * scale
-    edges = np.linspace(-1.0, 1.0, n + 1)  # t/(2*scale)
+    edges = _cell_edges(-1.0, 1.0, n)  # t/(2*scale)
     cdf = 0.5 + np.arcsin(edges) / math.pi
     mass = np.diff(cdf)
     mass /= mass.sum()
@@ -302,8 +277,7 @@ def marchenko_pastur(lam=1.0, n=DEFAULT_GRID_N) -> LineMeasure:
     Density sqrt((b-t)(t-a))/(2*pi*t) on [a, b] with a,b = (1 -+ sqrt(lam))^2,
     plus an atom of mass 1-lam at zero when lam < 1.
     """
-    if lam <= 0:
-        raise BadParams("rate must be positive")
+    lam = real_above("lam", lam, 0.0)
     a = (1.0 - math.sqrt(lam)) ** 2
     b = (1.0 + math.sqrt(lam)) ** 2
     ac_mass = min(1.0, lam)
@@ -311,7 +285,7 @@ def marchenko_pastur(lam=1.0, n=DEFAULT_GRID_N) -> LineMeasure:
     def dens(t):
         return math.sqrt(max((b - t) * (t - a), 0.0)) / (_TWO_PI * t)
 
-    edges = np.linspace(a, b, n + 1)
+    edges = _cell_edges(a, b, n)
     mass = np.empty(n)
     for k in range(n):
         # QUADPACK handles the integrable edge singularities (1/sqrt(t)
@@ -377,6 +351,7 @@ def rotate(measure: CircleMeasure, phi: float) -> CircleMeasure:
     """Pushforward of an atomic circle measure under multiplication by e^{i*phi}."""
     if measure.density is not None:
         raise BadParams("rotation is implemented for atomic circle measures only")
+    phi = real_above("phi", phi)
     return CircleMeasure(atoms=tuple((a + phi, w) for a, w in measure.atoms))
 
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, DegenerateTransform, DomainError, NoConvergence
+from .errors import (DegenerateTransform, DomainError, NoConvergence,
+                     int_in_range)
 from .measures import CircleMeasure, measure_from_circle_moments
 from .transforms import _node_sums, eta_transform
 
@@ -227,8 +228,7 @@ def free_mult_convolve_unitary(mu: CircleMeasure, nu: CircleMeasure,
     correctly collapses to uniform (all moments zero) -- an alternating
     product of centered free factors has zero trace.
     """
-    if not 1 <= order <= _MAX_ORDER:
-        raise BadParams(f"order must be in [1, {_MAX_ORDER}]")
+    order = int_in_range("order", order, 1, _MAX_ORDER)
     moments, resid = _moments_on_circle(mu, nu, _ETA_RADIUS, order)
     check, resid2 = _moments_on_circle(mu, nu, 0.7 * _ETA_RADIUS, order)
     certs = tuple(abs(a - b) for a, b in zip(moments, check))

@@ -21,7 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .domains import halfplane_margin
-from .errors import BadParams, DomainError, JacobianSingular, NoConvergence
+from .errors import (BadParams, DomainError, JacobianSingular, NoConvergence,
+                     real_above)
 
 _MAX_N = 8
 _DAMPING = 0.5
@@ -165,6 +166,7 @@ def op_semicircular_cauchy(eta: CovarianceMap, b, tol=1e-12) -> OpCauchyEval:
     row-major vec, vec(eta(d)g) factors through kron(k_j, conj(k_j)), so
     no differencing is needed.
     """
+    tol = real_above("tol", tol, 0.0)
     n = eta.n
     b = _as_matrix(b, n)
     if np.any(halfplane_margin(b) <= 0):
@@ -252,6 +254,7 @@ def solve_subordination_F(g_x_eval, g_target, b_start, tol=1e-10):
     non-invertible and the subordination point cannot be extracted this
     way.
     """
+    tol = real_above("tol", tol, 0.0)
     g_target = np.asarray(g_target, dtype=complex)
     if g_target.ndim != 2:
         raise BadParams("g_target must be one matrix")

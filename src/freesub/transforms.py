@@ -17,7 +17,8 @@ reciprocals, so its temporary stays cache-sized for any grid.
 
 import numpy as np
 
-from .errors import BadParams, DomainError, NonPositiveDensity, ZeroTransform
+from .errors import (BadParams, DomainError, NonPositiveDensity, ZeroTransform,
+                     real_above)
 from .measures import CircleMeasure, GridSpec, LineMeasure
 
 _NODE_CLEARANCE = 1e-12
@@ -176,6 +177,7 @@ def stieltjes_invert(g_eval, grid, eta_sequence=(4e-4, 2e-4, 1e-4),
     negativity at that scale means the evaluator was not a Cauchy
     transform of a positive measure.
     """
+    neg_tol = real_above("neg_tol", neg_tol, 0.0, closed=True)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 8:
         raise BadParams("grid must be a 1-d array with at least 8 points")

@@ -7,8 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+import freesub.cli
 import freesub.measures
-from freesub import CovarianceMap, experiment_thm36, haar_circle
+from freesub import (CovarianceMap, experiment_prop33, experiment_thm36,
+                     haar_circle)
 from freesub.cli import main
 
 SC = {"family": "semicircle", "params": [0.0, 1.0]}
@@ -159,6 +161,12 @@ def test_unread_flags_and_fields_exit_2(tmp_path, capsys, argv, cfg):
     # a float dimension was once truncated, with exit 0
     (["verify", "lemma34", "--samples", "5"], {"dims": [2.5, 3]}),
     (["verify", "lemma34", "--samples", "5"], {"dims": [True]}),
+    # below the solver's 1e-14 floor: once clamped, with the unused value
+    # reported in summary.json and exit 0
+    (["convolve-add", "--grid=-1:1:11", "--im", "1", "--tol", "1e-15"],
+     {"mu": SC, "nu": SC}),
+    (["convolve-add", "--grid=-1:1:11", "--im", "1"],
+     {"mu": SC, "nu": SC, "max_iter": 0}),
 ])
 def test_rejected_sizes_and_values_exit_2(tmp_path, capsys, argv, cfg):
     argv = argv + ["--config", write_cfg(tmp_path / "cfg.json", cfg),
@@ -298,6 +306,22 @@ def test_verify_thm36_uses_experiment_default(tmp_path):
           "--out", str(tmp_path)])
     want = experiment_thm36(haar_circle(), N=64, trials=4, seed=2).to_dict()
     assert json.loads((tmp_path / "report.json").read_text()) == want
+
+
+def test_verify_prop33_default_spectra(tmp_path, monkeypatch):
+    # C0 = diag(+-1) failed the gate at the default N = 600; the default
+    # is criterion 7's narrower spectrum linspace(0.5, 1.5)
+    seen = {}
+
+    def record(A0, C0, **kw):
+        seen.update(A0=A0, C0=C0)
+        return experiment_prop33(A0, C0, **kw)
+
+    monkeypatch.setattr(freesub.cli, "experiment_prop33", record)
+    assert main(["verify", "prop33", "--N", "8", "--trials", "1",
+                 "--out", str(tmp_path)]) in (0, 1)
+    assert np.array_equal(seen["C0"], np.diag(np.linspace(0.5, 1.5, 8)))
+    assert np.array_equal(seen["A0"], np.diag([1.0] * 4 + [-1.0] * 4))
 
 
 def test_verify_report_determinism(tmp_path):

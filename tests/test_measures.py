@@ -23,6 +23,9 @@ def test_gridspec_contract():
         GridSpec(0.0, 1.0, 7)
     with pytest.raises(BadParams):
         GridSpec(1.0, 0.0, 16)
+    # a non-finite end made every transform of the measure NaN
+    with pytest.raises(BadParams):
+        GridSpec(0, math.inf, 10)
 
 
 def test_mass_invariant_enforced():
@@ -32,6 +35,12 @@ def test_mass_invariant_enforced():
         LineMeasure(atoms=((0.0, 0.5), (1.0, 0.50001)))
     with pytest.raises(BadParams):
         atomic([(0.0, -0.5), (1.0, 1.5)])
+
+
+@pytest.mark.parametrize("position", [math.nan, math.inf])
+def test_atoms_need_finite_positions(position):
+    with pytest.raises(BadParams):
+        atomic([(position, 1.0)])
 
 
 def test_density_validation():
@@ -138,6 +147,8 @@ def test_rotate_circle_measure():
     assert r.moment(1) == pytest.approx(np.exp(1.25j) * c.moment(1), abs=1e-14)
     with pytest.raises(BadParams):
         rotate(haar_circle(), 2.0)
+    with pytest.raises(BadParams):
+        rotate(c, math.nan)
 
 
 def test_make_standard_dispatch():

@@ -1,14 +1,20 @@
 """The public surface: every exported name is reached, every defaulted
-parameter is set by some caller, only public names are imported from
-outside the package, and the package raises only its own errors."""
+parameter is set by some caller, every numeric parameter rejects a bad
+value with BadParams, only public names are imported from outside the
+package, and the package raises only its own errors."""
 
 import ast
 import builtins
 import importlib
 import inspect
+import math
 import pathlib
+import re
+
+import numpy as np
 
 import freesub
+from freesub import BadParams
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src/freesub"
@@ -98,13 +104,16 @@ def test_every_public_name_is_reached():
 
 def _public_callables():
     """(label, function, skip) for exported functions and the public
-    methods of exported classes; skip drops self or cls."""
+    methods of exported classes, inherited ones included; skip drops
+    self or cls."""
     for name in freesub.__all__:
         obj = getattr(freesub, name)
         if inspect.isfunction(obj):
             yield name, obj, 0
         elif isinstance(obj, type) and not issubclass(obj, Exception):
-            for attr, member in vars(obj).items():
+            members = {attr: member for klass in reversed(obj.__mro__[:-1])
+                       for attr, member in vars(klass).items()}
+            for attr, member in members.items():
                 fn = getattr(member, "__func__", member)
                 if not attr.startswith("_") and inspect.isfunction(fn):
                     yield f"{name}.{attr}", fn, 1
@@ -138,6 +147,86 @@ def test_every_parameter_is_set():
     assert set(unset) == set(UNSET_PARAMETERS), (
         f"set by no caller: {sorted(set(unset) - set(UNSET_PARAMETERS))}; "
         f"stale exemptions: {sorted(set(UNSET_PARAMETERS) - set(unset))}")
+
+
+def _eta2():
+    return freesub.CovarianceMap((np.array([[1.0, 0.2], [0.0, 0.8]]),))
+
+
+# a valid value for each class-annotated parameter and each method's owner
+INSTANCES = {
+    freesub.LineMeasure: freesub.bernoulli_pm1,
+    freesub.CircleMeasure: lambda: freesub.circle_atoms([(0.0, 0.6), (1.0, 0.4)]),
+    freesub.CovarianceMap: _eta2,
+    freesub.MultConvolution: lambda: freesub.MultConvolution(
+        moments=(0.1,), certificates=(0.0,), fixed_point_residual=0.0),
+}
+# a valid value for each other required parameter of a numeric probe
+REQUIRED = {
+    "lam_diag": [1.0, -1.0], "a0": np.eye(2), "A0": np.eye(2),
+    "C0": np.eye(2), "b": 1j * np.eye(2), "b_start": 1j * np.eye(2),
+    "g_target": -1j * np.eye(2),
+    "g_x_eval": lambda w: freesub.op_semicircular_cauchy(_eta2(), w).g,
+    "g_eval": lambda z: -1j * np.ones_like(z), "grid": np.linspace(-1, 1, 9),
+    "z": 1j, "m": [1, 0, 1, 0, 2], "moments_a": [0, 1, 0],
+    "moments_b": [0, 1, 0], "moments": [0.1, 0.0],
+}
+
+
+def _numeric_kind(param):
+    """int or float for a parameter annotated or defaulted as one."""
+    for kind in (int, float):
+        if param.annotation is kind or type(param.default) is kind:
+            return kind
+    return None
+
+
+def _numeric_probes():
+    """(label, bound callable, base keywords, parameter, kind) for every
+    int or float parameter of the public surface."""
+    for label, fn, skip in _public_callables():
+        params = list(inspect.signature(fn).parameters.values())[skip:]
+        numeric = [p for p in params if _numeric_kind(p)]
+        if not numeric:
+            continue
+        owner = getattr(freesub, label.partition(".")[0])
+        call = getattr(INSTANCES[owner](), fn.__name__) if skip else fn
+        base = {}
+        for p in params:
+            if p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD) or p in numeric:
+                continue
+            if p.annotation in INSTANCES:
+                base[p.name] = INSTANCES[p.annotation]()
+            elif p.default is inspect.Parameter.empty:
+                base[p.name] = REQUIRED[p.name]
+        for p in numeric:
+            yield label, call, base, p, _numeric_kind(p)
+
+
+def test_numeric_parameters_reject_bad_values():
+    # a float where an int is due, a string, a bool, NaN or a value beyond
+    # every range raises BadParams naming the parameter
+    probes = list(_numeric_probes())
+    found = {f"{label}({param.name})" for label, _, _, param, _ in probes}
+    assert {"LineMeasure.moment(k)", "rotate(phi)", "convolve_moments(order)",
+            "subordination_pair(max_iter)", "MultConvolution.measure(n)",
+            "experiment_prop33(seed)", "stieltjes_invert(neg_tol)"} <= found
+    accepted = []
+    for label, call, base, param, kind in probes:
+        bad = [2.5, "3", True, math.nan] if kind is int else \
+            ["3", True, math.nan, math.inf, -math.inf]
+        if kind is int and param.name != "seed":  # any integer is a seed
+            bad.append(-10**30)
+        for value in bad:
+            try:
+                call(**base, **{param.name: value})
+            except BadParams as exc:
+                if re.search(rf"\b{param.name}\b", str(exc)):
+                    continue
+            except Exception:  # listed below with the accepted values
+                pass
+            accepted.append(f"{label}({param.name}={value!r})")
+    assert not accepted, f"not rejected with BadParams: {accepted}"
 
 
 def test_no_private_freesub_imports():
