@@ -18,13 +18,21 @@ the last evaluation of the map formed G_mu and G_mu' at the last iterate,
 and G_mu' carries G_mu along the final step, which corrects a residual
 already below the tolerance, so no further node sum is made.
 
-Densities are solved as a continuation in the Stieltjes height: omega1
-is analytic, hence continuous, in z, so the omega1 already solved at
-t + i*eta_prev, shifted by i*(eta - eta_prev), is a Newton-close start
-at t + i*eta.  The shift keeps Im w >= eta because Im omega1 >= eta_prev.
-The fixed point attracts every start in the half plane above z, so the
-start changes the iteration count and not the answer.  Points off a
-line (moment contours, single points) start cold at z + i.
+Densities are solved as a predictor-corrector continuation along the
+line t + i*eta (Euler predictor, Newton corrector: Allgower and Georg,
+Introduction to Numerical Continuation Methods, SIAM 2003, ch. 2).
+omega1 is analytic in z, and the solve returns its tangent
+omega1'(z) = (1 + h_nu') / (1 - T') from the factors of its last
+evaluation, so every start is predicted from values already solved: the
+first height solves every _COARSE_STRIDE-th point cold and starts the
+others from the cubic Hermite interpolant of their coarse neighbours,
+and each later height starts at omega1 + omega1' * i*(eta - eta_prev).
+A start is raised to Im w >= eta where the predictor undershoots, and
+the slope falls back to 1, the plain shift, where 1 - T' nearly
+vanishes (T' -> 1 at a square-root edge).  The fixed point attracts
+every start in the half plane above z, so the start changes the
+iteration count and not the answer.  Points off a line (moment
+contours, single points) start cold at z + i.
 """
 
 import cmath
@@ -33,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence, int_in_range, real_above
+from .errors import (DomainError, NoConvergence, _complex_points,
+                     int_in_range, real_above)
 from .measures import LineMeasure
 from .transforms import _node_sums, cauchy_transform, stieltjes_invert
 
@@ -42,8 +51,13 @@ _NEWTON_HANDOFF = 1e-3
 _HERGLOTZ_SLACK = 1e-10
 _TOL = 1e-13  # fixed-point residual, relative to max(1, |omega1|)
 _MIN_TOL = 1e-14  # a smaller residual is not resolvable in double precision
+_ROUNDING = 4 * np.finfo(float).eps  # T's rounding, relative to its scale
+_ROUNDING_CAP = 1e3  # T's rounding relaxes tol at most this many times
+_FLOOR_AFTER = 10  # iterations before a residual may stop at T's rounding
 _MAX_ITER = 500
 _CONTOUR_NODES = 256  # trapezoid nodes on the moment contour
+_SLOPE_FLOOR = 1e-8  # |1 - T'| below this gives the plain-shift slope 1
+_COARSE_STRIDE = 8  # first height: every 8th grid point is solved cold
 
 
 @dataclass(frozen=True)
@@ -71,25 +85,41 @@ def _h_and_derivative(measure, w):
 
 
 def _t_and_derivative(mu, nu, z, w):
-    """T(w) = z + h_nu(z + h_mu(w)) and T'(w), with G_mu(w) and G_mu'(w)."""
+    """T(w) = z + h_nu(z + h_mu(w)) and T'(w), with G_mu(w), G_mu'(w) and
+    h_nu'(z + h_mu(w))."""
     hmu, dhmu, gmu, dgmu = _h_and_derivative(mu, w)
     hnu, dhnu, _, _ = _h_and_derivative(nu, z + hmu)
-    return z + hnu, dhnu * dhmu, gmu, dgmu
+    return z + hnu, dhnu * dhmu, gmu, dgmu, dhnu
 
 
 def _solve_omega1(mu, nu, z, start, tol, max_iter):
     """Vectorized fixed point of w -> z + h_nu(z + h_mu(w)) from ``start``.
 
-    Returns (omega1, G_mu(omega1), residual, iterations), shaped like z.
-    ``start`` must lie in the closed half plane above z; the cold start
-    is z + i.  Newton steps (on the same analytic map, exact derivative)
-    are attempted every iteration and accepted when they stay in the
-    half plane and shrink the residual; damped Picard is the fallback.
-    Plain Picard alone is not enough: close to the real axis the fixed
-    point can turn neutral -- at a square-root edge the multiplier tends
-    to 1, and for atomic inputs the map approaches an elliptic Moebius
-    rotation inside the support, where |T'| = 1 and iteration only
-    spirals.  Newton is perfectly conditioned in both regimes.
+    Returns (omega1, G_mu(omega1), residual, iterations, slope), shaped
+    like z.  ``start`` must lie in the closed half plane above z; the
+    cold start is z + i.  Newton steps (on the same analytic map, exact
+    derivative) are attempted every iteration and accepted when they
+    stay in the half plane and shrink the residual; damped Picard is the
+    fallback.  Plain Picard alone is not enough: close to the real axis
+    the fixed point can turn neutral -- at a square-root edge the
+    multiplier tends to 1, and for atomic inputs the map approaches an
+    elliptic Moebius rotation inside the support, where |T'| = 1 and
+    iteration only spirals.  Newton is perfectly conditioned in both
+    regimes.
+
+    A point has converged when its residual meets tol * max(1, |w|), or,
+    from its _FLOOR_AFTER-th iteration on, the rounding of T itself where
+    that is larger, up to _ROUNDING_CAP times the tolerance.  The
+    rounding is about eps * |h_nu'| * (|w| + |1/G_mu| + |z|): 1/G_mu - w
+    cancels in h_mu, and h_nu' amplifies what is left.  It exceeds the
+    tolerance only next to a pole of F_nu close to the line, where no
+    start gets below it.  There omega1 is ill-conditioned but
+    G_mu(omega1) is not: it keeps the accuracy it has at the other
+    points.  The wait matters because the rounding is taken at the
+    iterate, not at the fixed point: early iterates overstate it, and
+    most points that would stop there go on to meet tol within a few
+    more iterations.  The returned residual shows which points stopped
+    above tol * max(1, |w|).
 
     T is evaluated once per point and iteration in the common case: T at
     an accepted Newton candidate is the next iterate's T, so only a
@@ -99,6 +129,12 @@ def _solve_omega1(mu, nu, z, start, tol, max_iter):
     of the last evaluation.  The step corrects a residual already below
     tol, so the carried value matches a node sum at omega1 to second
     order in it, and none is made.
+
+    ``slope`` is the tangent omega1'(z) = (1 + h_nu') / (1 - T') of the
+    implicit function theorem, both factors from that same last
+    evaluation, so it too costs no node sum.  Where 1 - T' is too close
+    to 0 to divide by (T' -> 1 at a square-root edge) or the quotient is
+    not finite, ``slope`` is 1, the slope of the plain shift w + dz.
     """
     shape = np.shape(z)
     z = np.asarray(z, dtype=complex).reshape(-1)
@@ -107,18 +143,19 @@ def _solve_omega1(mu, nu, z, start, tol, max_iter):
     tprime = np.empty_like(z)
     g_mu = np.empty_like(z)
     dg_mu = np.empty_like(z)
-    fresh = np.zeros(z.shape, dtype=bool)  # t_val ... dg_mu are at w
+    dh_nu = np.empty_like(z)
+    fresh = np.zeros(z.shape, dtype=bool)  # t_val ... dh_nu are at w
     res = np.full(z.shape, np.inf)
     iters = np.zeros(z.shape, dtype=int)
     active = np.ones(z.shape, dtype=bool)
 
-    for _ in range(max_iter):
+    for it in range(max_iter):
         if not active.any():
             break
         stale = active & ~fresh
         if stale.any():
-            t_val[stale], tprime[stale], g_mu[stale], dg_mu[stale] = \
-                _t_and_derivative(mu, nu, z[stale], w[stale])
+            (t_val[stale], tprime[stale], g_mu[stale], dg_mu[stale],
+             dh_nu[stale]) = _t_and_derivative(mu, nu, z[stale], w[stale])
         za, wa = z[active], w[active]
         step = t_val[active] - wa
         res_a = np.abs(step)
@@ -126,11 +163,22 @@ def _solve_omega1(mu, nu, z, start, tol, max_iter):
         safe = np.abs(denom) > 1e-12
         cand = np.where(safe, wa - step / np.where(safe, denom, 1.0),
                         wa + _DAMPING * step)
+        size = np.abs(wa)
+        limit = tol * np.maximum(1.0, size)
+        if it >= _FLOOR_AFTER:
+            # the rounding of T: h_mu's 1/G_mu - w cancels, and h_nu'
+            # amplifies what is left
+            floor = _ROUNDING * (1.0 + np.abs(dh_nu[active])) * (
+                size + np.abs(1.0 / g_mu[active]) + np.abs(za))
+            limit = np.maximum(limit,
+                               np.minimum(floor, _ROUNDING_CAP * limit))
         # a NaN residual never converges: it ends in NoConvergence
-        still = ~(res_a <= tol * np.maximum(1.0, np.abs(wa)))
-        t_cand, tp_cand, g_cand, dg_cand = np.full((4, cand.size), np.nan + 0j)
-        t_cand[still], tp_cand[still], g_cand[still], dg_cand[still] = \
-            _t_and_derivative(mu, nu, za[still], cand[still])
+        still = ~(res_a <= limit)
+        t_cand, g_cand, dg_cand = np.full((3, cand.size), np.nan + 0j)
+        # a finished point keeps T' and h_nu' of its last evaluation
+        tp_cand, dh_cand = tprime[active], dh_nu[active]
+        (t_cand[still], tp_cand[still], g_cand[still], dg_cand[still],
+         dh_cand[still]) = _t_and_derivative(mu, nu, za[still], cand[still])
         res_cand = np.abs(t_cand - cand)
         ok = safe & (cand.imag > za.imag - _HERGLOTZ_SLACK)
         # near the solution any in-domain Newton step is fine; further out
@@ -141,7 +189,7 @@ def _solve_omega1(mu, nu, z, start, tol, max_iter):
         g_cand[done] = (g_mu[active][done]
                         + dg_mu[active][done] * (w_new[done] - wa[done]))
         w[active] = w_new
-        t_val[active], tprime[active] = t_cand, tp_cand
+        t_val[active], tprime[active], dh_nu[active] = t_cand, tp_cand, dh_cand
         g_mu[active], dg_mu[active] = g_cand, dg_cand
         fresh[active] = ok
         iters[active] += 1
@@ -158,14 +206,25 @@ def _solve_omega1(mu, nu, z, start, tol, max_iter):
             residual=float(res[worst]),
             point=bad_z,
         )
+    usable = np.abs(1.0 - tprime) > _SLOPE_FLOOR
+    slope = (1.0 + dh_nu) / np.where(usable, 1.0 - tprime, 1.0)
+    slope[~(usable & np.isfinite(slope))] = 1.0
     return (w.reshape(shape), g_mu.reshape(shape), res.reshape(shape),
-            iters.reshape(shape))
+            iters.reshape(shape), slope.reshape(shape))
 
 
 def subordination_pair(mu: LineMeasure, nu: LineMeasure, z, tol=_TOL,
                        max_iter=_MAX_ITER) -> SubordinationEval:
-    """Solve the subordination pair at one point z with Im z > 0."""
-    z = complex(z)
+    """Solve the subordination pair at one point z with Im z > 0.
+
+    ``tol`` bounds the fixed-point residual of omega1 relative to
+    max(1, |omega1|).  Next to a pole of F_nu the rounding of the
+    fixed-point map can lie above it; the solve then stops at that
+    rounding, if it is within _ROUNDING_CAP (1e3) times ``tol``, and
+    raises NoConvergence otherwise.  G_mu(omega1) keeps its accuracy
+    there, and ``residual`` checks it against G_nu(omega2).
+    """
+    z = _complex_points("z", z, scalar=True)
     if not cmath.isfinite(z):
         raise DomainError("evaluation point is not finite")
     if z.imag <= 0:
@@ -173,7 +232,7 @@ def subordination_pair(mu: LineMeasure, nu: LineMeasure, z, tol=_TOL,
     tol = real_above("tol", tol, _MIN_TOL, closed=True)
     max_iter = int_in_range("max_iter", max_iter, 1)
     zs = np.asarray([z])
-    w, g, _, iters = _solve_omega1(mu, nu, zs, zs + 1j, tol, max_iter)
+    w, g, _, iters, _ = _solve_omega1(mu, nu, zs, zs + 1j, tol, max_iter)
     omega1 = complex(w[0])
     g1 = complex(g[0])
     omega2 = z + 1.0 / g1 - omega1
@@ -193,37 +252,84 @@ def convolve_cauchy(mu: LineMeasure, nu: LineMeasure, z):
 
     Every point is solved cold from z + i, so any points will do.
     """
-    pts = np.asarray(z, dtype=complex)
+    pts = _complex_points("z", z)
     scalar = pts.ndim == 0
     pts = np.atleast_1d(pts)
     if not np.all(np.isfinite(pts)):
         raise DomainError("evaluation point is not finite")
     if np.any(pts.imag <= 0):
         raise DomainError("convolve_cauchy requires Im z > 0")
-    _, g, _, _ = _solve_omega1(mu, nu, pts, pts + 1j, _TOL, _MAX_ITER)
+    _, g, _, _, _ = _solve_omega1(mu, nu, pts, pts + 1j, _TOL, _MAX_ITER)
     return complex(g[0]) if scalar else g
+
+
+def _above(w, floor):
+    """w with its imaginary part raised to at least ``floor``."""
+    return w.real + 1j * np.maximum(w.imag, floor)
+
+
+def _first_height(mu, nu, z, tol, max_iter):
+    """(omega1, G_mu(omega1), slope) on a line z, solved coarse to fine.
+
+    Every _COARSE_STRIDE-th point and the last are solved cold from
+    z + i.  Each other point starts at the cubic Hermite interpolant of
+    its two coarse neighbours' omega1 and slope, and only those points
+    are solved in the second call.
+    """
+    omega1, g, slope = np.empty((3, z.size), dtype=complex)
+    coarse = np.zeros(z.size, dtype=bool)
+    coarse[::_COARSE_STRIDE] = coarse[-1] = True
+    zc = z[coarse]
+    omega1[coarse], g[coarse], _, _, slope[coarse] = _solve_omega1(
+        mu, nu, zc, zc + 1j, tol, max_iter)
+    knots = np.flatnonzero(coarse)
+    fine = np.flatnonzero(~coarse)
+    pos = np.searchsorted(knots, fine)
+    left, right = knots[pos - 1], knots[pos]
+    zf = z[fine]
+    h = z[right] - z[left]
+    s = (zf - z[left]) / h
+    start = ((1 + 2 * s) * (1 - s) ** 2 * omega1[left]
+             + s * (1 - s) ** 2 * h * slope[left]
+             + s ** 2 * (3 - 2 * s) * omega1[right]
+             - s ** 2 * (1 - s) * h * slope[right])
+    omega1[fine], g[fine], _, _, slope[fine] = _solve_omega1(
+        mu, nu, zf, _above(start, zf.imag), tol, max_iter)
+    return omega1, g, slope
 
 
 def continued_density(mu: LineMeasure, nu: LineMeasure, grid, eta_sequence,
                       tol=_TOL, max_iter=_MAX_ITER):
     """stieltjes_invert of G_{mu (+) nu}, solved as a continuation in eta.
 
-    The heights of ``eta_sequence`` are solved in order on the same grid.
-    The first starts cold at z + i; each later one starts at the previous
-    height's omega1 plus i*(eta_new - eta_prev).  That start keeps
-    Im w >= eta_new, because Im omega1 >= eta_prev, and the fixed point
-    attracts from anywhere in the half plane above z, so the start
-    changes the iteration count and not the limit.  Returns
+    The heights of ``eta_sequence`` are solved in order on the same grid,
+    as an Euler-predictor / Newton-corrector continuation (Allgower and
+    Georg, Introduction to Numerical Continuation Methods, ch. 2): each
+    start is predicted from omega1 and its tangent omega1' where they are
+    already solved, and ``_solve_omega1`` corrects it.  The first height
+    is solved coarse to fine (``_first_height``); each later one starts at
+    the previous height's omega1 + omega1' * i*(eta_new - eta_prev).
+    Every start is raised to Im w >= eta_new if the predictor undershoots,
+    and the fixed point attracts from anywhere in the half plane above z,
+    so the start changes the iteration count and not the limit.  ``tol``
+    is the fixed-point tolerance of subordination_pair, relaxed the same
+    way where the map's rounding lies above it.  Returns
     stieltjes_invert's (measure, renorm).
     """
     tol = real_above("tol", tol, _MIN_TOL, closed=True)
     max_iter = int_in_range("max_iter", max_iter, 1)
-    last = {}
+    last = None
 
     def g_eval(zs):
-        start = zs + 1j if not last else last["omega1"] + (zs - last["z"])
-        omega1, g, _, _ = _solve_omega1(mu, nu, zs, start, tol, max_iter)
-        last.update(z=zs, omega1=omega1)
+        nonlocal last
+        if last is None:
+            omega1, g, slope = _first_height(mu, nu, zs, tol, max_iter)
+        else:
+            z0, w0, slope0 = last
+            start = _above(w0 + slope0 * (zs - z0), zs.imag)
+            omega1, g, _, _, slope = _solve_omega1(mu, nu, zs, start, tol,
+                                                   max_iter)
+        last = (zs, omega1, slope)
         return g
 
     return stieltjes_invert(g_eval, grid, eta_sequence=eta_sequence)
@@ -234,12 +340,12 @@ def free_add_convolve(mu: LineMeasure, nu: LineMeasure, grid,
     """Measure of the free additive convolution, densified on ``grid``.
 
     The density comes from stieltjes_invert applied to the subordinated
-    Cauchy transform, with the heights solved as a continuation
-    (``continued_density``): the first height starts cold at z + i, and
-    each later one starts at the previous height's omega1 plus
-    i*(eta - eta_prev).  The default eta sequence favors robustness when
-    the convolution carries atoms (delta inputs), smearing them into
-    bumps of the right mass; for smooth targets a much smaller sequence
+    Cauchy transform, with the heights solved as a predictor-corrector
+    continuation (``continued_density``): the first height coarse to
+    fine, each later one from the previous height's omega1 and its
+    tangent.  The default eta sequence favors robustness when the
+    convolution carries atoms (delta inputs), smearing them into bumps
+    of the right mass; for smooth targets a much smaller sequence
     recovers the density to the solver floor.  Atoms are not
     reconstructed as atoms.
     """

@@ -12,11 +12,14 @@ functions here, once, where the library first reads it:
 for a tolerance, scale or position.  Both reject a bool and a string,
 ``int_in_range`` also any float (2.0 included), and ``real_above`` a
 NaN or an infinity, all with BadParams; both return the plain int or
-float.
+float.  The private ``_complex_points`` does the same for an evaluation
+point or a vector of them.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 
 class FreesubError(Exception):
@@ -108,3 +111,20 @@ def real_above(name, value, floor=-math.inf, closed=False):
             f" {'>=' if closed else '>'} {floor:g}"
         raise BadParams(f"{name} must be a finite number{bound}, got {value!r}")
     return v
+
+
+def _complex_points(name, value, scalar=False):
+    """``value`` as a complex ndarray, or as one complex if ``scalar``.
+
+    Only numbers are points: a string, a bool, a ragged sequence or an
+    object array raises BadParams, and so does an array for ``scalar``.
+    """
+    try:
+        pts = np.asarray(value)
+    except (TypeError, ValueError):  # a ragged sequence
+        pts = None
+    if pts is None or pts.dtype.kind not in "iufc" or (scalar and pts.ndim):
+        what = "a complex number" if scalar else "complex numbers"
+        raise BadParams(f"{name} must be {what}, got {value!r}")
+    pts = np.asarray(pts, dtype=complex)
+    return complex(pts) if scalar else pts

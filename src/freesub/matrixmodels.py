@@ -59,13 +59,9 @@ _IDENTITY_TOL = 1e-11     # lemma34: their identity residual
 _SWEEP_BLOCK = 256        # lemma34: draws whose linear algebra is stacked
 
 
-def _entropy(seed):
-    return int(seed) % (2**63)
-
-
 def _rng(seed, *path):
     return np.random.default_rng(np.random.SeedSequence(
-        [_entropy(seed)] + [int(p) for p in path]))
+        [seed] + [int(p) for p in path]))
 
 
 def _ginibre(rng, N):
@@ -268,7 +264,7 @@ def experiment_prop32(lam_diag, a0, eps=1.0, trials=200, seed=0,
     int_in_range("N", N, 1)
     trials = int_in_range("trials", trials, 1)
     eps = real_above("eps", eps, 0.0)
-    seed = int_in_range("seed", seed)
+    seed = int_in_range("seed", seed, 0)
     phase_rotations = int_in_range("phase_rotations", phase_rotations, 1)
     shifted = _shifted(a0, eps)
     idx = np.arange(N)
@@ -323,7 +319,7 @@ def experiment_prop33(A0, C0, eps=1.0, trials=200, seed=0) -> ExperimentReport:
     int_in_range("N", N, 1)
     trials = int_in_range("trials", trials, 1)
     eps = real_above("eps", eps, 0.0)
-    seed = int_in_range("seed", seed)
+    seed = int_in_range("seed", seed, 0)
     a = np.asfortranarray(A0 + 1j * eps * np.eye(N))
     c_shift = _shifted(C0, eps)
     acc = np.zeros((N, N), dtype=complex, order="F")
@@ -367,7 +363,7 @@ def experiment_thm36(theta_law: CircleMeasure, c0=None, N=600, trials=100,
     """
     N = int_in_range("N", N, 1)
     trials = int_in_range("trials", trials, 1)
-    seed = int_in_range("seed", seed)
+    seed = int_in_range("seed", seed, 0)
     if c0 is None:
         c0 = 0.7 * _haar(_rng(seed, 999), N)
     c0 = np.asarray(c0, dtype=complex)
@@ -424,7 +420,7 @@ def experiment_thm31_block(eta_x: CovarianceMap, eta_y: CovarianceMap, b,
         raise BadParams("b must match the covariance size")
     N = int_in_range("N", N, 1)
     trials = int_in_range("trials", trials, 1)
-    seed = int_in_range("seed", seed)
+    seed = int_in_range("seed", seed, 0)
     if n * N > 4096:
         raise BadParams("n*N capped at 4096")
     if halfplane_margin(b) < 0.5:
@@ -488,11 +484,16 @@ def experiment_lemma34(dims=(2, 3, 4, 5, 6), samples=10000,
     consecutive draws.  A stacked LAPACK call factors each matrix as a
     single call would, so the report does not depend on the block size.
     """
+    try:
+        dims = tuple(dims)
+    except TypeError:
+        raise BadParams(f"dims must be a sequence of sizes, got {dims!r}") \
+            from None
     dims = tuple(int_in_range("dims entry", d, 1) for d in dims)
     if not dims:
         raise BadParams("lemma34 needs nonempty dims")
     samples = int_in_range("samples", samples, 1)
-    seed = int_in_range("seed", seed)
+    seed = int_in_range("seed", seed, 0)
     rng = _rng(seed)
     violations = 0
     max_identity = 0.0

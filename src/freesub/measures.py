@@ -72,8 +72,13 @@ class _Measure:
     _weights: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        try:
+            pairs = [(t, w) for t, w in self.atoms]
+        except (TypeError, ValueError):  # not a sequence of pairs
+            raise BadParams("atoms must be (position, weight) pairs, "
+                            f"got {self.atoms!r}") from None
         atoms = []
-        for t, w in self.atoms:
+        for t, w in pairs:
             w = real_above("atom weight", w, 0.0)
             if w > 1.0:
                 raise BadParams(f"atom weight {w} outside (0, 1]")
@@ -132,7 +137,7 @@ class _Measure:
         except (KeyError, TypeError):
             raise BadParams("grid must be an object with lo, hi and n") from None
         dens = d.get("density") or None
-        return cls(atoms=tuple(map(tuple, d.get("atoms", ()))), grid=g,
+        return cls(atoms=d.get("atoms", ()), grid=g,
                    density=dens)
 
 
@@ -304,7 +309,7 @@ def bernoulli_pm1() -> LineMeasure:
 
 def atomic(pairs) -> LineMeasure:
     """Purely atomic measure from (position, weight) pairs."""
-    return LineMeasure(atoms=tuple(pairs))
+    return LineMeasure(atoms=pairs)
 
 
 def haar_circle(n=DEFAULT_GRID_N) -> CircleMeasure:
@@ -315,7 +320,7 @@ def haar_circle(n=DEFAULT_GRID_N) -> CircleMeasure:
 
 def circle_atoms(pairs) -> CircleMeasure:
     """Atomic measure on the circle from (angle, weight) pairs."""
-    return CircleMeasure(atoms=tuple(pairs))
+    return CircleMeasure(atoms=pairs)
 
 
 _FAMILIES = {

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateTransform, DomainError, NoConvergence,
-                     int_in_range)
+                     _complex_points, int_in_range)
 from .measures import CircleMeasure, measure_from_circle_moments
 from .transforms import _node_sums, eta_transform
 
@@ -138,7 +138,7 @@ def disk_subordination_solve(nu: CircleMeasure, target) -> DiskSubordinationEval
     where K vanishes identically on the disk) makes every g a solution;
     that degeneracy is detected up front and surfaced as a typed error.
     """
-    target = complex(target)
+    target = _complex_points("target", target, scalar=True)
     if not cmath.isfinite(target):
         raise DomainError("disk subordination target is not finite")
     probes = np.array([0.0, 0.3, -0.3, 0.3j])

@@ -18,7 +18,7 @@ reciprocals, so its temporary stays cache-sized for any grid.
 import numpy as np
 
 from .errors import (BadParams, DomainError, NonPositiveDensity, ZeroTransform,
-                     real_above)
+                     _complex_points, real_above)
 from .measures import CircleMeasure, GridSpec, LineMeasure
 
 _NODE_CLEARANCE = 1e-12
@@ -26,8 +26,8 @@ _NODE_CLEARANCE = 1e-12
 _CHUNK_ELEMENTS = 1 << 15
 
 
-def _as_points(z):
-    pts = np.asarray(z, dtype=complex)
+def _as_points(z, name="z"):
+    pts = _complex_points(name, z)
     return pts, pts.ndim == 0
 
 
@@ -116,7 +116,7 @@ def circle_cauchy(measure: CircleMeasure, g):
     """K(g) = integral 1/(zeta - g) dnu(zeta); g off the unit circle."""
     if not isinstance(measure, CircleMeasure):
         raise BadParams("circle_cauchy expects a CircleMeasure")
-    pts, scalar = _as_points(g)
+    pts, scalar = _as_points(g, "g")
     zeta = measure.unit_nodes()
     _, w = measure.quadrature()
     # unit nodes: |zeta - g| >= ||g| - 1|

@@ -1,7 +1,11 @@
 """Additive convolution: subordination solves, densities, moment pipelines."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freesub import (
     bernoulli_pm1,
@@ -11,12 +15,15 @@ from freesub import (
     free_add_convolve,
     atomic,
     semicircle,
+    stieltjes_invert,
     subordination_pair,
 )
 from freesub import (SubordinationEval, free_cumulants,
                      free_cumulants_to_moments)
+from freesub import additive
 from freesub.additive import _solve_omega1, continued_density
-from freesub.errors import BadParams, DomainError, FreesubError, NoConvergence
+from freesub.errors import (BadParams, DomainError, FreesubError,
+                            NoConvergence, NonPositiveDensity)
 
 
 def test_bernoulli_pair_closed_form():
@@ -146,6 +153,66 @@ def test_rejects_bad_arguments():
             convolve_cauchy(mu, mu, np.array([1j, bad]))
 
 
+@pytest.mark.parametrize("bad", ["abc", "1+2j", [1j, 2j], None])
+def test_subordination_pair_rejects_points_that_are_not_one_number(bad):
+    # complex("abc") once reached the caller as a builtin ValueError
+    mu = semicircle(0, 1)
+    with pytest.raises(BadParams, match=r"\bz\b"):
+        subordination_pair(mu, mu, bad)
+
+
+_NEAR_POLE = (atomic([(-0.375, 0.5), (-0.5, 0.5)]),
+              atomic([(1.875, 5 / 21), (0.0, 16 / 21)]))
+
+
+def test_solve_stops_at_the_rounding_floor():
+    # at z = 1 + 0.01i, omega2 sits next to a pole of F_nu, where
+    # |h_nu'| ~ 3500 lifts T's rounding to ~1e-11, above tol * |omega1|;
+    # the solve once stalled there in NoConvergence, and still does when
+    # the rounding may not relax tol at all
+    mu, nu = _NEAR_POLE
+    res = subordination_pair(mu, nu, 1 + 0.01j)
+    assert res.residual <= 1e-12 * abs(res.g_conv)
+    with mock.patch.object(additive, "_ROUNDING_CAP", 1.0):
+        with pytest.raises(NoConvergence):
+            subordination_pair(mu, nu, 1 + 0.01j)
+
+
+@pytest.mark.parametrize("eta", [1e-2, 2e-3, 2e-4])
+def test_rounding_stop_keeps_g_mu_accurate(eta):
+    # omega1 is ill-conditioned where the solve stops at T's rounding, but
+    # G_mu(omega1) is not: against a 40-digit solve of the same fixed
+    # point it is as accurate there as where the residual meets tol
+    mpmath = pytest.importorskip("mpmath")
+    mu, nu = _NEAR_POLE
+
+    def g(m, x):
+        return sum(mpmath.mpf(a[1]) / (x - mpmath.mpf(a[0])) for a in m.atoms)
+
+    z = np.linspace(0.5, 1.5, 101) + 1j * eta
+    tol = 1e-13
+    w, g_mu, res, _, _ = _solve_omega1(mu, nu, z, z + 1j, tol, 500)
+    limit = tol * np.maximum(1.0, np.abs(w))
+    stopped = res > limit
+    assert 0 < stopped.sum() < z.size
+    assert np.all(res <= additive._ROUNDING_CAP * limit)
+    err = np.empty(z.size)
+    with mpmath.workdps(40):
+        for i, (zi, wi) in enumerate(zip(z, w)):
+            zi = mpmath.mpc(zi)
+
+            def step(v):
+                # T(v) - v with T(v) = z + h_nu(z + h_mu(v))
+                zeta = zi + 1 / g(mu, v) - v
+                return zi + 1 / g(nu, zeta) - zeta - v
+
+            exact = mpmath.findroot(step, mpmath.mpc(wi))
+            err[i] = abs(g_mu[i] - complex(g(mu, exact)))
+    scale = np.max(np.abs(g_mu))
+    assert np.max(err[stopped]) <= 1e-13 * scale
+    assert np.max(err[~stopped]) <= 1e-13 * scale
+
+
 def test_no_convergence_reports_residual():
     mu, nu = bernoulli_pm1(), bernoulli_pm1()
     with pytest.raises(NoConvergence) as info:
@@ -177,3 +244,84 @@ def test_subordination_eval_rejects_lost_margin():
             SubordinationEval(z=1j, omega1=omega1, omega2=omega2, g_conv=-1j,
                               residual=0.0, iterations=1)
         assert isinstance(info.value, FreesubError)
+
+
+@st.composite
+def _line_pairs(draw):
+    """Two atomic measures with 1-4 atoms each, or two shifted semicircles."""
+    if draw(st.booleans()):
+        def law():
+            k = draw(st.integers(1, 4))
+            pos = draw(st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k))
+            w = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=k,
+                                       max_size=k)))
+            return atomic(list(zip(pos, w / w.sum())))
+    else:
+        def law():
+            return semicircle(draw(st.floats(-1.0, 1.0)),
+                              draw(st.floats(0.2, 2.0)), n=256)
+    return law(), law()
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=_line_pairs(), n=st.integers(8, 400), lo=st.floats(-4.0, 0.0),
+       width=st.floats(1.0, 6.0),
+       etas=st.lists(st.sampled_from([0.2, 0.1, 0.05, 0.02, 0.01, 0.005]),
+                     min_size=1, max_size=3, unique=True))
+def test_continued_density_matches_cold_heights(pair, n, lo, width, etas):
+    # the predictor changes where each solve starts, never its limit: every
+    # height's G and the density match cold solves, on grids of one to
+    # fifty coarse strides, and every start and omega1 keeps Im >= eta
+    mu, nu = pair
+    grid = np.linspace(lo, lo + width, n)
+    calls = []
+    solve = additive._solve_omega1
+
+    def recording(mu, nu, z, start, tol, max_iter):
+        out = solve(mu, nu, z, start, tol, max_iter)
+        assert np.all(start.imag >= z.imag)
+        # two point masses give omega1 = z, up to rounding
+        assert np.all(out[0].imag >= z.imag - additive._HERGLOTZ_SLACK)
+        calls.append((z, out[1]))
+        return out
+
+    def outcome(run):
+        try:
+            return run()
+        except NonPositiveDensity as exc:
+            return type(exc)
+
+    def cold_eval(z):
+        g_cold[z[0].imag] = convolve_cauchy(mu, nu, z)
+        return g_cold[z[0].imag]
+
+    with mock.patch.object(additive, "_solve_omega1", recording):
+        warm = outcome(lambda: continued_density(mu, nu, grid, etas))
+    g_cold = {}
+    cold = outcome(lambda: stieltjes_invert(cold_eval, grid,
+                                            eta_sequence=etas))
+    for eta in etas:
+        z, g = (np.concatenate(x) for x in
+                zip(*[c for c in calls if c[0][0].imag == eta]))
+        order = np.argsort(z.real)
+        assert np.array_equal(z[order].real, grid)
+        scale = np.max(np.abs(g_cold[eta]))
+        assert np.max(np.abs(g[order] - g_cold[eta])) <= 1e-12 * scale
+    if cold is NonPositiveDensity:
+        assert warm is NonPositiveDensity
+    else:
+        # the density is renorm * sum_j c_j * (-Im G_j / pi).  On the
+        # support, where -Im G / pi is at least 1e-3 of G's scale, it
+        # matches to 1e-12 of the peak.  Off it a small Im G carries the
+        # error of a larger G, and renorm scales the peak up with it when
+        # the grid misses the support, so there the bound is G's scale
+        # through the Lagrange weights c_j
+        peak, renorm = cold[0].density.max(), cold[1]
+        g_max = max(np.max(np.abs(g)) for g in g_cold.values())
+        gap = np.abs(warm[0].density - cold[0].density)
+        on = cold[0].density / renorm >= 1e-3 * g_max / np.pi
+        assert np.all(gap[on] <= 1e-12 * peak)
+        lagrange = sum(abs(np.prod([f / (f - e) for f in etas if f != e]))
+                       for e in etas)
+        off_scale = max(peak, renorm * lagrange * g_max / np.pi)
+        assert np.all(gap[~on] <= 1e-12 * off_scale)

@@ -107,16 +107,17 @@ def test_solve_omega1_reuses_candidate_evaluations(monkeypatch):
     monkeypatch.setattr(additive, "_node_sums", counting)
     sc = semicircle(0, 1)
     z = np.linspace(-3.2, 3.2, 1601) + 1e-4j
-    _, _, _, iters = additive._solve_omega1(sc, sc, z, z + 1j, 1e-13, 500)
+    _, _, _, iters, _ = additive._solve_omega1(sc, sc, z, z + 1j, 1e-13, 500)
     evaluated = sum(counted) // 2   # T(w) is one node sum per measure
     assert evaluated <= iters.sum() + z.size
 
 
 def test_line_density_continues_omega1_across_heights(monkeypatch):
-    # each height after the first starts at the previous omega1 shifted by
-    # i*(eta - eta_prev), and G_mu(omega1) is carried from the solver's
-    # last evaluation: the cold per-height density for under 3/4 of the
-    # node sums
+    # a predictor-corrector continuation: the first height solves a coarse
+    # subset cold and starts the rest from its Hermite interpolant, each
+    # later height starts at omega1 + omega1' * i*(eta - eta_prev), and
+    # G_mu(omega1) is carried from the solver's last evaluation: the cold
+    # per-height density for under 0.55 of the node sums
     counted = []
     kernel = additive._node_sums
 
@@ -124,12 +125,12 @@ def test_line_density_continues_omega1_across_heights(monkeypatch):
         counted.append(np.size(x))
         return kernel(x, nodes, weights)
 
-    heights = []
+    calls = []
     solve = additive._solve_omega1
 
     def recording(mu, nu, z, start, tol, max_iter):
         out = solve(mu, nu, z, start, tol, max_iter)
-        heights.append((z, out[0], out[1]))
+        calls.append((z, start, out[0], out[1]))
         return out
 
     monkeypatch.setattr(additive, "_node_sums", counting)
@@ -139,15 +140,38 @@ def test_line_density_continues_omega1_across_heights(monkeypatch):
     etas = (4e-4, 2e-4, 1e-4)
     warm = free_add_convolve(sc, sc, grid, eta_sequence=etas)
     warm_points = sum(counted)
+    warm_calls = list(calls)
     counted.clear()
     cold, _ = stieltjes_invert(lambda z: convolve_cauchy(sc, sc, z), grid,
                                eta_sequence=etas)
     cold_points = sum(counted)
 
     assert np.max(np.abs(warm.density - cold.density)) <= 1e-12 * cold.density.max()
-    assert len(heights) == 2 * len(etas)
-    for z, omega1, g in heights:
-        assert np.all(omega1.imag >= z.imag)
+    # the first height: the coarse points cold, then only the others
+    coarse, fine = warm_calls[0][0], warm_calls[1][0]
+    assert np.array_equal(warm_calls[0][1], coarse + 1j)
+    assert coarse.size + fine.size == grid.size
+    assert np.array_equal(np.sort(np.concatenate([coarse, fine]).real), grid)
+    assert len(warm_calls) == len(etas) + 1
+    # every solve, warm or cold, stays in the half plane and carries G_mu
+    for z, start, omega1, g in calls:
+        assert np.all(start.imag >= z.imag) and np.all(omega1.imag >= z.imag)
         exact = cauchy_transform(sc, omega1)
         assert np.max(np.abs(g - exact)) <= 1e-13 * np.max(np.abs(exact))
-    assert warm_points <= 0.75 * cold_points
+    assert warm_points <= 0.55 * cold_points
+
+
+def test_solve_omega1_slope_matches_closed_form():
+    # sc(0,1) (+) sc(0,1) is sc(0,2): 2G^2 - zG + 1 = 0, and by symmetry
+    # omega1 = (z + 1/G)/2, so omega1' = (1 - G'/G^2)/2 with
+    # G' = G/(4G - z); the grid quadrature of sc(0,1) bounds the agreement
+    sc = semicircle(0, 1)
+    z = np.linspace(-3.0, 3.0, 13) + 0.5j
+    omega1, _, _, _, slope = additive._solve_omega1(sc, sc, z, z + 1j,
+                                                    1e-13, 500)
+    disc = np.sqrt(z**2 - 8 + 0j)
+    g = np.where(((z - disc) / 4).imag < 0, (z - disc) / 4, (z + disc) / 4)
+    exact = (z + 1 / g) / 2
+    exact_slope = (1 - 1 / (g * (4 * g - z))) / 2
+    assert np.max(np.abs(omega1 - exact)) <= 1e-6
+    assert np.max(np.abs(slope - exact_slope)) <= 1e-6

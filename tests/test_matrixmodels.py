@@ -297,6 +297,11 @@ def test_lemma34_sweep_small():
     lambda: experiment_lemma34(samples=True),
     lambda: experiment_lemma34(dims=(2.7,)),
     lambda: experiment_lemma34(dims=(2, True)),
+    # a negative seed drew what seed + 2**63 draws
+    lambda: experiment_lemma34(samples=2, seed=-1),
+    lambda: experiment_prop33(np.eye(4), np.eye(4), trials=2, seed=-3),
+    # an integer dims once ended in a TypeError
+    lambda: experiment_lemma34(dims=5),
 ])
 def test_experiments_reject_empty_sizes(monkeypatch, run):
     # rejected before the first draw
@@ -363,3 +368,12 @@ def test_convergence_trend_doubling_N():
         wins["thm31_block"] += t31(64) < t31(32)
     for name, w in wins.items():
         assert w >= 4, f"{name} improved in only {w}/5 seeds"
+
+
+def test_seeds_are_not_reduced():
+    # seeds once entered SeedSequence mod 2**63, so 0 and 2**63 drew the
+    # same matrices while their reports named different seeds
+    low = experiment_lemma34(dims=(2, 3), samples=200, seed=0)
+    high = experiment_lemma34(dims=(2, 3), samples=200, seed=2**63)
+    assert low.residuals != high.residuals
+    assert high.seed == 2**63

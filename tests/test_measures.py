@@ -219,3 +219,15 @@ def test_measure_from_circle_moments_recovers_atoms():
     for k in (1, 2, 3):
         expected = (1 - k / (n + 1)) * c.moment(k)
         assert rec.moment(k) == pytest.approx(expected, abs=5e-3)
+
+
+@pytest.mark.parametrize("pairs", [[(0.0, 1.0, 2.0)], [1.0], 5])
+def test_atoms_must_be_pairs(pairs):
+    # a three-element atom once ended in a ValueError from unpacking, and
+    # a serialized atom that is a number in a TypeError
+    with pytest.raises(BadParams, match="pairs"):
+        atomic(pairs)
+    with pytest.raises(BadParams, match="pairs"):
+        circle_atoms(pairs)
+    with pytest.raises(BadParams, match="pairs"):
+        from_json(json.dumps({"type": "line", "atoms": pairs}))

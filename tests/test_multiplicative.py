@@ -86,6 +86,13 @@ def test_disk_solve_rejects_non_finite_target():
             disk_subordination_solve(nu, bad)
 
 
+@pytest.mark.parametrize("bad", ["x", [0.1, 0.2], None])
+def test_disk_solve_rejects_targets_that_are_not_one_number(bad):
+    # complex("x") once reached the caller as a builtin ValueError
+    with pytest.raises(BadParams, match="target"):
+        disk_subordination_solve(circle_atoms([(0.0, 0.5), (2.0, 0.5)]), bad)
+
+
 def test_mult_convolve_rotations_compose():
     # delta_a x delta_b = delta_{ab} on the circle
     a, b = 0.8, -1.3

@@ -215,7 +215,7 @@ def test_numeric_parameters_reject_bad_values():
     for label, call, base, param, kind in probes:
         bad = [2.5, "3", True, math.nan] if kind is int else \
             ["3", True, math.nan, math.inf, -math.inf]
-        if kind is int and param.name != "seed":  # any integer is a seed
+        if kind is int:
             bad.append(-10**30)
         for value in bad:
             try:

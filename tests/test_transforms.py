@@ -231,3 +231,12 @@ def test_mp_inversion_with_hard_edge():
     target = np.sqrt(np.clip(t * (4 - t), 0, None)) / (2 * np.pi * np.clip(t, 1e-9, None))
     window = (t >= 0.2) & (t <= 3.8)
     assert np.max(np.abs(rec.density - target)[window]) <= 1e-3
+
+
+@pytest.mark.parametrize("bad", ["x", [1j, "x"], [1j, [2j, 3j]], True])
+def test_transforms_reject_points_that_are_not_numbers(bad):
+    # complex("x") once reached the caller as a builtin ValueError
+    with pytest.raises(BadParams, match=r"\bz\b"):
+        cauchy_transform(semicircle(0, 1), bad)
+    with pytest.raises(BadParams, match=r"\bg\b"):
+        circle_cauchy(haar_circle(), bad)
