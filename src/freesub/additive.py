@@ -58,6 +58,7 @@ _MAX_ITER = 500
 _CONTOUR_NODES = 256  # trapezoid nodes on the moment contour
 _SLOPE_FLOOR = 1e-8  # |1 - T'| below this gives the plain-shift slope 1
 _COARSE_STRIDE = 8  # first height: every 8th grid point is solved cold
+_ETA_SEQUENCE = (1e-1, 3e-2, 1e-2)  # density heights, coarse enough for atoms
 
 
 @dataclass(frozen=True)
@@ -298,8 +299,8 @@ def _first_height(mu, nu, z, tol, max_iter):
     return omega1, g, slope
 
 
-def continued_density(mu: LineMeasure, nu: LineMeasure, grid, eta_sequence,
-                      tol=_TOL, max_iter=_MAX_ITER):
+def continued_density(mu: LineMeasure, nu: LineMeasure, grid,
+                      eta_sequence=_ETA_SEQUENCE, tol=_TOL, max_iter=_MAX_ITER):
     """stieltjes_invert of G_{mu (+) nu}, solved as a continuation in eta.
 
     The heights of ``eta_sequence`` are solved in order on the same grid,
@@ -336,7 +337,7 @@ def continued_density(mu: LineMeasure, nu: LineMeasure, grid, eta_sequence,
 
 
 def free_add_convolve(mu: LineMeasure, nu: LineMeasure, grid,
-                      eta_sequence=(1e-1, 3e-2, 1e-2)) -> LineMeasure:
+                      eta_sequence=_ETA_SEQUENCE) -> LineMeasure:
     """Measure of the free additive convolution, densified on ``grid``.
 
     The density comes from stieltjes_invert applied to the subordinated

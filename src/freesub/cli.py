@@ -12,6 +12,7 @@ Exit codes: 0 pass, 1 residual/verdict failure, 2 config error,
 """
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -38,6 +39,10 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NOCONV = 3
+
+# the heights convolve-add solves its density at unless the config sets them
+_DEFAULT_ETAS = inspect.signature(continued_density).parameters[
+    "eta_sequence"].default
 
 
 def _fmt(x):
@@ -179,10 +184,11 @@ def cmd_convolve_add(args):
         raise BadParams("convolve-add needs measures 'mu' and 'nu'")
     mu = _parse_measure(cfg["mu"], _measures.LineMeasure)
     nu = _parse_measure(cfg["nu"], _measures.LineMeasure)
-    # the library checks tol and max_iter before any solve
+    # tol is this command's residual gate as well as the solver tolerance;
+    # the library holds the other defaults and checks every value set
     tol = cfg.get("tol", 1e-12)
-    max_iter = cfg.get("max_iter", 500)
-    etas = tuple(cfg.get("eta_sequence", (1e-1, 3e-2, 1e-2)))
+    cap = {k: cfg[k] for k in ("max_iter",) if k in cfg}
+    etas = cfg.get("eta_sequence", _DEFAULT_ETAS)
     im_parts = _parse_im(args.im) if args.im is not None else [0.5, 1.0, 2.0]
     if args.grid is not None:
         grid = _parse_grid(args.grid)
@@ -199,7 +205,7 @@ def cmd_convolve_add(args):
         im = real_above("--im value", im, 0.0)
         for re in table_re:
             ev = subordination_pair(mu, nu, complex(re, im), tol=tol,
-                                    max_iter=max_iter)
+                                    **cap)
             worst = max(worst, ev.residual)
             rows.append({
                 "z": [ev.z.real, ev.z.imag],
@@ -209,8 +215,7 @@ def cmd_convolve_add(args):
                 "residual": ev.residual,
                 "iterations": ev.iterations,
             })
-    dens, renorm = continued_density(mu, nu, grid, etas, tol=tol,
-                                     max_iter=max_iter)
+    dens, renorm = continued_density(mu, nu, grid, etas, tol=tol, **cap)
     out = _out_dir(args)
     _dump_json(os.path.join(out, "measure.json"), dens.to_dict())
     if args.format == "csv":
@@ -394,7 +399,7 @@ _VERIFY_KEYS = {
 
 
 def cmd_verify(args):
-    identity = args.identity.replace("-", "_")
+    identity = args.identity
     cfg = _load_config(args)
     _check_keys(cfg, _VERIFY_KEYS[identity], "verify")
     try:
@@ -456,8 +461,7 @@ def _build_parser():
     p.set_defaults(fn=cmd_eval)
     p = sub.add_parser("verify", help="run a verification experiment")
     p.add_argument("identity",
-                   choices=("prop32", "prop33", "thm36", "thm31-block",
-                            "thm31_block", "lemma34"))
+                   choices=tuple(_VERIFY_KEYS))
     _add_args(p, "--seed", "--N", "--trials", "--samples")
     p.set_defaults(fn=cmd_verify)
     return ap

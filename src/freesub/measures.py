@@ -8,8 +8,8 @@ exactly, so results are self-consistent to solver precision rather than
 limited by how well the grid approximates a textbook density.
 
 Standard families are constructed so that the trapezoid weights carry
-the exact mass of each grid cell (closed-form CDFs where available,
-adaptive quadrature otherwise).  Grids of families with square-root or
+the exact mass of each grid cell: the cell masses are differences of a
+closed-form CDF.  Grids of families with square-root or
 inverse-square-root edges are inset by half a cell so no sample sits on
 a singularity; the mass of the two edge cells is folded into the first
 and last samples, which therefore exceed the pointwise density there.
@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .errors import BadParams, int_in_range, real_above
 
@@ -280,23 +279,24 @@ def marchenko_pastur(lam=1.0, n=DEFAULT_GRID_N) -> LineMeasure:
     """Free Poisson law of rate lam: all free cumulants equal lam.
 
     Density sqrt((b-t)(t-a))/(2*pi*t) on [a, b] with a,b = (1 -+ sqrt(lam))^2,
-    plus an atom of mass 1-lam at zero when lam < 1.
+    plus an atom of mass 1-lam at zero when lam < 1.  In the angle theta
+    of t = m - r*cos(theta), with m, r the centre and half-width of
+    [a, b], the density is rational, and its CDF is
+    (m*theta + r*sin(theta) - 2*sqrt(ab)*atan2(sqrt(b)*sin(theta/2),
+    sqrt(a)*cos(theta/2))) / (2*pi), which reaches min(1, lam) at
+    theta = pi; at lam = 1 (a = 0) the atan2 term vanishes.
     """
     lam = real_above("lam", lam, 0.0)
     a = (1.0 - math.sqrt(lam)) ** 2
     b = (1.0 + math.sqrt(lam)) ** 2
-    ac_mass = min(1.0, lam)
-
-    def dens(t):
-        return math.sqrt(max((b - t) * (t - a), 0.0)) / (_TWO_PI * t)
-
-    edges = _cell_edges(a, b, n)
-    mass = np.empty(n)
-    for k in range(n):
-        # QUADPACK handles the integrable edge singularities (1/sqrt(t)
-        # at a=0 when lam=1, sqrt vanishing elsewhere)
-        mass[k] = integrate.quad(dens, edges[k], edges[k + 1], limit=200)[0]
-    mass *= ac_mass / mass.sum()
+    m, r = 0.5 * (a + b), 0.5 * (b - a)
+    theta = np.arccos(np.clip((m - _cell_edges(a, b, n)) / r, -1.0, 1.0))
+    half = 0.5 * theta
+    cdf = (m * theta + r * np.sin(theta) - 2.0 * math.sqrt(a * b)
+           * np.arctan2(math.sqrt(b) * np.sin(half),
+                        math.sqrt(a) * np.cos(half))) / _TWO_PI
+    mass = np.diff(cdf)
+    mass *= min(1.0, lam) / mass.sum()
     grid, samples = _measure_from_cell_masses(a, b, mass)
     atoms = ((0.0, 1.0 - lam),) if lam < 1.0 else ()
     return LineMeasure(atoms=atoms, grid=grid, density=samples)

@@ -1,6 +1,10 @@
 """Command-line surface: configs, artifacts, exit codes, reproducibility."""
 
+import importlib
 import json
+import os
+import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -13,6 +17,7 @@ from freesub import (CovarianceMap, experiment_prop33, experiment_thm36,
                      haar_circle)
 from freesub.cli import main
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 SC = {"family": "semicircle", "params": [0.0, 1.0]}
 CIRCLE = {"family": "circle_atoms", "params": [[0.0, 0.6], [1.0, 0.4]]}
 
@@ -134,12 +139,12 @@ def test_unread_flags_and_fields_exit_2(tmp_path, capsys, argv, cfg):
 @pytest.mark.parametrize("argv, cfg", [
     (["verify", "thm36", "--trials", "0", "--N", "8"], {}),
     (["verify", "prop33", "--trials", "0", "--N", "8"], {}),
-    (["verify", "thm31-block", "--trials", "0", "--N", "8"], {}),
+    (["verify", "thm31_block", "--trials", "0", "--N", "8"], {}),
     (["verify", "prop32", "--trials", "0", "--N", "8"], {}),
     (["verify", "thm36", "--N", "0", "--trials", "1"], {}),
     (["verify", "prop32", "--N", "0", "--trials", "1"], {}),
     (["verify", "prop33", "--N", "0", "--trials", "1"], {}),
-    (["verify", "thm31-block", "--N", "0", "--trials", "1"], {}),
+    (["verify", "thm31_block", "--N", "0", "--trials", "1"], {}),
     (["verify", "lemma34", "--samples", "0"], {}),
     (["verify", "lemma34", "--samples", "-1"], {}),
     (["verify", "lemma34", "--samples", "5"], {"dims": []}),
@@ -294,7 +299,7 @@ def test_verify_lemma34(tmp_path, capsys):
 def test_verify_thm31_block_trivial_y(tmp_path):
     cfg = write_cfg(tmp_path / "cfg.json",
                     {"eta_y": CovarianceMap((np.zeros((2, 2)),)).to_dict()})
-    code = main(["verify", "thm31-block", "--config", cfg, "--N", "32",
+    code = main(["verify", "thm31_block", "--config", cfg, "--N", "32",
                  "--trials", "5", "--out", str(tmp_path)])
     assert code == 0
     report = json.loads((tmp_path / "report.json").read_text())
@@ -355,3 +360,46 @@ def test_module_entry_point(tmp_path):
          "--config", str(cfg), "--out", str(tmp_path)],
         capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_benchmark_tracer_leaves_point_solves_unchanged(tmp_path, monkeypatch):
+    # the benchmark's tracer wraps cli.main, subordination_pair (reading
+    # int(result.iterations) from each result) and solve_subordination_F
+    # (counting its G_X callbacks); cli.main turns a TypeError into exit 2,
+    # so a result the tracer cannot read would fail only when traced
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    inp = workloads.build_point_solves(7, True, str(tmp_path))
+    [(_, argv, out_dir)] = [r for r in inp.cli_runs if r[0] == "convolve-add"]
+    mu, nu = inp.pairs[2]  # semicircle and Marchenko-Pastur
+    z = complex(inp.points[0])
+
+    def run():
+        code = freesub.cli.main(argv)
+        payloads = {name: (pathlib.Path(out_dir) / name).read_bytes()
+                    for name in sorted(os.listdir(out_dir))
+                    if name != "meta.json"}
+        shutil.rmtree(out_dir)
+        ev = freesub.subordination_pair(mu, nu, z)
+        _, f_b, gx_evals = workloads._solve_triple(*inp.triples[0])()
+        return (code, payloads, (ev.omega1, ev.omega2, ev.g_conv, ev.iterations),
+                f_b.tobytes(), gx_evals)
+
+    untraced = run()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        traced = run()
+    finally:
+        tracer.uninstall()
+    assert untraced[0] == 0 and set(untraced[1]) == {
+        "measure.json", "subordination.json", "summary.json"}
+    assert traced == untraced
+    labels = {span[0] for span in tracer.spans}
+    assert {"cli.main", "additive.subordination_pair",
+            "opvalued.solve_subordination_F"} <= labels
+    assert tracer.counts["additive.subordination_pair.iterations"] > 0
+    assert (tracer.counts["opvalued.solve_subordination_F.callback_calls"]
+            == traced[4])

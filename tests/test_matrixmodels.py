@@ -190,6 +190,35 @@ def test_prop32_phase_average_leaves_diagonal_alone():
     assert r4.residuals["off_diag"] < r1.residuals["off_diag"]
 
 
+def test_prop32_fit_is_stationary(monkeypatch):
+    # the fitted f is a stationary point of ||d - 1/(f - lam)||^2: with
+    # r = d - 1/(f - lam) and J = (f - lam)^-2 the gradient sum(conj(J) r)
+    # vanishes to rounding (a finite-difference least squares stopped
+    # about 1e-9 away from it on this run).  d is the trial mean of the
+    # resolvents' diagonals, which the phase average leaves alone.
+    N, trials = 100, 5
+    lam = np.where(np.arange(N) < N // 2, 1.0, -1.0)
+    diagonals = []
+    inv = matrixmodels._inv
+
+    def spy(a):
+        r = inv(a)
+        diagonals.append(np.diagonal(r).copy())
+        return r
+
+    monkeypatch.setattr(matrixmodels, "_inv", spy)
+    rep = experiment_prop32(lam, np.diag(lam[::-1].copy()), trials=trials,
+                            seed=1)
+    assert len(diagonals) == trials
+    d = np.mean(diagonals, axis=0)
+    f = rep.estimates["f"]
+    r = d - 1.0 / (f - lam)
+    j = (f - lam) ** -2.0
+    assert abs(np.vdot(j, r)) <= 1e-12 * np.sum(np.abs(j) * np.abs(r))
+    assert rep.residuals["fit"] == pytest.approx(
+        np.linalg.norm(r) / np.linalg.norm(d), rel=1e-12)
+
+
 def test_prop32_validation():
     with pytest.raises(BadParams):
         experiment_prop32(np.ones(4), np.eye(5), trials=1)

@@ -114,6 +114,28 @@ def test_marchenko_pastur_atom_below_one():
     assert mp.moment(2) == pytest.approx(0.6 + 0.36, abs=1e-5)
 
 
+@pytest.mark.parametrize("lam", [0.25, 1.0, 2.0])
+def test_marchenko_pastur_cells_match_exact_integrals(lam):
+    # the cell masses come from a closed-form CDF; read back from the
+    # quadrature they match a 40-digit integral of the density, edge
+    # cells (sqrt edges, and 1/sqrt(t) at lam = 1) included
+    mpmath = pytest.importorskip("mpmath")
+    mp = marchenko_pastur(lam)
+    cells = mp.quadrature()[1][len(mp.atoms):]
+    n = cells.size
+    with mpmath.workdps(40):
+        a = (1 - mpmath.sqrt(lam)) ** 2
+        b = (1 + mpmath.sqrt(lam)) ** 2
+
+        def density(t):
+            return mpmath.sqrt((b - t) * (t - a)) / (2 * mpmath.pi * t)
+
+        for k in [0, 1, 2, 3, *range(64, n - 4, 64), n - 4, n - 3, n - 2, n - 1]:
+            exact = mpmath.quad(density, [a + (b - a) * k / n,
+                                          a + (b - a) * (k + 1) / n])
+            assert abs(cells[k] - exact) <= 1e-9 * exact, k
+
+
 def test_moment_cap():
     with pytest.raises(ValueError):
         semicircle(0, 1).moment(33)

@@ -8,8 +8,11 @@ import builtins
 import importlib
 import inspect
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 
@@ -32,6 +35,8 @@ UNSET_PARAMETERS = {
         "unit tests compare rotation counts on the same draws",
     "arcsine(scale)": "the CLI's measure 'params' reach it via make_standard",
     "experiment_lemma34(dims)": "the verify config key 'dims' reaches it via **kw",
+    "subordination_pair(max_iter)":
+        "the convolve-add config key 'max_iter' reaches it via **cap",
 }
 # raises of a class from outside freesub, and why they stay
 FOREIGN_RAISES = {
@@ -281,3 +286,18 @@ def test_perfbench_trace_targets_exist():
             missing.append(label)
     # removed with its only production caller; the tracer skips it
     assert missing == ["domains.relative_contraction_margin"]
+
+
+def test_import_loads_only_scipy_linalg():
+    # closed forms replace quadrature and a generic least-squares solver,
+    # so importing the package loads scipy.linalg and none of the
+    # subpackages those pulled in
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys, freesub; print(' '.join(sorted("
+             "m for m in sys.modules if m.startswith('scipy.'))))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "scipy.linalg" in out
+    for sub in ("scipy.integrate", "scipy.optimize", "scipy.special"):
+        assert sub not in out
