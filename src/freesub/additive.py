@@ -122,14 +122,19 @@ def _solve_omega1(mu, nu, z, start, tol, max_iter):
     more iterations.  The returned residual shows which points stopped
     above tol * max(1, |w|).
 
-    T is evaluated once per point and iteration in the common case: T at
-    an accepted Newton candidate is the next iterate's T, so only a
-    Picard step forces a fresh evaluation.  A point whose residual meets
-    the tolerance takes one last step without evaluating T there; its
-    G_mu is carried along that step to first order by the exact G_mu'
-    of the last evaluation.  The step corrects a residual already below
-    tol, so the carried value matches a node sum at omega1 to second
-    order in it, and none is made.
+    The loop iterates only the open points.  After each residual check
+    the points that meet their limit write their results at their index
+    in the batch and leave; every working array is cut to the rest.  T
+    is evaluated once per iteration, at the open points' candidates: an
+    accepted Newton candidate's T is the next iterate's, and only the
+    points that take a Picard step are evaluated again, at their new
+    iterate.  Each point's arithmetic runs in the same order whatever
+    shares its batch, so its five results are the same bits when it is
+    solved alone.  A point whose residual meets the tolerance takes one
+    last step without evaluating T there; its G_mu is carried along that
+    step to first order by the exact G_mu' of the last evaluation.  The
+    step corrects a residual already below tol, so the carried value
+    matches a node sum at omega1 to second order in it, and none is made.
 
     ``slope`` is the tangent omega1'(z) = (1 + h_nu') / (1 - T') of the
     implicit function theorem, both factors from that same last
@@ -139,79 +144,72 @@ def _solve_omega1(mu, nu, z, start, tol, max_iter):
     """
     shape = np.shape(z)
     z = np.asarray(z, dtype=complex).reshape(-1)
-    w = np.array(start, dtype=complex).reshape(-1)
-    t_val = np.empty_like(z)
-    tprime = np.empty_like(z)
-    g_mu = np.empty_like(z)
-    dg_mu = np.empty_like(z)
-    dh_nu = np.empty_like(z)
-    fresh = np.zeros(z.shape, dtype=bool)  # t_val ... dh_nu are at w
-    res = np.full(z.shape, np.inf)
-    iters = np.zeros(z.shape, dtype=int)
-    active = np.ones(z.shape, dtype=bool)
-
+    w = np.asarray(start, dtype=complex).reshape(-1)
+    omega1, g_out, tp_out, dh_out = np.empty((4, z.size), dtype=complex)
+    res_out = np.empty(z.size)
+    iters = np.empty(z.size, dtype=int)
+    at = np.arange(z.size)  # each open point's index in the batch
+    t_val, tprime, g_mu, dg_mu, dh_nu = _t_and_derivative(mu, nu, z, w)
     for it in range(max_iter):
-        if not active.any():
-            break
-        stale = active & ~fresh
-        if stale.any():
-            (t_val[stale], tprime[stale], g_mu[stale], dg_mu[stale],
-             dh_nu[stale]) = _t_and_derivative(mu, nu, z[stale], w[stale])
-        za, wa = z[active], w[active]
-        step = t_val[active] - wa
-        res_a = np.abs(step)
-        denom = tprime[active] - 1.0
+        step = t_val - w
+        res = np.abs(step)
+        denom = tprime - 1.0
         safe = np.abs(denom) > 1e-12
-        cand = np.where(safe, wa - step / np.where(safe, denom, 1.0),
-                        wa + _DAMPING * step)
-        size = np.abs(wa)
+        picard = w + _DAMPING * step
+        cand = np.where(safe, w - step / np.where(safe, denom, 1.0), picard)
+        size = np.abs(w)
         limit = tol * np.maximum(1.0, size)
         if it >= _FLOOR_AFTER:
             # the rounding of T: h_mu's 1/G_mu - w cancels, and h_nu'
             # amplifies what is left
-            floor = _ROUNDING * (1.0 + np.abs(dh_nu[active])) * (
-                size + np.abs(1.0 / g_mu[active]) + np.abs(za))
+            floor = _ROUNDING * (1.0 + np.abs(dh_nu)) * (
+                size + np.abs(1.0 / g_mu) + np.abs(z))
             limit = np.maximum(limit,
                                np.minimum(floor, _ROUNDING_CAP * limit))
+        ok = safe & (cand.imag > z.imag - _HERGLOTZ_SLACK)
+        near = res < _NEWTON_HANDOFF
         # a NaN residual never converges: it ends in NoConvergence
-        still = ~(res_a <= limit)
-        t_cand, g_cand, dg_cand = np.full((3, cand.size), np.nan + 0j)
-        # a finished point keeps T' and h_nu' of its last evaluation
-        tp_cand, dh_cand = tprime[active], dh_nu[active]
-        (t_cand[still], tp_cand[still], g_cand[still], dg_cand[still],
-         dh_cand[still]) = _t_and_derivative(mu, nu, za[still], cand[still])
-        res_cand = np.abs(t_cand - cand)
-        ok = safe & (cand.imag > za.imag - _HERGLOTZ_SLACK)
+        done = res <= limit
+        if done.any():
+            # the last step is not evaluated: G_mu is carried along it by
+            # G_mu', and T' and h_nu' stay those of the last evaluation
+            fin = np.where(ok[done] & near[done], cand[done], picard[done])
+            out = at[done]
+            omega1[out] = fin
+            g_out[out] = g_mu[done] + dg_mu[done] * (fin - w[done])
+            res_out[out], iters[out] = res[done], it + 1
+            tp_out[out], dh_out[out] = tprime[done], dh_nu[done]
+            keep = ~done
+            at = at[keep]
+            if at.size:
+                z, w, res, cand, picard, ok, near = (
+                    a[keep] for a in (z, w, res, cand, picard, ok, near))
+        if not at.size:
+            break
+        t_val, tprime, g_mu, dg_mu, dh_nu = _t_and_derivative(mu, nu, z, cand)
         # near the solution any in-domain Newton step is fine; further out
         # it must beat the current residual or Picard takes over
-        ok &= (res_a < _NEWTON_HANDOFF) | (res_cand < 0.9 * res_a)
-        w_new = np.where(ok, cand, wa + _DAMPING * step)
-        done = ~still
-        g_cand[done] = (g_mu[active][done]
-                        + dg_mu[active][done] * (w_new[done] - wa[done]))
-        w[active] = w_new
-        t_val[active], tprime[active], dh_nu[active] = t_cand, tp_cand, dh_cand
-        g_mu[active], dg_mu[active] = g_cand, dg_cand
-        fresh[active] = ok
-        iters[active] += 1
-        res[active] = res_a
-        active[active] = still
-    if active.any():
-        stalled = np.flatnonzero(active)
-        worst = stalled[np.argmax(res[stalled])]
+        ok &= near | (np.abs(t_val - cand) < 0.9 * res)
+        w = np.where(ok, cand, picard)
+        if not ok.all():
+            back = ~ok
+            (t_val[back], tprime[back], g_mu[back], dg_mu[back],
+             dh_nu[back]) = _t_and_derivative(mu, nu, z[back], w[back])
+    if at.size:
+        worst = np.argmax(res)
         bad_z = complex(z[worst])
         raise NoConvergence(
-            f"subordination fixed point stalled at {stalled.size} point(s); "
+            f"subordination fixed point stalled at {at.size} point(s); "
             f"worst residual {res[worst]:.3e} at z = {bad_z}",
             iterations=max_iter,
             residual=float(res[worst]),
             point=bad_z,
         )
-    usable = np.abs(1.0 - tprime) > _SLOPE_FLOOR
-    slope = (1.0 + dh_nu) / np.where(usable, 1.0 - tprime, 1.0)
+    usable = np.abs(1.0 - tp_out) > _SLOPE_FLOOR
+    slope = (1.0 + dh_out) / np.where(usable, 1.0 - tp_out, 1.0)
     slope[~(usable & np.isfinite(slope))] = 1.0
-    return (w.reshape(shape), g_mu.reshape(shape), res.reshape(shape),
-            iters.reshape(shape), slope.reshape(shape))
+    return (omega1.reshape(shape), g_out.reshape(shape),
+            res_out.reshape(shape), iters.reshape(shape), slope.reshape(shape))
 
 
 def subordination_pair(mu: LineMeasure, nu: LineMeasure, z, tol=_TOL,

@@ -62,10 +62,13 @@ def _node_sums(x, nodes, weights):
         r = buf[:xs.size]
         np.subtract(xs[:, None], nodes, out=r)
         np.reciprocal(r, out=r)
-        r_pairs = r.view(float).reshape(xs.size, m, 2)
-        np.matmul(weights, r_pairs, out=s_pairs[lo:lo + rows])
-        np.multiply(r, r, out=r)
-        np.matmul(weights, r_pairs, out=ds_pairs[lo:lo + rows])
+        np.matmul(weights, r.view(float).reshape(xs.size, m, 2),
+                  out=s_pairs[lo:lo + rows])
+        # numpy squares a lone element in place outside its vector loop,
+        # which rounds differently, so that one is squared into a copy
+        r = np.multiply(r, r, out=r if r.size > 1 else None)
+        np.matmul(weights, r.view(float).reshape(xs.size, m, 2),
+                  out=ds_pairs[lo:lo + rows])
     np.negative(ds, out=ds)
     return s.reshape(x.shape), ds.reshape(x.shape)
 

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freesub import (
@@ -75,6 +75,12 @@ def test_convolve_cauchy_matches_pointwise():
     for i, zi in enumerate(z):
         assert abs(vec[i] - subordination_pair(mu, nu, complex(zi)).g_conv) <= 1e-12
     assert isinstance(convolve_cauchy(mu, nu, 1j), complex)
+
+
+def test_convolve_cauchy_of_no_points():
+    mu, nu = semicircle(0, 1), bernoulli_pm1()
+    g = convolve_cauchy(mu, nu, np.array([], dtype=complex))
+    assert g.dtype == complex and g.shape == (0,)
 
 
 def test_herglotz_margins_on_sweep(line_pairs):
@@ -222,6 +228,8 @@ def test_no_convergence_reports_residual():
 
 
 def test_no_convergence_reports_worst_point():
+    # the fourth point converges in 2 iterations and leaves the batch
+    # before the other three stall
     mu = nu = bernoulli_pm1()
     z = [0.5 + 1e-6j, 1.2 + 1e-3j, -0.3 + 1e-5j]
     single = []
@@ -231,8 +239,11 @@ def test_no_convergence_reports_worst_point():
         single.append(info.value.residual)
     worst = int(np.argmax(single))
     assert worst != 0
+    far = np.array([1000j])
+    assert _solve_omega1(mu, nu, far, far + 1j, 1e-13, 2)[3][0] == 2
+    batch = np.array(z + [1000j])
     with pytest.raises(NoConvergence) as info:
-        _solve_omega1(mu, nu, np.array(z), np.array(z) + 1j, 1e-13, 2)
+        _solve_omega1(mu, nu, batch, batch + 1j, 1e-13, 2)
     assert info.value.point == z[worst]
     assert info.value.residual == single[worst]
     assert "3 point(s)" in str(info.value)
@@ -261,6 +272,30 @@ def _line_pairs(draw):
             return semicircle(draw(st.floats(-1.0, 1.0)),
                               draw(st.floats(0.2, 2.0)), n=256)
     return law(), law()
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=_line_pairs(),
+       z=st.lists(st.builds(complex, st.floats(-4.0, 4.0),
+                            st.floats(-4.0, np.log10(3.0)).map(
+                                lambda e: 10.0 ** e)),
+                  min_size=2, max_size=40).map(np.array))
+# these batches mix 3-11 and 4-17 iterations, Picard steps and stops at
+# T's rounding
+@example(pair=(bernoulli_pm1(), bernoulli_pm1()),
+         z=np.linspace(-2.5, 2.5, 41) + 1e-4j)
+@example(pair=_NEAR_POLE, z=np.linspace(0.5, 1.5, 101) + 2e-4j)
+def test_solve_does_not_depend_on_its_batch(pair, z):
+    # a point's omega1, G_mu, residual, iteration count and slope are the
+    # same bits whether it is solved alone or with other points
+    mu, nu = pair
+    batch = _solve_omega1(mu, nu, z, z + 1j, additive._TOL,
+                          additive._MAX_ITER)
+    for i in range(z.size):
+        alone = _solve_omega1(mu, nu, z[i:i + 1], z[i:i + 1] + 1j,
+                              additive._TOL, additive._MAX_ITER)
+        for b, a in zip(batch, alone):
+            assert np.array_equal(b[i:i + 1], a)
 
 
 @settings(max_examples=40, deadline=None)
