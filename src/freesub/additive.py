@@ -13,29 +13,21 @@ series of G', so no differencing step size is involved.  G and G' come
 together from the chunked node-sum kernel ``transforms._node_sums``,
 and each evaluation of the map at a Newton candidate is kept: once the
 candidate is accepted it is the next iterate's value and derivative.
-G_mu(omega1), which is G_{mu (+) nu}(z), comes out of the solve too:
-the last evaluation of the map formed G_mu and G_mu' at the last iterate,
-and G_mu' carries G_mu along the final step, which corrects a residual
-already below the tolerance, so no further node sum is made.
+G_mu(omega1), which is G_{mu (+) nu}(z), comes out of the solve with no
+further node sum.  ``subordination_pairs`` solves the pair at a batch of
+points, and ``subordination_pair`` is its one-point form.
 
 Densities are solved as a predictor-corrector continuation along the
 line t + i*eta (Euler predictor, Newton corrector: Allgower and Georg,
-Introduction to Numerical Continuation Methods, SIAM 2003, ch. 2).
-omega1 is analytic in z, and the solve returns its tangent
-omega1'(z) = (1 + h_nu') / (1 - T') from the factors of its last
-evaluation, so every start is predicted from values already solved: the
-first height solves every _COARSE_STRIDE-th point cold and starts the
-others from the cubic Hermite interpolant of their coarse neighbours,
-and each later height starts at omega1 + omega1' * i*(eta - eta_prev).
-A start is raised to Im w >= eta where the predictor undershoots, and
-the slope falls back to 1, the plain shift, where 1 - T' nearly
-vanishes (T' -> 1 at a square-root edge).  The fixed point attracts
+Introduction to Numerical Continuation Methods, SIAM 2003, ch. 2): the
+solve also returns the tangent omega1'(z) = (1 + h_nu') / (1 - T') from
+the factors of its last evaluation, so every start is predicted from
+values already solved (``continued_density``).  The fixed point attracts
 every start in the half plane above z, so the start changes the
 iteration count and not the answer.  Points off a line (moment
-contours, single points) start cold at z + i.
+contours, subordination tables) start cold at z + i.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -212,38 +204,51 @@ def _solve_omega1(mu, nu, z, start, tol, max_iter):
             res_out.reshape(shape), iters.reshape(shape), slope.reshape(shape))
 
 
-def subordination_pair(mu: LineMeasure, nu: LineMeasure, z, tol=_TOL,
-                       max_iter=_MAX_ITER) -> SubordinationEval:
-    """Solve the subordination pair at one point z with Im z > 0.
-
-    ``tol`` bounds the fixed-point residual of omega1 relative to
-    max(1, |omega1|).  Next to a pole of F_nu the rounding of the
-    fixed-point map can lie above it; the solve then stops at that
-    rounding, if it is within _ROUNDING_CAP (1e3) times ``tol``, and
-    raises NoConvergence otherwise.  G_mu(omega1) keeps its accuracy
-    there, and ``residual`` checks it against G_nu(omega2).
-    """
-    z = _complex_points("z", z, scalar=True)
-    if not cmath.isfinite(z):
+def _upper_points(z, who):
+    """z as a complex array, every point finite with Im z > 0."""
+    pts = _complex_points("z", z)
+    if not np.all(np.isfinite(pts)):
         raise DomainError("evaluation point is not finite")
-    if z.imag <= 0:
-        raise DomainError("subordination requires Im z > 0")
+    if np.any(pts.imag <= 0):
+        raise DomainError(f"{who} requires Im z > 0")
+    return pts
+
+
+def subordination_pairs(mu: LineMeasure, nu: LineMeasure, z, tol=_TOL,
+                        max_iter=_MAX_ITER):
+    """Solve the subordination pair at every point of z, Im z > 0.
+
+    Returns one SubordinationEval per point, in z's C order, from one
+    ``_solve_omega1`` call (cold starts z + i) and one ``cauchy_transform``
+    call at omega2.  ``tol`` bounds omega1's fixed-point residual relative
+    to max(1, |omega1|).  Next to a pole of F_nu, where the map's rounding
+    lies above it, the solve stops at that rounding if it is within
+    _ROUNDING_CAP (1e3) times ``tol``, and raises NoConvergence otherwise;
+    G_mu(omega1) keeps its accuracy there, and ``residual`` =
+    |G_mu(omega1) - G_nu(omega2)| checks it.  omega2 = z + 1/G_mu - omega1
+    takes ``np.reciprocal`` and the residual ``np.hypot``: they round as
+    Python's ``1.0 / complex`` and ``abs(complex)`` do (``1.0 / g`` and
+    ``np.abs`` do not), so each field is what scalar complex arithmetic
+    gives from that omega1 and G_mu.
+    """
+    z = _upper_points(z, "subordination").reshape(-1)
     tol = real_above("tol", tol, _MIN_TOL, closed=True)
     max_iter = int_in_range("max_iter", max_iter, 1)
-    zs = np.asarray([z])
-    w, g, _, iters, _ = _solve_omega1(mu, nu, zs, zs + 1j, tol, max_iter)
-    omega1 = complex(w[0])
-    g1 = complex(g[0])
-    omega2 = z + 1.0 / g1 - omega1
-    g2 = complex(cauchy_transform(nu, omega2))
-    return SubordinationEval(
-        z=z,
-        omega1=omega1,
-        omega2=omega2,
-        g_conv=g1,
-        residual=abs(g1 - g2),
-        iterations=int(iters[0]),
-    )
+    omega1, g, _, iters, _ = _solve_omega1(mu, nu, z, z + 1j, tol, max_iter)
+    omega2 = z + np.reciprocal(g) - omega1
+    gap = g - cauchy_transform(nu, omega2)
+    residual = np.hypot(gap.real, gap.imag)
+    # tolist gives Python complex, float and int with the same bits
+    fields = (z, omega1, omega2, g, residual, iters)
+    return [SubordinationEval(*f) for f in zip(*(a.tolist() for a in fields))]
+
+
+def subordination_pair(mu: LineMeasure, nu: LineMeasure,
+                       z) -> SubordinationEval:
+    """The subordination pair at one point z with Im z > 0: the one-point
+    form of subordination_pairs, at its default tol and max_iter."""
+    z = _complex_points("z", z, scalar=True)
+    return subordination_pairs(mu, nu, np.array([z]))[0]
 
 
 def convolve_cauchy(mu: LineMeasure, nu: LineMeasure, z):
@@ -251,13 +256,9 @@ def convolve_cauchy(mu: LineMeasure, nu: LineMeasure, z):
 
     Every point is solved cold from z + i, so any points will do.
     """
-    pts = _complex_points("z", z)
+    pts = _upper_points(z, "convolve_cauchy")
     scalar = pts.ndim == 0
     pts = np.atleast_1d(pts)
-    if not np.all(np.isfinite(pts)):
-        raise DomainError("evaluation point is not finite")
-    if np.any(pts.imag <= 0):
-        raise DomainError("convolve_cauchy requires Im z > 0")
     _, g, _, _, _ = _solve_omega1(mu, nu, pts, pts + 1j, _TOL, _MAX_ITER)
     return complex(g[0]) if scalar else g
 
@@ -311,7 +312,7 @@ def continued_density(mu: LineMeasure, nu: LineMeasure, grid,
     Every start is raised to Im w >= eta_new if the predictor undershoots,
     and the fixed point attracts from anywhere in the half plane above z,
     so the start changes the iteration count and not the limit.  ``tol``
-    is the fixed-point tolerance of subordination_pair, relaxed the same
+    is the fixed-point tolerance of subordination_pairs, relaxed the same
     way where the map's rounding lies above it.  Returns
     stieltjes_invert's (measure, renorm).
     """

@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import measures as _measures
-from .additive import continued_density, subordination_pair
+from .additive import continued_density, subordination_pairs
 from .errors import BadParams, FreesubError, NoConvergence, int_in_range, \
     real_above
 from .matrixmodels import (experiment_lemma34, experiment_prop32,
@@ -199,22 +199,20 @@ def cmd_convolve_add(args):
         grid = np.linspace(lo, hi, 801)
         table_re = np.linspace(lo, hi, 33)
 
-    rows = []
-    worst = 0.0
-    for im in im_parts:
-        im = real_above("--im value", im, 0.0)
-        for re in table_re:
-            ev = subordination_pair(mu, nu, complex(re, im), tol=tol,
-                                    **cap)
-            worst = max(worst, ev.residual)
-            rows.append({
-                "z": [ev.z.real, ev.z.imag],
-                "omega1": [ev.omega1.real, ev.omega1.imag],
-                "omega2": [ev.omega2.real, ev.omega2.imag],
-                "g": [ev.g_conv.real, ev.g_conv.imag],
-                "residual": ev.residual,
-                "iterations": ev.iterations,
-            })
+    # the table's points, height by height, solved as one batch
+    z = np.empty((len(im_parts), table_re.size), dtype=complex)
+    z.real = table_re
+    z.imag = np.array([real_above("--im value", im, 0.0)
+                       for im in im_parts])[:, None]
+    rows = [{
+        "z": [ev.z.real, ev.z.imag],
+        "omega1": [ev.omega1.real, ev.omega1.imag],
+        "omega2": [ev.omega2.real, ev.omega2.imag],
+        "g": [ev.g_conv.real, ev.g_conv.imag],
+        "residual": ev.residual,
+        "iterations": ev.iterations,
+    } for ev in subordination_pairs(mu, nu, z, tol=tol, **cap)]
+    worst = max(r["residual"] for r in rows)
     dens, renorm = continued_density(mu, nu, grid, etas, tol=tol, **cap)
     out = _out_dir(args)
     _dump_json(os.path.join(out, "measure.json"), dens.to_dict())

@@ -21,7 +21,8 @@ from freesub import (
 from freesub import (SubordinationEval, free_cumulants,
                      free_cumulants_to_moments)
 from freesub import additive
-from freesub.additive import _solve_omega1, continued_density
+from freesub.additive import (_solve_omega1, continued_density,
+                              subordination_pairs)
 from freesub.errors import (BadParams, DomainError, FreesubError,
                             NoConvergence, NonPositiveDensity)
 
@@ -143,13 +144,13 @@ def test_rejects_bad_arguments():
     with pytest.raises(DomainError):
         subordination_pair(mu, mu, 1.0 - 0.5j)
     with pytest.raises(ValueError):
-        subordination_pair(mu, mu, 2j, tol=1e-16)
+        subordination_pairs(mu, mu, [2j], tol=1e-16)
     with pytest.raises(DomainError):
         convolve_cauchy(mu, mu, np.array([1j, 1 - 1j]))
     # nan fails every comparison, so a plain tol < floor check lets it through
     for tol in (np.nan, np.inf):
         with pytest.raises(BadParams):
-            subordination_pair(mu, mu, 2j, tol=tol)
+            subordination_pairs(mu, mu, [2j], tol=tol)
         with pytest.raises(BadParams):
             continued_density(mu, mu, np.linspace(-1, 1, 9), (1e-2,), tol=tol)
     for bad in (complex(np.nan, 1.0), complex(0.3, np.nan), complex(np.inf, 1.0)):
@@ -222,7 +223,7 @@ def test_rounding_stop_keeps_g_mu_accurate(eta):
 def test_no_convergence_reports_residual():
     mu, nu = bernoulli_pm1(), bernoulli_pm1()
     with pytest.raises(NoConvergence) as info:
-        subordination_pair(mu, nu, 0.5 + 1e-6j, max_iter=2)
+        subordination_pairs(mu, nu, [0.5 + 1e-6j], max_iter=2)
     assert info.value.residual > 0
     assert info.value.iterations == 2
 
@@ -287,15 +288,27 @@ def _line_pairs(draw):
 @example(pair=_NEAR_POLE, z=np.linspace(0.5, 1.5, 101) + 2e-4j)
 def test_solve_does_not_depend_on_its_batch(pair, z):
     # a point's omega1, G_mu, residual, iteration count and slope are the
-    # same bits whether it is solved alone or with other points
+    # same bits whether it is solved alone or with other points, and so
+    # are the six fields of its subordination pair: a batch's omega2 and
+    # residual round as the scalar 1.0 / complex and abs(complex) do
     mu, nu = pair
     batch = _solve_omega1(mu, nu, z, z + 1j, additive._TOL,
                           additive._MAX_ITER)
+    pairs = subordination_pairs(mu, nu, z)
     for i in range(z.size):
         alone = _solve_omega1(mu, nu, z[i:i + 1], z[i:i + 1] + 1j,
                               additive._TOL, additive._MAX_ITER)
         for b, a in zip(batch, alone):
             assert np.array_equal(b[i:i + 1], a)
+        one = subordination_pair(mu, nu, z[i])
+        assert pairs[i].omega1 == one.omega1 == complex(batch[0][i])
+        assert pairs[i].g_conv == one.g_conv == complex(batch[1][i])
+        assert pairs[i].iterations == one.iterations == batch[3][i]
+        assert (pairs[i].z, pairs[i].omega2, pairs[i].residual) == (
+            one.z, one.omega2, one.residual)
+        g2 = complex(cauchy_transform(nu, one.omega2))
+        assert one.omega2 == one.z + 1.0 / one.g_conv - one.omega1
+        assert one.residual == abs(one.g_conv - g2)
 
 
 @settings(max_examples=40, deadline=None)

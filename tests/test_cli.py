@@ -28,17 +28,27 @@ def write_cfg(path, payload):
 
 
 def test_convolve_add_end_to_end(tmp_path):
-    cfg = write_cfg(tmp_path / "cfg.json", {"mu": SC, "nu": SC})
+    # at the library's tolerance the table is subordination_pair's,
+    # bit for bit: JSON floats round-trip exactly
+    cfg = write_cfg(tmp_path / "cfg.json", {"mu": SC, "nu": SC, "tol": 1e-13})
     code = main(["convolve-add", "--config", cfg, "--out", str(tmp_path),
-                 "--grid=-3.5:3.5:201", "--im", "1,2"])
+                 "--grid=-3.5:3.5:201", "--im", "1,2,0.01"])
     assert code == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["pass"] is True
     assert summary["max_residual"] <= summary["tol"]
-    assert summary["points"] == 2 * 201
+    assert summary["points"] == 3 * 201
     rows = json.loads((tmp_path / "subordination.json").read_text())
     assert len(rows) == summary["points"]
     assert all(r["residual"] <= summary["tol"] for r in rows)
+    sc = freesub.measures.semicircle(0.0, 1.0)
+    for r in rows:
+        ev = freesub.subordination_pair(sc, sc, complex(*r["z"]))
+        assert r == {"z": [ev.z.real, ev.z.imag],
+                     "omega1": [ev.omega1.real, ev.omega1.imag],
+                     "omega2": [ev.omega2.real, ev.omega2.imag],
+                     "g": [ev.g_conv.real, ev.g_conv.imag],
+                     "residual": ev.residual, "iterations": ev.iterations}
     meta = json.loads((tmp_path / "meta.json").read_text())
     assert meta["command"] == "convolve-add"
 
@@ -172,6 +182,10 @@ def test_unread_flags_and_fields_exit_2(tmp_path, capsys, argv, cfg):
      {"mu": SC, "nu": SC}),
     (["convolve-add", "--grid=-1:1:11", "--im", "1"],
      {"mu": SC, "nu": SC, "max_iter": 0}),
+    # every height is checked before the table is solved
+    (["convolve-add", "--grid=-1:1:11", "--im", "1,0"], {"mu": SC, "nu": SC}),
+    (["convolve-add", "--grid=-1:1:11", "--im", "1,nan"],
+     {"mu": SC, "nu": SC}),
 ])
 def test_rejected_sizes_and_values_exit_2(tmp_path, capsys, argv, cfg):
     argv = argv + ["--config", write_cfg(tmp_path / "cfg.json", cfg),

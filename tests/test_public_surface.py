@@ -35,8 +35,6 @@ UNSET_PARAMETERS = {
         "unit tests compare rotation counts on the same draws",
     "arcsine(scale)": "the CLI's measure 'params' reach it via make_standard",
     "experiment_lemma34(dims)": "the verify config key 'dims' reaches it via **kw",
-    "subordination_pair(max_iter)":
-        "the convolve-add config key 'max_iter' reaches it via **cap",
 }
 # raises of a class from outside freesub, and why they stay
 FOREIGN_RAISES = {
@@ -214,7 +212,7 @@ def test_numeric_parameters_reject_bad_values():
     probes = list(_numeric_probes())
     found = {f"{label}({param.name})" for label, _, _, param, _ in probes}
     assert {"LineMeasure.moment(k)", "rotate(phi)", "convolve_moments(order)",
-            "subordination_pair(max_iter)", "MultConvolution.measure(n)",
+            "free_mult_convolve_unitary(order)", "MultConvolution.measure(n)",
             "experiment_prop33(seed)", "stieltjes_invert(neg_tol)"} <= found
     accepted = []
     for label, call, base, param, kind in probes:
