@@ -11,8 +11,10 @@ w -> z + h_nu(z + h_mu(w)) by guarded Newton over a damped Picard
 fallback; the Newton derivative is assembled from the exact quadrature
 series of G', so no differencing step size is involved.  G and G' come
 together from the chunked node-sum kernel ``transforms._node_sums``,
-and each evaluation of the map at a Newton candidate is kept: once the
-candidate is accepted it is the next iterate's value and derivative.
+which splits a large call over the usable cores with the bits of a
+single-threaded run and no setting.  Each evaluation of the map at a
+Newton candidate is kept: once the candidate is accepted it is the next
+iterate's value and derivative.
 G_mu(omega1), which is G_{mu (+) nu}(z), comes out of the solve with no
 further node sum.  ``subordination_pairs`` solves the pair at a batch of
 points, and ``subordination_pair`` is its one-point form.

@@ -17,7 +17,9 @@ subdisk and plain iteration converges geometrically for |z| < 1.
 
 Both solvers evaluate their transforms through the chunked node-sum
 kernel ``transforms._node_sums``: K and K' in one call for the disk
-Newton solve, eta through ``transforms.eta_transform``.
+Newton solve, eta through ``transforms.eta_transform``.  The kernel
+splits a large call over the usable cores with the bits of a
+single-threaded run; there is no setting for it.
 """
 
 import cmath

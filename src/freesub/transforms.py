@@ -12,8 +12,19 @@ the solvers of ``additive`` and ``multiplicative``, reduces to the one
 node-sum kernel ``_node_sums``: S(x) = sum_j w_j/(x - t_j) together with
 S'(x), with the line nodes t_j or the unit-circle nodes zeta_j.  The
 kernel works through the points in chunks of about _CHUNK_ELEMENTS
-reciprocals, so its temporary stays cache-sized for any grid.
+reciprocals, so its temporary stays cache-sized for any grid.  A call
+with enough chunks splits them over the process's usable cores (its CPU
+affinity), in runs of whole chunks on a thread pool created at first
+use; numpy releases the interpreter lock inside its loops and products.
+Every chunk is the one a single-threaded run forms, so the bits match
+that run's, and no setting exists: smaller calls, and every call on one
+usable core, run inline.
 """
+
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -24,6 +35,8 @@ from .measures import CircleMeasure, GridSpec, LineMeasure
 _NODE_CLEARANCE = 1e-12
 # complex reciprocals formed per chunk of points: 512 KB, within L2
 _CHUNK_ELEMENTS = 1 << 15
+# fewest chunks worth a thread's round trip: a call splits from twice this
+_MIN_SHARE = 2
 
 
 def _as_points(z, name="z"):
@@ -33,6 +46,59 @@ def _as_points(z, name="z"):
 
 def _restore(values, scalar):
     return complex(values[()]) if scalar else values
+
+
+def _usable_cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _executor():
+    """The node-sum thread pool, created at first use.
+
+    The calling thread runs one share of a split itself, so the pool
+    holds one thread fewer than the usable cores.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=max(1, _usable_cores() - 1),
+                                       thread_name_prefix="freesub-node-sums")
+        return _pool
+
+
+def _forget_pool():
+    # a forked child has none of its parent's pool threads: it builds its own
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _chunk_sums(flat, nodes, weights, rows, buf, s_pairs, ds_pairs):
+    """Fill the sums of the points ``flat``, ``rows`` points a chunk."""
+    m = nodes.size
+    for lo in range(0, flat.size, rows):
+        xs = flat[lo:lo + rows]
+        r = buf[:xs.size]
+        np.subtract(xs[:, None], nodes, out=r)
+        np.reciprocal(r, out=r)
+        np.matmul(weights, r.view(float).reshape(xs.size, m, 2),
+                  out=s_pairs[lo:lo + rows])
+        # numpy squares a lone element in place outside its vector loop,
+        # which rounds differently, so that one is squared into a copy
+        r = np.multiply(r, r, out=r if r.size > 1 else None)
+        np.matmul(weights, r.view(float).reshape(xs.size, m, 2),
+                  out=ds_pairs[lo:lo + rows])
 
 
 def _node_sums(x, nodes, weights):
@@ -46,6 +112,15 @@ def _node_sums(x, nodes, weights):
     point's sum runs in the same order whatever other points share the
     call: a value does not depend on its batch.  Returns two arrays
     shaped like x.  No domain checks: callers keep x off the nodes.
+
+    A call of at least 2 * _MIN_SHARE chunks splits them over up to
+    _usable_cores() threads, each taking a run of at least _MIN_SHARE
+    whole chunks into its own buffer; the calling thread takes the
+    first run.  The chunks start at the same multiples of ``rows`` as
+    inline, so the bits are those of a single-threaded run.  Each
+    thread runs in a copy of the caller's context, so the caller's
+    ``np.errstate`` holds there: a point on a node raises or warns as
+    it does inline.
     """
     x = np.asarray(x, dtype=complex)
     flat = x.reshape(-1)
@@ -56,19 +131,32 @@ def _node_sums(x, nodes, weights):
     # (re, im) float views: real weights contract both parts in one product
     s_pairs = s.view(float).reshape(n, 2)
     ds_pairs = ds.view(float).reshape(n, 2)
-    buf = np.empty((min(rows, n), m), dtype=complex)
-    for lo in range(0, n, rows):
-        xs = flat[lo:lo + rows]
-        r = buf[:xs.size]
-        np.subtract(xs[:, None], nodes, out=r)
-        np.reciprocal(r, out=r)
-        np.matmul(weights, r.view(float).reshape(xs.size, m, 2),
-                  out=s_pairs[lo:lo + rows])
-        # numpy squares a lone element in place outside its vector loop,
-        # which rounds differently, so that one is squared into a copy
-        r = np.multiply(r, r, out=r if r.size > 1 else None)
-        np.matmul(weights, r.view(float).reshape(xs.size, m, 2),
-                  out=ds_pairs[lo:lo + rows])
+    chunks = -(-n // rows)
+    shares = 1
+    if chunks >= 2 * _MIN_SHARE:
+        shares = min(_usable_cores(), chunks // _MIN_SHARE)
+    if shares == 1:
+        buf = np.empty((min(rows, n), m), dtype=complex)
+        _chunk_sums(flat, nodes, weights, rows, buf, s_pairs, ds_pairs)
+    else:
+        ends = [min(n, rows * (chunks * k // shares))
+                for k in range(shares + 1)]
+        bufs = np.empty((shares, rows, m), dtype=complex)
+
+        def share(k):
+            part = slice(ends[k], ends[k + 1])
+            return (flat[part], nodes, weights, rows, bufs[k], s_pairs[part],
+                    ds_pairs[part])
+
+        pool = _executor()
+        futures = [pool.submit(contextvars.copy_context().run, _chunk_sums,
+                               *share(k)) for k in range(1, shares)]
+        try:
+            _chunk_sums(*share(0))
+        finally:
+            wait(futures)
+        for f in futures:
+            f.result()
     np.negative(ds, out=ds)
     return s.reshape(x.shape), ds.reshape(x.shape)
 

@@ -1,14 +1,22 @@
 """The node-sum kernel shared by every transform and solver."""
 
+import multiprocessing
+import os
+import threading
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freesub.additive as additive
-from freesub import (CircleMeasure, GridSpec, LineMeasure, bernoulli_pm1,
-                     cauchy_transform, convolve_cauchy, free_add_convolve,
-                     semicircle, stieltjes_invert)
-from freesub.transforms import _CHUNK_ELEMENTS, _node_sums
+import freesub.transforms as transforms
+from freesub import (CircleMeasure, GridSpec, LineMeasure, arcsine,
+                     bernoulli_pm1, cauchy_transform, convolve_cauchy,
+                     free_add_convolve, haar_circle, semicircle,
+                     stieltjes_invert)
+from freesub.transforms import _CHUNK_ELEMENTS, _MIN_SHARE, _node_sums
 
 
 def _naive(x, nodes, weights):
@@ -54,8 +62,10 @@ def _quadrature(measure):
 def test_kernel_matches_naive_sum(measure, data):
     nodes, weights = _quadrature(measure)
     rows = max(1, _CHUNK_ELEMENTS // nodes.size)
-    # point counts around chunk multiples, and 0-d and 2-D shapes
-    count = data.draw(st.sampled_from([0, 1, rows - 1, rows + 1, 2 * rows + 3]))
+    # point counts around chunk multiples, one that splits over the
+    # cores of a multi-core host, and 0-d and 2-D shapes
+    count = data.draw(st.sampled_from([0, 1, rows - 1, rows + 1, 2 * rows + 3,
+                                       2 * _MIN_SHARE * rows + 5]))
     shapes = [(count,)]
     if count == 1:
         shapes.append(())
@@ -92,6 +102,138 @@ def test_kernel_empty_and_scalar_shapes():
     assert s.shape == ds.shape == (0, 3)
     s, ds = _node_sums(2j, t, w)
     assert s.shape == () and abs(complex(s) - 2j / ((2j) ** 2 - 1)) <= 1e-15
+
+
+def _random_points(nodes, count, seed):
+    rng = np.random.default_rng(seed)
+    if np.iscomplexobj(nodes):
+        return (rng.uniform(0.2, 3.0, count)
+                * np.exp(2j * np.pi * rng.random(count)))
+    return rng.uniform(-3.0, 3.0, count) + 1j * rng.uniform(1e-4, 1.0, count)
+
+
+@pytest.mark.parametrize("measure", [semicircle(0, 1), arcsine(n=300),
+                                     haar_circle(n=700)],
+                         ids=["line-2048", "line-300", "circle-700"])
+def test_split_matches_serial_bits(measure, monkeypatch):
+    # the split runs whole chunks on other threads: every value keeps
+    # the bits of the inline kernel and of a one-point call, whatever the
+    # core count (patched, so a one-core host splits too)
+    nodes, weights = _quadrature(measure)
+    rows = max(1, _CHUNK_ELEMENTS // nodes.size)
+    # the fewest points that split: one more than 2 * _MIN_SHARE - 1 chunks
+    threshold = (2 * _MIN_SHARE - 1) * rows + 1
+    runs = []
+    chunk_sums = transforms._chunk_sums
+
+    def recording(flat, *args):
+        # a run is a view of x: its offset in x is where it starts
+        lo = (flat.ctypes.data - x.ctypes.data) // x.itemsize
+        runs.append((lo, lo + flat.size, threading.current_thread().name))
+        chunk_sums(flat, *args)
+
+    monkeypatch.setattr(transforms, "_chunk_sums", recording)
+    caller = threading.current_thread().name
+    for count in (threshold - 1, threshold, threshold + rows,
+                  3 * threshold + rows // 2, 4 * threshold + 1):
+        x = _random_points(nodes, count, count)
+        monkeypatch.setattr(transforms, "_usable_cores", lambda: 1)
+        runs.clear()
+        serial = _node_sums(x, nodes, weights)
+        assert runs == [(0, count, caller)]
+        chunks = -(-count // rows)
+        for cores in (2, 3):
+            monkeypatch.setattr(transforms, "_usable_cores", lambda: cores)
+            runs.clear()
+            split = _node_sums(x, nodes, weights)
+            if count < threshold:
+                assert runs == [(0, count, caller)]
+            else:
+                # contiguous runs of at least _MIN_SHARE whole chunks, the
+                # first on the calling thread and the others on the pool's
+                assert len(runs) == min(cores, chunks // _MIN_SHARE) > 1
+                runs.sort()
+                assert runs[0][0] == 0 and runs[-1][1] == count
+                for (_, hi, _), (lo, _, _) in zip(runs, runs[1:]):
+                    assert hi == lo and lo % rows == 0
+                assert all(-(-(hi - lo) // rows) >= _MIN_SHARE
+                           for lo, hi, _ in runs)
+                assert runs[0][2] == caller
+                assert all(name.startswith("freesub-node-sums")
+                           for _, _, name in runs[1:])
+            for got, want in zip(split, serial):
+                assert np.array_equal(got, want)
+        for i in (0, count // 2, count - 1):
+            one = _node_sums(x[i], nodes, weights)
+            assert one[0] == serial[0][i] and one[1] == serial[1][i]
+
+
+def test_one_usable_core_stays_inline(monkeypatch):
+    # the worker count is the CPU affinity; one core never starts a pool
+    def no_pool():
+        raise AssertionError("a one-core call reached the thread pool")
+
+    monkeypatch.setattr(transforms.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(transforms, "_executor", no_pool)
+    assert transforms._usable_cores() == 1
+    t, w = semicircle(0, 1).quadrature()
+    x = _random_points(t, 50 * _CHUNK_ELEMENTS // t.size, 5)
+    s, _ = _node_sums(x, t, w)
+    assert s[7] == _node_sums(x[7], t, w)[0]
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_split_keeps_callers_error_state(cores, monkeypatch):
+    # np.errstate is context-local: each thread runs in a copy of the
+    # caller's context, so a point on a node raises, or stays silent, on
+    # every path alike; it sits in the last chunk, another thread's run
+    monkeypatch.setattr(transforms, "_usable_cores", lambda: cores)
+    t, w = semicircle(0, 1).quadrature()
+    x = _random_points(t, 8 * _MIN_SHARE * _CHUNK_ELEMENTS // t.size, 9)
+    x[-1] = t[100]
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        _node_sums(x, t, w)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(all="ignore"):
+            s, _ = _node_sums(x, t, w)
+    assert not caught
+    assert not np.isfinite(s[-1]) and np.all(np.isfinite(s[:-1]))
+
+
+def _child_sums(conn, x, t, w):
+    s, ds = _node_sums(x, t, w)
+    conn.send((s, ds))
+    conn.close()
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")   # fork with threads
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
+def test_forked_child_builds_its_own_pool(monkeypatch):
+    # the parent's pool threads do not exist in a forked child; a child
+    # that submitted to the inherited pool would wait forever
+    monkeypatch.setattr(transforms, "_usable_cores", lambda: 2)
+    t, w = semicircle(0, 1).quadrature()
+    x = _random_points(t, 8 * _MIN_SHARE * _CHUNK_ELEMENTS // t.size, 11)
+    expected = _node_sums(x, t, w)
+    assert transforms._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_child_sums, args=(send, x, t, w))
+    child.start()
+    send.close()
+    try:
+        assert receive.poll(60), "forked child did not return its node sums"
+        got = receive.recv()
+        child.join(10)
+        assert not child.is_alive() and child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(10)
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
 
 
 def test_solve_omega1_reuses_candidate_evaluations(monkeypatch):
