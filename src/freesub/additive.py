@@ -209,8 +209,6 @@ def _solve_omega1(mu, nu, z, start, tol, max_iter):
 def _upper_points(z, who):
     """z as a complex array, every point finite with Im z > 0."""
     pts = _complex_points("z", z)
-    if not np.all(np.isfinite(pts)):
-        raise DomainError("evaluation point is not finite")
     if np.any(pts.imag <= 0):
         raise DomainError(f"{who} requires Im z > 0")
     return pts

@@ -66,6 +66,27 @@ def _dump_json(path, obj):
     _write_atomic(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
+def _write_rows(out, name, fmt, rows, payload=None):
+    """A table of dict rows as ``name``.csv, or ``payload`` (the rows
+    themselves by default) as ``name``.json.  In the CSV an [re, im]
+    field is two columns, _re and _im; a float is written by _fmt and an
+    int by str."""
+    if fmt != "csv":
+        _dump_json(os.path.join(out, name + ".json"),
+                   rows if payload is None else payload)
+        return
+
+    def cells(row):  # (column, value) pairs
+        for k, v in row.items():
+            yield from zip((k + "_re", k + "_im"), v) if isinstance(v, list) \
+                else [(k, v)]
+
+    lines = [",".join(c for c, _ in cells(rows[0]))]
+    lines += [",".join(str(x) if isinstance(x, int) else _fmt(x)
+                       for _, x in cells(r)) for r in rows]
+    _write_atomic(os.path.join(out, name + ".csv"), "\n".join(lines) + "\n")
+
+
 def _load_config(args):
     """The config file's fields; a set flag that names a config field is
     one more field, checked against the same keys."""
@@ -139,25 +160,19 @@ def _parse_im(text):
         raise BadParams(f"bad --im {text!r}; expected a,b,c") from None
 
 
-def _complex_entry(v):
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(v[0], v[1])
-    raise BadParams("matrix entries must be numbers or [re, im] pairs")
-
-
 def _parse_points(value):
-    if not isinstance(value, list) or not all(
+    if not isinstance(value, list) or not value or not all(
             isinstance(p, list) and len(p) == 2 for p in value):
-        raise BadParams("'points' must be a list of [re, im] pairs")
+        raise BadParams("'points' must be a nonempty list of [re, im] pairs")
     return [complex(p[0], p[1]) for p in value]
 
 
 def _parse_matrix(rows):
+    """Rows of numbers and [re, im] pairs; the library checks the rest."""
     try:
-        return np.array([[_complex_entry(v) for v in row] for row in rows])
-    except (TypeError, BadParams):
+        return np.array([[complex(*v) if isinstance(v, list) and len(v) == 2
+                          else v for v in row] for row in rows])
+    except (TypeError, ValueError):
         raise BadParams("bad matrix literal") from None
 
 
@@ -216,20 +231,7 @@ def cmd_convolve_add(args):
     dens, renorm = continued_density(mu, nu, grid, etas, tol=tol, **cap)
     out = _out_dir(args)
     _dump_json(os.path.join(out, "measure.json"), dens.to_dict())
-    if args.format == "csv":
-        header = ("z_re,z_im,omega1_re,omega1_im,omega2_re,omega2_im,"
-                  "g_re,g_im,residual,iterations")
-        lines = [header]
-        for r in rows:
-            lines.append(",".join(
-                [_fmt(r["z"][0]), _fmt(r["z"][1]), _fmt(r["omega1"][0]),
-                 _fmt(r["omega1"][1]), _fmt(r["omega2"][0]), _fmt(r["omega2"][1]),
-                 _fmt(r["g"][0]), _fmt(r["g"][1]), _fmt(r["residual"]),
-                 str(r["iterations"])]))
-        _write_atomic(os.path.join(out, "subordination.csv"),
-                      "\n".join(lines) + "\n")
-    else:
-        _dump_json(os.path.join(out, "subordination.json"), rows)
+    _write_rows(out, "subordination", args.format, rows)
     summary = {
         "command": "convolve-add",
         "support_estimate": list(dens.support()),
@@ -327,14 +329,7 @@ def cmd_eval(args):
         rows.append({"point": [p.real, p.imag], "value": [v.real, v.imag],
                      "margin": margin})
     out = _out_dir(args)
-    if args.format == "csv":
-        lines = ["point_re,point_im,value_re,value_im,margin"]
-        for r in rows:
-            lines.append(",".join(map(_fmt, r["point"] + r["value"] + [r["margin"]])))
-        _write_atomic(os.path.join(out, "eval.csv"), "\n".join(lines) + "\n")
-    else:
-        _dump_json(os.path.join(out, "eval.json"),
-                   {"transform": name, "rows": rows})
+    _write_rows(out, "eval", args.format, rows, {"transform": name, "rows": rows})
     _write_meta(out, "eval")
     return EXIT_PASS
 

@@ -17,20 +17,9 @@ does not depend on the stack it was computed in.
 
 import numpy as np
 
-from .errors import BadParams
+from .errors import _complex_matrix
 
 _SINGULAR_RTOL = 1e-13
-
-
-def _as_square(t):
-    """Coerce to a square complex ndarray, or a stack of them, and
-    validate it."""
-    m = np.asarray(t, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise BadParams(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise BadParams("matrix has non-finite entries")
-    return m
 
 
 def _per_matrix(v):
@@ -40,7 +29,12 @@ def _per_matrix(v):
 
 def operator_norm(t):
     """Largest singular value, computed densely."""
-    return _per_matrix(np.linalg.svd(_as_square(t), compute_uv=False)[..., 0])
+    s = np.linalg.svd(_complex_matrix("t", t, stack=True), compute_uv=False)
+    return _per_matrix(s[..., 0])
+
+
+def _im(m):
+    return (m - m.conj().mT) / 2j
 
 
 def im_part(t) -> np.ndarray:
@@ -50,8 +44,12 @@ def im_part(t) -> np.ndarray:
     Hermitian: entry (j, i) is computed from the same two real sums as
     entry (i, j), and dividing by 2i only swaps and halves them.
     """
-    m = _as_square(t)
-    return (m - m.conj().mT) / 2j
+    return _im(_complex_matrix("t", t, stack=True))
+
+
+def _halfplane_margin(m):
+    """halfplane_margin of a matrix or stack the caller checked or computed."""
+    return _per_matrix(np.linalg.eigvalsh(_im(m))[..., 0])
 
 
 def halfplane_margin(t):
@@ -60,7 +58,7 @@ def halfplane_margin(t):
     Positive iff T lies in the open upper half-plane; the margin of the
     lower half-plane is ``halfplane_margin(-T)``.
     """
-    return _per_matrix(np.linalg.eigvalsh(im_part(t))[..., 0])
+    return _halfplane_margin(_complex_matrix("t", t, stack=True))
 
 
 def contraction_margins(x):
@@ -75,7 +73,7 @@ def contraction_margins(x):
     are open and equivalent).  If ``1 - x`` is singular the resolvent
     margin is reported as ``-inf``.
     """
-    m = _as_square(x)
+    m = _complex_matrix("x", x, stack=True)
     norm_margin = 1.0 - np.linalg.svd(m, compute_uv=False)[..., 0]
     a = np.eye(m.shape[-1]) - m
     s = np.linalg.svd(a, compute_uv=False)
@@ -92,7 +90,7 @@ def resolvent_identity_residual(x):
     The identity is algebraically exact whenever 1-x is invertible, so
     the residual measures pure floating-point conditioning.
     """
-    m = _as_square(x)
+    m = _complex_matrix("x", x, stack=True)
     eye = np.eye(m.shape[-1])
     a = np.linalg.inv(eye - m)
     b = a.conj().mT  # = (1 - x*)^{-1}

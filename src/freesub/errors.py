@@ -1,4 +1,4 @@
-"""Typed exceptions shared across the package, and its two argument checks.
+"""Typed exceptions shared across the package, and its argument checks.
 
 Every error the package raises is a FreesubError.  A rejected argument
 (a value, size, type or name) raises BadParams, also a ValueError; a
@@ -13,7 +13,14 @@ for a tolerance, scale or position.  Both reject a bool and a string,
 ``int_in_range`` also any float (2.0 included), and ``real_above`` a
 NaN or an infinity, all with BadParams; both return the plain int or
 float.  The private ``_complex_points`` does the same for an evaluation
-point or a vector of them.
+point or a vector of them, and rejects a NaN or an infinite point with
+DomainError.  Every matrix argument is checked once, where the library
+first reads it, by the private ``_complex_matrix``: it returns a complex
+square matrix or (where the argument may be one) a stack, reads a
+scalar as 1 x 1, and raises BadParams naming the argument for a value
+that is not numeric, is ragged, is not square or of the required size,
+or has a NaN or an infinite entry.  No solver checks again what it
+computed itself.
 """
 
 import math
@@ -113,18 +120,44 @@ def real_above(name, value, floor=-math.inf, closed=False):
     return v
 
 
+def _numbers(value):
+    """``value`` as a complex ndarray, or None if it is not all numbers."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):  # a ragged sequence
+        return None
+    return np.asarray(arr, dtype=complex) if arr.dtype.kind in "iufc" else None
+
+
 def _complex_points(name, value, scalar=False):
     """``value`` as a complex ndarray, or as one complex if ``scalar``.
 
-    Only numbers are points: a string, a bool, a ragged sequence or an
-    object array raises BadParams, and so does an array for ``scalar``.
+    Only numbers are points: anything else raises BadParams, and so does
+    an array for ``scalar``; a NaN or an infinity raises DomainError.
     """
-    try:
-        pts = np.asarray(value)
-    except (TypeError, ValueError):  # a ragged sequence
-        pts = None
-    if pts is None or pts.dtype.kind not in "iufc" or (scalar and pts.ndim):
+    pts = _numbers(value)
+    if pts is None or (scalar and pts.ndim):
         what = "a complex number" if scalar else "complex numbers"
         raise BadParams(f"{name} must be {what}, got {value!r}")
-    pts = np.asarray(pts, dtype=complex)
+    if not np.isfinite(pts).all():
+        raise DomainError(f"{name} is not finite")
     return complex(pts) if scalar else pts
+
+
+def _complex_matrix(name, value, n=None, stack=False):
+    """``value`` as a complex square matrix, or as a (..., n, n) stack of
+    them if ``stack``; a scalar is 1 x 1, and ``n``, if given, the size.
+    Anything else raises BadParams naming ``name``."""
+    m = _numbers(value)
+    if m is None:
+        raise BadParams(f"{name} must be a matrix of numbers")
+    if m.ndim == 0:
+        m = m.reshape(1, 1)
+    k = m.shape[-1] if n is None else n
+    if m.shape[-2:] != (k, k) or not k or m.ndim > 2 and not stack:
+        what = "square matrices" if stack else "one square matrix"
+        raise BadParams(f"{name} must be {what} of size {n or 'n >= 1'}, "
+                        f"got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise BadParams(f"{name} has a non-finite entry")
+    return m

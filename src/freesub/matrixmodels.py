@@ -41,10 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .domains import contraction_margins, halfplane_margin, \
+from .domains import _halfplane_margin, contraction_margins, \
     operator_norm, resolvent_identity_residual
 from .errors import BadParams, DegenerateTransform, NoConvergence, \
-    int_in_range, real_above
+    _complex_matrix, int_in_range, real_above
 from .measures import CircleMeasure
 from .multiplicative import disk_subordination_solve
 from .opvalued import CovarianceMap, _kron, op_add_cauchy, \
@@ -164,9 +164,11 @@ def _phase_unitary(theta_law, N, rng):
 
 def partial_trace(Z, n, N):
     """(id_n (x) N^{-1}Tr_N)(Z) for Z acting on C^n (x) C^N."""
-    Z = np.asarray(Z)
-    if Z.shape != (n * N, n * N):
-        raise BadParams(f"expected {(n * N, n * N)}, got {Z.shape}")
+    return _partial_trace(_complex_matrix("Z", Z, n * N), n, N)
+
+
+def _partial_trace(Z, n, N):
+    """partial_trace of an n*N x n*N matrix the caller has computed."""
     return np.einsum("ikjk->ij", Z.reshape(n, N, n, N)) / N
 
 
@@ -282,11 +284,10 @@ def experiment_prop32(lam_diag, a0, eps=1.0, trials=200, seed=0,
     fit sees exactly the raw per-trial statistics.
     """
     lam = np.asarray(lam_diag, dtype=float)
-    N = lam.size
-    a0 = np.asarray(a0, dtype=complex)
-    if a0.shape != (N, N):
-        raise BadParams("a0 must match the spectrum size")
-    int_in_range("N", N, 1)
+    if not np.isfinite(lam).all():
+        raise BadParams("lam_diag has a non-finite entry")
+    N = int_in_range("N", lam.size, 1)
+    a0 = _complex_matrix("a0", a0, N)
     trials = int_in_range("trials", trials, 1)
     eps = real_above("eps", eps, 0.0)
     seed = int_in_range("seed", seed, 0)
@@ -330,12 +331,9 @@ def experiment_prop33(A0, C0, eps=1.0, trials=200, seed=0) -> ExperimentReport:
     scalar up to fluctuations, and its scalar part keeps a positive
     imaginary part.
     """
-    A0 = np.asarray(A0, dtype=complex)
-    C0 = np.asarray(C0, dtype=complex)
-    N = A0.shape[0] if A0.ndim == 2 else 0
-    if A0.shape != (N, N) or C0.shape != (N, N):
-        raise BadParams("A0 and C0 must share a size")
-    int_in_range("N", N, 1)
+    A0 = _complex_matrix("A0", A0)
+    N = A0.shape[0]
+    C0 = _complex_matrix("C0", C0, N)
     trials = int_in_range("trials", trials, 1)
     eps = real_above("eps", eps, 0.0)
     seed = int_in_range("seed", seed, 0)
@@ -385,9 +383,7 @@ def experiment_thm36(theta_law: CircleMeasure, c0=None, N=600, trials=100,
     seed = int_in_range("seed", seed, 0)
     if c0 is None:
         c0 = 0.7 * _haar(_rng(seed, 999), N)
-    c0 = np.asarray(c0, dtype=complex)
-    if c0.shape != (N, N):
-        raise BadParams("c0 must be N x N")
+    c0 = _complex_matrix("c0", c0, N)
     nrm = np.linalg.norm(c0, 2)
     if nrm > 0.9:
         raise BadParams("c0 must satisfy ||c0|| <= 0.9")
@@ -434,15 +430,13 @@ def experiment_thm31_block(eta_x: CovarianceMap, eta_y: CovarianceMap, b,
     ex = eta_x.symmetrized()
     ey = eta_y.symmetrized()
     n = ex.n
-    b = np.asarray(b, dtype=complex)
-    if b.shape != (n, n):
-        raise BadParams("b must match the covariance size")
+    b = _complex_matrix("b", b, n)
     N = int_in_range("N", N, 1)
     trials = int_in_range("trials", trials, 1)
     seed = int_in_range("seed", seed, 0)
     if n * N > 4096:
         raise BadParams("n*N capped at 4096")
-    if halfplane_margin(b) < 0.5:
+    if _halfplane_margin(b) < 0.5:
         raise BadParams("experiments require halfplane_margin(b) >= 0.5")
     g_xy = op_add_cauchy(ex, ey, b, tol=_SOLVER_TOL).g
     f_b = solve_subordination_F(
@@ -470,9 +464,9 @@ def experiment_thm31_block(eta_x: CovarianceMap, eta_y: CovarianceMap, b,
         y = block_sample(rng, eta_y)
         y += x
         np.subtract(big_b, y, out=y)
-        acc_xy += partial_trace(_inv(y), n, N)
+        acc_xy += _partial_trace(_inv(y), n, N)
         np.subtract(big_f, x, out=x)
-        acc_x += partial_trace(_inv(x), n, N)
+        acc_x += _partial_trace(_inv(x), n, N)
     est_xy = acc_xy / trials
     est_x = acc_x / trials
     subord = float(np.linalg.norm(est_xy - est_x))

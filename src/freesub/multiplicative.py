@@ -22,14 +22,13 @@ splits a large call over the usable cores with the bits of a
 single-threaded run; there is no setting for it.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateTransform, DomainError, NoConvergence,
-                     _complex_points, int_in_range)
+from .errors import DegenerateTransform, NoConvergence, _complex_points, \
+    int_in_range
 from .measures import CircleMeasure, measure_from_circle_moments
 from .transforms import _node_sums, eta_transform
 
@@ -141,8 +140,6 @@ def disk_subordination_solve(nu: CircleMeasure, target) -> DiskSubordinationEval
     that degeneracy is detected up front and surfaced as a typed error.
     """
     target = _complex_points("target", target, scalar=True)
-    if not cmath.isfinite(target):
-        raise DomainError("disk subordination target is not finite")
     probes = np.array([0.0, 0.3, -0.3, 0.3j])
     k_probe, _ = _k_and_derivative(nu, probes)
     if np.ptp(k_probe.real) + np.ptp(k_probe.imag) < 1e-12 * (1 + abs(k_probe[0])):

@@ -20,27 +20,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .domains import halfplane_margin
+from .domains import _halfplane_margin
 from .errors import (BadParams, DomainError, JacobianSingular, NoConvergence,
-                     real_above)
+                     _complex_matrix, real_above)
 
 _MAX_N = 8
 _DAMPING = 0.5
 _FD_STEP = 1e-6
 _CAUCHY_MAX_ITER = 500
 _F_MAX_ITER = 50
-
-
-def _as_matrix(b, n=None):
-    """A complex (..., n, n) stack of matrices; a scalar is 1 x 1."""
-    b = np.asarray(b, dtype=complex)
-    if b.ndim == 0:
-        b = b.reshape(1, 1)
-    if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
-        raise BadParams("expected a square matrix or a stack of them")
-    if n is not None and b.shape[-1] != n:
-        raise BadParams(f"expected size {n}, got {b.shape[-1]}")
-    return b
 
 
 @dataclass(frozen=True)
@@ -50,15 +38,15 @@ class CovarianceMap:
     kraus: tuple
 
     def __post_init__(self):
-        mats = tuple(np.array(k, dtype=complex) for k in self.kraus)
-        if not mats:
+        kraus = tuple(self.kraus)
+        if not kraus:
             raise BadParams("covariance map needs at least one Kraus term")
-        n = mats[0].shape[0] if mats[0].ndim == 2 else 1
+        n = _complex_matrix("kraus[0]", kraus[0]).shape[0]
         if n > _MAX_N:
             raise BadParams(f"dimension cap is {_MAX_N}")
-        mats = tuple(_as_matrix(k, n) for k in mats)
-        if any(k.ndim != 2 for k in mats):
-            raise BadParams("each Kraus term must be one matrix")
+        # copies: the frozen terms must not be the caller's arrays
+        mats = tuple(_complex_matrix(f"kraus[{i}]", k, n).copy()
+                     for i, k in enumerate(kraus))
         for k in mats:
             k.setflags(write=False)
         object.__setattr__(self, "kraus", mats)
@@ -70,7 +58,10 @@ class CovarianceMap:
     def __call__(self, b):
         """eta(b) for a matrix b, or for each matrix of a stack (..., n, n),
         as one product with the cached n^2 x n^2 matrix of eta."""
-        b = _as_matrix(b, self.n)
+        return self._apply(_complex_matrix("b", b, self.n, stack=True))
+
+    def _apply(self, b):
+        """eta of a complex (..., n, n) array that is checked or computed."""
         vec = b.reshape(b.shape[:-2] + (self.n ** 2, 1))
         return (self._kraus_kron @ vec).reshape(b.shape)
 
@@ -84,8 +75,6 @@ class CovarianceMap:
 
     def plus(self, other: "CovarianceMap") -> "CovarianceMap":
         """Covariance of the sum of free semicirculars: Kraus concatenation."""
-        if other.n != self.n:
-            raise BadParams("covariance maps act on different sizes")
         return CovarianceMap(self.kraus + other.kraus)
 
     def symmetrized(self) -> "CovarianceMap":
@@ -108,9 +97,11 @@ class CovarianceMap:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CovarianceMap":
-        kraus = tuple(
-            np.array([[complex(re, im) for re, im in row] for row in k])
-            for k in d["kraus"])
+        try:
+            kraus = tuple([[complex(re, im) for re, im in row] for row in k]
+                          for k in d["kraus"])
+        except (TypeError, ValueError):
+            raise BadParams("kraus entries must be [re, im] pairs") from None
         cm = cls(kraus)
         if cm.n != d.get("n", cm.n):
             raise BadParams("serialized size disagrees with Kraus shape")
@@ -132,10 +123,10 @@ class OpCauchyEval:
 
     def __post_init__(self):
         for name in ("b", "g"):
-            m = np.array(getattr(self, name), dtype=complex)
+            m = _complex_matrix(name, getattr(self, name), stack=True).copy()
             m.setflags(write=False)
             object.__setattr__(self, name, m)
-        if np.any(halfplane_margin(-self.g) <= 0):
+        if np.any(_halfplane_margin(-self.g) <= 0):
             raise DomainError("Cauchy transform value left the lower half plane")
 
 
@@ -168,8 +159,8 @@ def op_semicircular_cauchy(eta: CovarianceMap, b, tol=1e-12) -> OpCauchyEval:
     """
     tol = real_above("tol", tol, 0.0)
     n = eta.n
-    b = _as_matrix(b, n)
-    if np.any(halfplane_margin(b) <= 0):
+    b = _complex_matrix("b", b, n, stack=True)
+    if np.any(_halfplane_margin(b) <= 0):
         raise DomainError("op_semicircular_cauchy needs Im b > 0")
     points = b.reshape(-1, n, n)
     out = np.empty_like(points)
@@ -183,7 +174,7 @@ def op_semicircular_cauchy(eta: CovarianceMap, b, tol=1e-12) -> OpCauchyEval:
     trial = np.zeros(len(points), dtype=bool)
     g_prev, fixed_prev, res_prev = g, g, np.full(len(points), np.inf)
     for it in range(1, _CAUCHY_MAX_ITER + 1):
-        lhs = points - eta(g)
+        lhs = points - eta._apply(g)
         fixed = np.linalg.inv(lhs)
         res = np.linalg.norm(fixed - g, axis=(-2, -1))
         # a NaN residual never wins, so its candidate is undone too
@@ -213,7 +204,7 @@ def op_semicircular_cauchy(eta: CovarianceMap, b, tol=1e-12) -> OpCauchyEval:
         finite = np.isfinite(cand).all(axis=(-2, -1))
         if not finite.all():
             cand[~finite] = g[~finite]  # checkable stand-in, never kept
-        trial = finite & ~undo & (halfplane_margin(-cand) > 0)
+        trial = finite & ~undo & (_halfplane_margin(-cand) > 0)
         g_prev, fixed_prev, res_prev = g, fixed, res
         if trial.all():
             g = cand
@@ -237,7 +228,8 @@ def semicircular_shift_F(eta_y: CovarianceMap, g_xy, b):
     Used as an oracle and as a warm start; the general solver below does
     not rely on it.
     """
-    return _as_matrix(b, eta_y.n) - eta_y(_as_matrix(g_xy, eta_y.n))
+    g_xy = _complex_matrix("g_xy", g_xy, eta_y.n, stack=True)
+    return _complex_matrix("b", b, eta_y.n, stack=True) - eta_y._apply(g_xy)
 
 
 def solve_subordination_F(g_x_eval, g_target, b_start, tol=1e-10):
@@ -255,26 +247,19 @@ def solve_subordination_F(g_x_eval, g_target, b_start, tol=1e-10):
     way.
     """
     tol = real_above("tol", tol, 0.0)
-    g_target = np.asarray(g_target, dtype=complex)
-    if g_target.ndim != 2:
-        raise BadParams("g_target must be one matrix")
-    if halfplane_margin(-g_target) <= 0:
-        raise DomainError("target is not the value of a Cauchy transform")
+    g_target = _complex_matrix("g_target", g_target)
     n = g_target.shape[0]
-    w = _as_matrix(b_start, n).copy()
-    if w.ndim != 2:
-        raise BadParams("b_start must be one matrix")
-    if halfplane_margin(w) <= 0:
+    w = _complex_matrix("b_start", b_start, n).copy()
+    if _halfplane_margin(-g_target) <= 0:
+        raise DomainError("target is not the value of a Cauchy transform")
+    if _halfplane_margin(w) <= 0:
         raise DomainError("b_start must lie in the matrix upper half plane")
     directions = np.eye(n * n).reshape(n * n, n, n)
     resid_mat = g_x_eval(w) - g_target
     for _ in range(_F_MAX_ITER):
         resid = float(np.linalg.norm(resid_mat))
         if resid <= tol:
-            result = w
-            if halfplane_margin(result) <= 0:
-                raise DomainError("recovered subordination point left the half plane")
-            return result
+            return w
         delta = _FD_STEP * max(1.0, float(np.linalg.norm(w)))
         pert = w + delta * directions
         moved = g_x_eval(pert) - g_target
@@ -290,7 +275,7 @@ def solve_subordination_F(g_x_eval, g_target, b_start, tol=1e-10):
         s = 1.0
         for _ in range(30):
             cand = w + s * step
-            if halfplane_margin(cand) > 0:
+            if _halfplane_margin(cand) > 0:
                 cand_mat = g_x_eval(cand) - g_target
                 if np.linalg.norm(cand_mat) < 10.0 * resid:
                     break

@@ -162,13 +162,11 @@ def _node_sums(x, nodes, weights):
 
 
 def _require_clear(pts, nodes, gap, clearance):
-    """Reject non-finite points and points within ``clearance`` of a node.
+    """Reject points within ``clearance`` of a node.
 
     ``gap`` bounds each point's distance to every node from below, so
     only the points with gap < clearance are compared node by node.
     """
-    if not np.all(np.isfinite(pts)):
-        raise DomainError("evaluation point is not finite")
     close = gap < clearance
     if np.any(close) and np.any(
             np.abs(pts[close][:, None] - nodes) < clearance):
@@ -249,8 +247,7 @@ def _lagrange_at_zero(etas):
     return coeff
 
 
-def stieltjes_invert(g_eval, grid, eta_sequence=(4e-4, 2e-4, 1e-4),
-                     neg_tol=1e-3):
+def stieltjes_invert(g_eval, grid, eta_sequence, neg_tol=1e-3):
     """Recover a density from a Cauchy-transform evaluator.
 
     ``g_eval(z)`` must accept a complex vector in the upper half plane.

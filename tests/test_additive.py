@@ -275,12 +275,15 @@ def _line_pairs(draw):
     return law(), law()
 
 
+# batches of points with 1e-4 <= Im z <= 3
+_UPPER_POINTS = st.lists(
+    st.builds(complex, st.floats(-4.0, 4.0),
+              st.floats(-4.0, np.log10(3.0)).map(lambda e: 10.0 ** e)),
+    min_size=2, max_size=40).map(np.array)
+
+
 @settings(max_examples=40, deadline=None)
-@given(pair=_line_pairs(),
-       z=st.lists(st.builds(complex, st.floats(-4.0, 4.0),
-                            st.floats(-4.0, np.log10(3.0)).map(
-                                lambda e: 10.0 ** e)),
-                  min_size=2, max_size=40).map(np.array))
+@given(pair=_line_pairs(), z=_UPPER_POINTS)
 # these batches mix 3-11 and 4-17 iterations, Picard steps and stops at
 # T's rounding
 @example(pair=(bernoulli_pm1(), bernoulli_pm1()),
@@ -309,6 +312,26 @@ def test_solve_does_not_depend_on_its_batch(pair, z):
         g2 = complex(cauchy_transform(nu, one.omega2))
         assert one.omega2 == one.z + 1.0 / one.g_conv - one.omega1
         assert one.residual == abs(one.g_conv - g2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_line_pairs(), z=_UPPER_POINTS)
+def test_subordination_pairs_keep_the_invariants(pair, z):
+    # at every point: the Herglotz margins Im omega_j >= Im z, the
+    # subordination identity omega1 + omega2 - z = 1/G to rounding, and
+    # the residual at the solver's level
+    mu, nu = pair
+    for p in subordination_pairs(mu, nu, z):
+        assert p.omega1.imag >= p.z.imag - 1e-10
+        assert p.omega2.imag >= p.z.imag - 1e-10
+        terms = (p.omega1, p.omega2, -p.z, -1.0 / p.g_conv)
+        assert abs(sum(terms)) <= 4 * np.finfo(float).eps * sum(map(abs, terms))
+        # residual = |G_mu - G_nu| = |T(omega1) - omega1| |G_mu G_nu|, and
+        # the fixed point stops within tol * max(1, |omega1|), or within
+        # T's rounding up to _ROUNDING_CAP times that; max(1, |G|) keeps
+        # the node sums' own rounding where G is small
+        limit = additive._ROUNDING_CAP * additive._TOL * max(1.0, abs(p.omega1))
+        assert p.residual <= limit * max(1.0, abs(p.g_conv)) ** 2
 
 
 @settings(max_examples=40, deadline=None)

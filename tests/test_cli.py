@@ -186,6 +186,18 @@ def test_unread_flags_and_fields_exit_2(tmp_path, capsys, argv, cfg):
     (["convolve-add", "--grid=-1:1:11", "--im", "1,0"], {"mu": SC, "nu": SC}),
     (["convolve-add", "--grid=-1:1:11", "--im", "1,nan"],
      {"mu": SC, "nu": SC}),
+    # a NaN matrix entry once exited 3, 1 and 2 with numpy's message
+    (["verify", "prop32", "--trials", "1"], {"lam": [1.0, np.nan, -1.0]}),
+    (["verify", "prop33", "--trials", "1"],
+     {"A0": [[1.0, 0.0], [0.0, np.nan]], "C0": [[1.0, 0.0], [0.0, 1.0]]}),
+    (["verify", "thm36", "--N", "2", "--trials", "1"],
+     {"c0": [[np.nan, 0.0], [0.0, 0.0]]}),
+    (["eval", "cauchy"], {"measure": SC, "points": []}),
+    # a matrix literal the library cannot read as numbers
+    (["verify", "thm36", "--N", "2", "--trials", "1"],
+     {"c0": [[0.1, None], [0.0, 0.1]]}),
+    (["verify", "thm36", "--N", "2", "--trials", "1"],
+     {"c0": [[0.1, [0.0, 0.2, 0.3]], [0.0, 0.1]]}),
 ])
 def test_rejected_sizes_and_values_exit_2(tmp_path, capsys, argv, cfg):
     argv = argv + ["--config", write_cfg(tmp_path / "cfg.json", cfg),

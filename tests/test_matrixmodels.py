@@ -331,6 +331,9 @@ def test_lemma34_sweep_small():
     lambda: experiment_prop33(np.eye(4), np.eye(4), trials=2, seed=-3),
     # an integer dims once ended in a TypeError
     lambda: experiment_lemma34(dims=5),
+    # a NaN eigenvalue once ran every trial and stalled the shift fit
+    lambda: experiment_prop32([1.0, np.nan], np.eye(2)),
+    lambda: experiment_prop32([np.inf, 1.0], np.eye(2)),
 ])
 def test_experiments_reject_empty_sizes(monkeypatch, run):
     # rejected before the first draw

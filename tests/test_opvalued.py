@@ -70,6 +70,14 @@ def test_covariance_validation():
         CovarianceMap((np.zeros((1, 2, 2)),))
 
 
+@pytest.mark.parametrize("kraus", [[[["a", 1.0]]], [[[1.0]]], 5, [[1.0]],
+                                   [[[[1.0, 0.0], [2.0, 0.0]], [[1.0, 0.0]]]]])
+def test_covariance_from_dict_rejects_malformed_kraus(kraus):
+    # a malformed entry once raised a builtin ValueError or TypeError
+    with pytest.raises(BadParams, match="kraus"):
+        CovarianceMap.from_dict({"n": 2, "kraus": kraus})
+
+
 def test_covariance_serialization_roundtrip():
     rng = np.random.default_rng(8)
     eta = cm(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)),

@@ -15,9 +15,10 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import freesub
-from freesub import BadParams
+from freesub import BadParams, domains, matrixmodels
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src/freesub"
@@ -171,6 +172,7 @@ REQUIRED = {
     "g_target": -1j * np.eye(2),
     "g_x_eval": lambda w: freesub.op_semicircular_cauchy(_eta2(), w).g,
     "g_eval": lambda z: -1j * np.ones_like(z), "grid": np.linspace(-1, 1, 9),
+    "eta_sequence": (1e-2,),
     "z": 1j, "m": [1, 0, 1, 0, 2], "moments_a": [0, 1, 0],
     "moments_b": [0, 1, 0], "moments": [0.1, 0.0],
 }
@@ -230,6 +232,73 @@ def test_numeric_parameters_reject_bad_values():
                 pass
             accepted.append(f"{label}({param.name}={value!r})")
     assert not accepted, f"not rejected with BadParams: {accepted}"
+
+
+def _no_solve(w):
+    raise AssertionError("solved before checking its matrices")
+
+
+# every public function that takes a matrix, as (label, argument name,
+# the name a wrong size is reported under, call with that argument
+# replaced); the covariance maps and the other arguments are valid, 2 x 2
+MATRIX_ARGUMENTS = [
+    ("CovarianceMap", "kraus", "kraus",
+     lambda m: freesub.CovarianceMap((np.eye(2), m))),
+    ("CovarianceMap.__call__", "b", "b", lambda m: _eta2()(m)),
+    ("op_semicircular_cauchy", "b", "b",
+     lambda m: freesub.op_semicircular_cauchy(_eta2(), m)),
+    ("op_add_cauchy", "b", "b",
+     lambda m: freesub.op_add_cauchy(_eta2(), _eta2(), m)),
+    ("semicircular_shift_F", "g_xy", "g_xy",
+     lambda m: freesub.semicircular_shift_F(_eta2(), m, 1j * np.eye(2))),
+    ("semicircular_shift_F", "b", "b",
+     lambda m: freesub.semicircular_shift_F(_eta2(), -1j * np.eye(2), m)),
+    ("solve_subordination_F", "g_target", "b_start",
+     lambda m: freesub.solve_subordination_F(_no_solve, m, 1j * np.eye(2))),
+    ("solve_subordination_F", "b_start", "b_start",
+     lambda m: freesub.solve_subordination_F(_no_solve, -1j * np.eye(2), m)),
+    ("experiment_prop32", "a0", "a0",
+     lambda m: freesub.experiment_prop32([1.0, -1.0], m)),
+    ("experiment_prop33", "A0", "C0",
+     lambda m: freesub.experiment_prop33(m, np.eye(2))),
+    ("experiment_prop33", "C0", "C0",
+     lambda m: freesub.experiment_prop33(np.eye(2), m)),
+    ("experiment_thm36", "c0", "c0",
+     lambda m: freesub.experiment_thm36(freesub.haar_circle(), m, N=2)),
+    ("experiment_thm31_block", "b", "b",
+     lambda m: freesub.experiment_thm31_block(_eta2(), _eta2(), m, N=2)),
+    ("partial_trace", "Z", "Z", lambda m: matrixmodels.partial_trace(m, 1, 2)),
+]
+# the domains margins take any size, so their last bad value is not square
+MARGINS = [(fn.__name__, name, name, fn) for name, fn in [
+    ("t", freesub.halfplane_margin), ("x", freesub.contraction_margins),
+    ("x", freesub.resolvent_identity_residual), ("t", domains.operator_norm),
+    ("t", domains.im_part)]]
+
+
+def _bad_matrices(last):
+    nan, inf = np.eye(2, dtype=complex), np.eye(2)
+    nan[0, 1] = complex(0.0, np.nan)
+    inf[1, 1] = -np.inf
+    return [nan, inf, "ab", [["1", "2"], ["3", "4"]], [[1.0, 2.0], [3.0]], last]
+
+
+@pytest.mark.parametrize("name, size_name, call, last", [
+    pytest.param(*case[1:], last, id=f"{case[0]}({case[1]})")
+    for cases, last in ((MATRIX_ARGUMENTS, np.eye(3)), (MARGINS, np.ones((2, 3))))
+    for case in cases])
+def test_matrix_arguments_reject_bad_values(monkeypatch, name, size_name,
+                                            call, last):
+    # NaN and infinite entries, strings, a ragged list and a wrong size
+    # raise BadParams naming the argument, before any draw or solve; a
+    # NaN once reached prop33's trials and thm36's SVD
+    def no_draw(*args):
+        raise AssertionError("drew before checking its matrices")
+    monkeypatch.setattr("freesub.matrixmodels._rng", no_draw)
+    for bad in _bad_matrices(last):
+        blamed = size_name if bad is last else name
+        with pytest.raises(BadParams, match=rf"\b{blamed}\b"):
+            call(bad)
 
 
 def test_no_private_freesub_imports():

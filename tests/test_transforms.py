@@ -130,6 +130,7 @@ def test_psi_of_haar_vanishes():
 # through between nodes.  Subordinated transforms do not have this
 # constraint: their omega keeps the effective height large in the bulk.
 GRID_ETAS = (1.6e-2, 8e-3, 4e-3)
+FINE_ETAS = (4e-4, 2e-4, 1e-4)
 
 
 def test_stieltjes_invert_semicircle_roundtrip():
@@ -168,12 +169,13 @@ def test_stieltjes_invert_renorm_sweep(standard_line_measures):
 
 def test_stieltjes_invert_rejects_wrong_sign():
     with pytest.raises(NonPositiveDensity):
-        stieltjes_invert(lambda z: np.full(np.shape(z), 1j), np.linspace(-1, 1, 100))
+        stieltjes_invert(lambda z: np.full(np.shape(z), 1j),
+                         np.linspace(-1, 1, 100), FINE_ETAS)
 
 
 def test_stieltjes_invert_validates_arguments():
     with pytest.raises(ValueError):
-        stieltjes_invert(lambda z: 1 / z, np.linspace(0, 1, 4))
+        stieltjes_invert(lambda z: 1 / z, np.linspace(0, 1, 4), FINE_ETAS)
     with pytest.raises(ValueError):
         stieltjes_invert(lambda z: 1 / z, np.linspace(-1, 1, 100),
                          eta_sequence=(0.0, -1.0))
@@ -213,9 +215,9 @@ def test_stieltjes_invert_rejects_non_uniform_grid():
 
     grid = np.concatenate([np.linspace(-1, 0, 50), np.linspace(0.05, 1, 50)])
     with pytest.raises(ValueError, match="uniform"):
-        stieltjes_invert(g_eval, grid)
+        stieltjes_invert(g_eval, grid, FINE_ETAS)
     with pytest.raises(ValueError, match="uniform"):
-        stieltjes_invert(g_eval, np.linspace(1, -1, 100))
+        stieltjes_invert(g_eval, np.linspace(1, -1, 100), FINE_ETAS)
     assert not calls
 
 
