@@ -59,6 +59,7 @@ _IDENTITY_TOL = 1e-11     # lemma34: their identity residual
 _SWEEP_BLOCK = 256        # lemma34: draws whose linear algebra is stacked
 _FIT_STEPS = 50           # prop32: cap on Gauss-Newton steps of the shift fit
 _ROUNDING = 4 * np.finfo(float).eps  # prop32: fit stops at this step / |f|
+_PHASE_ROTATIONS = 4      # prop32: diagonal-phase conjugations per trial
 
 
 def _rng(seed, *path):
@@ -256,8 +257,8 @@ def _fit_shift(d, lam):
                         iterations=_FIT_STEPS, residual=abs(step))
 
 
-def experiment_prop32(lam_diag, a0, eps=1.0, trials=200, seed=0,
-                      phase_rotations=4) -> ExperimentReport:
+def experiment_prop32(lam_diag, a0, eps=1.0, trials=200,
+                      seed=0) -> ExperimentReport:
     """Resolvent-diagonalization check against a deterministic spectrum.
 
     X = diag(lam) is fixed; a = U(a0 + i*eps)U* is Haar-rotated, hence
@@ -276,7 +277,7 @@ def experiment_prop32(lam_diag, a0, eps=1.0, trials=200, seed=0,
     and conjugates the resolvent by D (D commutes with diag(lam)), so
     every off-diagonal entry of the mean vanishes identically and
     off_diag measures pure sampling noise.  Each trial therefore also
-    averages over phase_rotations extra diagonal-phase conjugations of
+    averages over _PHASE_ROTATIONS extra diagonal-phase conjugations of
     its resolvent -- every term is again a resolvent at a Haar unitary,
     and the conjugation costs no additional matrix inversion while it
     cuts the off-diagonal noise by the usual square-root factor.  The
@@ -291,7 +292,6 @@ def experiment_prop32(lam_diag, a0, eps=1.0, trials=200, seed=0,
     trials = int_in_range("trials", trials, 1)
     eps = real_above("eps", eps, 0.0)
     seed = int_in_range("seed", seed, 0)
-    phase_rotations = int_in_range("phase_rotations", phase_rotations, 1)
     shifted = _shifted(a0, eps)
     idx = np.arange(N)
     acc = np.zeros((N, N), dtype=complex, order="F")
@@ -301,8 +301,8 @@ def experiment_prop32(lam_diag, a0, eps=1.0, trials=200, seed=0,
         a[idx, idx] -= lam
         r = _inv(a)
         # sum_m D_m R D_m* = R o (P P*) for the N x K phase matrix P
-        p = np.exp(2j * np.pi * rng.random((N, phase_rotations)))
-        r *= blas.zgemm(1.0 / phase_rotations, p, p, trans_b=2)
+        p = np.exp(2j * np.pi * rng.random((N, _PHASE_ROTATIONS)))
+        r *= blas.zgemm(1.0 / _PHASE_ROTATIONS, p, p, trans_b=2)
         acc += r
     mbar = acc / trials
     diag = np.diagonal(mbar)
@@ -315,7 +315,7 @@ def experiment_prop32(lam_diag, a0, eps=1.0, trials=200, seed=0,
     return _make_report(
         "prop32", N, trials, seed,
         estimates={"f": f, "im_f": f.imag, "eps": eps,
-                   "phase_rotations": phase_rotations},
+                   "phase_rotations": _PHASE_ROTATIONS},
         residuals={"off_diag": off_diag, "fit": fit_residual,
                    "im_f_shortfall": max(0.0, 0.5 - f.imag)},
         tolerances={"off_diag": _GATE, "fit": _GATE, "im_f_shortfall": 0.0},

@@ -17,9 +17,10 @@ subdisk and plain iteration converges geometrically for |z| < 1.
 
 Both solvers evaluate their transforms through the chunked node-sum
 kernel ``transforms._node_sums``: K and K' in one call for the disk
-Newton solve, eta through ``transforms.eta_transform``.  The kernel
-splits a large call over the usable cores with the bits of a
-single-threaded run; there is no setting for it.
+Newton solve, and for each eta ratio one call of K at the conjugate
+point, which neither cancels nor is singular at 0.  The kernel splits
+a large call over the usable cores with the bits of a single-threaded
+run; there is no setting for it.
 """
 
 import math
@@ -30,16 +31,15 @@ import numpy as np
 from .errors import DegenerateTransform, NoConvergence, _complex_points, \
     int_in_range
 from .measures import CircleMeasure, measure_from_circle_moments
-from .transforms import _node_sums, eta_transform
+from .transforms import _circle_cauchy, _node_sums
 
 _MAX_ORDER = 16
-_RATIO_FLOOR = 1e-9
 _MAX_HALVINGS = 40
 _DISK_TOL = 1e-12      # disk Newton solve: residual target
 _DISK_MAX_ITER = 100   # and step budget per starting point
 _ETA_TOL = 1e-13       # eta fixed point, sampled on _ETA_NODES points
-_ETA_MAX_ITER = 400    # of the circle |z| = _ETA_RADIUS
-_ETA_RADIUS = 0.5
+_ETA_MAX_ITER = 400    # of each circle |z| = r of _ETA_RADII
+_ETA_RADII = (0.5, 0.35)  # moments, then their certificates
 _ETA_NODES = 256
 # restart points of the disk Newton solve: three rings of 16, staggered
 _RESTARTS = np.concatenate([
@@ -161,15 +161,10 @@ def disk_subordination_solve(nu: CircleMeasure, target) -> DiskSubordinationEval
         iterations=best.iterations, residual=best.residual, point=best.point)
 
 
-def _eta_ratio(measure, q, first_moment):
-    """eta(q)/q with its removable singularity at q = 0."""
-    q = np.asarray(q, dtype=complex)
-    out = np.full(q.shape, first_moment, dtype=complex)
-    big = np.abs(q) > _RATIO_FLOOR
-    if np.any(big):
-        qa = q[big]
-        out[big] = np.asarray(eta_transform(measure, qa)) / qa
-    return out
+def _eta_ratio(measure, q):
+    """eta(q)/q = c/(1 + q*c) with c = conj K(conj q); c(0) = m_1."""
+    c = _circle_cauchy(measure, q, conjugate=True)
+    return c / (1.0 + q * c)
 
 
 @dataclass(frozen=True)
@@ -185,51 +180,42 @@ class MultConvolution:
         return measure_from_circle_moments(self.moments, n=n)
 
 
-def _moments_on_circle(mu, nu, radius, order):
-    """Moments 1..order of mu x nu read off psi on |z| = radius, and the
-    last residual of the omega1 fixed point there."""
-    theta = (np.arange(_ETA_NODES) + 0.5) * (2.0 * math.pi / _ETA_NODES)
-    z = radius * np.exp(1j * theta)
-    m1_mu = complex(mu.moment(1))
-    m1_nu = complex(nu.moment(1))
-    w = np.zeros(_ETA_NODES, dtype=complex)
-    resid = np.inf
+def _omega1(mu, nu, z):
+    """omega1 at the points z by Picard iteration from 0, and the largest
+    last step over all of them."""
+    w = np.zeros(1, dtype=complex)  # every point starts at 0: one K read
     for _ in range(_ETA_MAX_ITER):
-        q = z * _eta_ratio(mu, w, m1_mu)
-        t_val = z * _eta_ratio(nu, q, m1_nu)
-        resid = float(np.max(np.abs(t_val - w)))
-        w = t_val
+        w, last = z * _eta_ratio(nu, z * _eta_ratio(mu, w)), w
+        resid = float(np.max(np.abs(w - last)))
         if resid <= _ETA_TOL:
-            break
-    else:
-        raise NoConvergence("eta-transform fixed point stalled",
-                            iterations=_ETA_MAX_ITER, residual=resid)
-    eta = _eta_ratio(mu, w, m1_mu) * w
-    psi = eta / (1.0 - eta)
-    theta = np.angle(z)
-    moments = [complex(np.sum(psi * np.exp(-1j * k * theta))
-                       / (_ETA_NODES * radius**k)) for k in range(1, order + 1)]
-    return moments, resid
+            return w, resid
+    raise NoConvergence("eta-transform fixed point stalled",
+                        iterations=_ETA_MAX_ITER, residual=resid)
 
 
 def free_mult_convolve_unitary(mu: CircleMeasure, nu: CircleMeasure,
                                order=8) -> MultConvolution:
     """Moments of the distribution of uv for free unitaries u ~ mu, v ~ nu.
 
-    The subordinated eta-transform is sampled on |z| = _ETA_RADIUS
-    inside the disk and the psi power series coefficients are read off
-    by the discrete Fourier transform (geometric accuracy, since psi is
-    analytic up to |z| = 1).  The same extraction at a second radius
-    provides a per-moment consistency certificate.
+    omega1 is solved on _ETA_NODES points of each circle |z| = r of
+    _ETA_RADII in one batch, and psi_{mu x nu} = psi_mu(omega1) is read
+    off by the discrete Fourier transform (geometric accuracy, since psi
+    is analytic up to |z| = 1).  The moments come from the first radius;
+    the second gives a per-moment consistency certificate.
 
-    Zero-mean factors need no special casing: eta(q)/q extends over its
-    removable singularity, and when both means vanish the scheme
-    correctly collapses to uniform (all moments zero) -- an alternating
-    product of centered free factors has zero trace.
+    Zero-mean factors need no special casing: eta(q)/q = c/(1 + q*c) is
+    analytic at q = 0, and when both means vanish the scheme correctly
+    collapses to uniform (all moments zero) -- an alternating product of
+    centered free factors has zero trace.
     """
     order = int_in_range("order", order, 1, _MAX_ORDER)
-    moments, resid = _moments_on_circle(mu, nu, _ETA_RADIUS, order)
-    check, resid2 = _moments_on_circle(mu, nu, 0.7 * _ETA_RADIUS, order)
+    theta = (np.arange(_ETA_NODES) + 0.5) * (2.0 * math.pi / _ETA_NODES)
+    radii = np.array(_ETA_RADII)[:, None]
+    w, resid = _omega1(mu, nu, radii * np.exp(1j * theta))
+    psi = w * _circle_cauchy(mu, w, conjugate=True)
+    k = np.arange(1, order + 1)
+    rows = (psi @ np.exp(-1j * np.outer(theta, k))) / (_ETA_NODES * radii**k)
+    moments, check = (tuple(map(complex, row)) for row in rows)
     certs = tuple(abs(a - b) for a, b in zip(moments, check))
-    return MultConvolution(moments=tuple(moments), certificates=certs,
-                           fixed_point_residual=max(resid, resid2))
+    return MultConvolution(moments=moments, certificates=certs,
+                           fixed_point_residual=resid)

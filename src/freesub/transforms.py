@@ -39,11 +39,6 @@ _CHUNK_ELEMENTS = 1 << 15
 _MIN_SHARE = 2
 
 
-def _as_points(z, name="z"):
-    pts = _complex_points(name, z)
-    return pts, pts.ndim == 0
-
-
 def _restore(values, scalar):
     return complex(values[()]) if scalar else values
 
@@ -173,65 +168,82 @@ def _require_clear(pts, nodes, gap, clearance):
         raise DomainError("evaluation point touches a quadrature node of the measure")
 
 
-def cauchy_transform(measure: LineMeasure, z):
-    """G(z) = integral 1/(z - t) dmu(t); z off the support, vectorized."""
+def _line_cauchy(measure, z):
+    """Checked points of ``z`` (a line transform's one check) and G there."""
     if not isinstance(measure, LineMeasure):
-        raise BadParams("cauchy_transform expects a LineMeasure")
-    pts, scalar = _as_points(z)
+        raise BadParams("the line transforms take a LineMeasure")
+    pts = _complex_points("z", z)
     t, w = measure.quadrature()
     clearance = _NODE_CLEARANCE * max(1.0, measure.support_radius())
     # real nodes: |z - t| >= |Im z|
     _require_clear(pts, t, np.abs(pts.imag), clearance)
-    return _restore(_node_sums(pts, t, w)[0], scalar)
+    return pts, pts.ndim == 0, _node_sums(pts, t, w)[0]
+
+
+def _reciprocal(g):
+    if np.any(np.abs(g) < 1e-300):
+        raise ZeroTransform("Cauchy transform vanishes at an evaluation point")
+    return 1.0 / g
+
+
+def cauchy_transform(measure: LineMeasure, z):
+    """G(z) = integral 1/(z - t) dmu(t); z off the support, vectorized."""
+    _, scalar, g = _line_cauchy(measure, z)
+    return _restore(g, scalar)
 
 
 def reciprocal_cauchy(measure: LineMeasure, z):
     """F(z) = 1/G(z)."""
-    g = np.asarray(cauchy_transform(measure, z))
-    if np.any(np.abs(g) < 1e-300):
-        raise ZeroTransform("Cauchy transform vanishes at an evaluation point")
-    pts, scalar = _as_points(z)
-    return _restore(1.0 / g, scalar)
+    _, scalar, g = _line_cauchy(measure, z)
+    return _restore(_reciprocal(g), scalar)
 
 
 def h_transform(measure: LineMeasure, z):
     """h(z) = F(z) - z; maps the upper half plane into its closure."""
-    pts, scalar = _as_points(z)
-    f = np.asarray(reciprocal_cauchy(measure, pts))
-    return _restore(f - pts, scalar)
+    pts, scalar, g = _line_cauchy(measure, z)
+    return _restore(_reciprocal(g) - pts, scalar)
+
+
+def _circle_cauchy(measure, g, conjugate=False):
+    """K(g), unchecked.  Over the conjugate nodes it is c(g) = conj K(conj g)
+    = integral zeta/(1 - g*zeta) dnu; psi(z) = z*c(z) and eta(z)/z =
+    c/(1 + z*c), with c(0) = m_1, neither cancel nor divide by z."""
+    zeta = measure.unit_nodes()
+    return -_node_sums(g, zeta.conj() if conjugate else zeta,
+                       measure.quadrature()[1])[0]
+
+
+def _circle_points(measure, z, name="z", conjugate=False):
+    """Checked points of ``z``: a circle transform's one check."""
+    if not isinstance(measure, CircleMeasure):
+        raise BadParams("the circle transforms take a CircleMeasure")
+    pts = _complex_points(name, z)
+    # unit nodes: |zeta - g| >= ||g| - 1|; |g - conj zeta| = |conj g - zeta|
+    _require_clear(pts.conj() if conjugate else pts, measure.unit_nodes(),
+                   np.abs(np.abs(pts) - 1.0), _NODE_CLEARANCE)
+    return pts, pts.ndim == 0
 
 
 def circle_cauchy(measure: CircleMeasure, g):
     """K(g) = integral 1/(zeta - g) dnu(zeta); g off the unit circle."""
-    if not isinstance(measure, CircleMeasure):
-        raise BadParams("circle_cauchy expects a CircleMeasure")
-    pts, scalar = _as_points(g, "g")
-    zeta = measure.unit_nodes()
-    _, w = measure.quadrature()
-    # unit nodes: |zeta - g| >= ||g| - 1|
-    _require_clear(pts, zeta, np.abs(np.abs(pts) - 1.0), _NODE_CLEARANCE)
-    return _restore(-_node_sums(pts, zeta, w)[0], scalar)
+    pts, scalar = _circle_points(measure, g, "g")
+    return _restore(_circle_cauchy(measure, pts), scalar)
 
 
 def psi_transform(measure: CircleMeasure, z):
     """Moment series psi(z) = sum_{k>=1} m_k z^k inside the unit disk.
 
-    Uses psi(z) = -1 - K(1/z)/z, which continues the series to any z
-    with |z| != 1; psi(0) = 0.
+    Uses psi(z) = z * conj K(conj z), which continues the series to any
+    z with |z| != 1 at full relative accuracy, down to psi(0) = 0.
     """
-    pts, scalar = _as_points(z)
-    out = np.zeros(pts.shape, dtype=complex)
-    nz = np.abs(pts) > 1e-300
-    if np.any(nz):
-        zz = pts[nz]
-        out[nz] = -1.0 - np.asarray(circle_cauchy(measure, 1.0 / zz)) / zz
-    return _restore(out, scalar)
+    pts, scalar = _circle_points(measure, z, conjugate=True)
+    return _restore(pts * _circle_cauchy(measure, pts, True), scalar)
 
 
 def eta_transform(measure: CircleMeasure, z):
     """eta(z) = psi(z)/(1 + psi(z)), the moment-generating ratio."""
-    pts, scalar = _as_points(z)
-    psi = np.asarray(psi_transform(measure, pts))
+    pts, scalar = _circle_points(measure, z, conjugate=True)
+    psi = pts * _circle_cauchy(measure, pts, True)
     denom = 1.0 + psi
     if np.any(np.abs(denom) < 1e-14 * (1.0 + np.abs(psi))):
         raise ZeroTransform("1 + psi vanishes at an evaluation point")

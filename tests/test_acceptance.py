@@ -5,7 +5,9 @@ One test per numbered criterion, each printing a single
 so the suite doubles as the acceptance report.  The Monte Carlo
 criteria (5 through 8) cache their reports at module level; the
 determinism criterion reruns every one of them with identical seeds
-and compares the serialized reports byte for byte.
+and compares the serialized reports byte for byte.  Those five carry the
+``slow`` marker: ``pytest -m "not slow"`` leaves them out of a fast
+loop, and the plain run keeps every criterion.
 """
 
 import math
@@ -13,6 +15,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from freesub import (CovarianceMap, arcsine, bernoulli_pm1, cauchy_transform,
                      circle_atoms, convolve_moments, experiment_lemma34,
@@ -208,6 +211,7 @@ def test_criterion_04_opvalued_subordination():
                     f"min margin {worst_margin:.3f} > 0, {dt:.1f}s < 60s")
 
 
+@pytest.mark.slow
 def test_criterion_05_block_monte_carlo():
     t0 = time.perf_counter()
     rep = _cached("block_subordination")
@@ -218,6 +222,7 @@ def test_criterion_05_block_monte_carlo():
                     f"{dt:.0f}s < 300s")
 
 
+@pytest.mark.slow
 def test_criterion_06_resolvent_diagonalization():
     t0 = time.perf_counter()
     rep = _cached("resolvent_diagonalization")
@@ -231,6 +236,7 @@ def test_criterion_06_resolvent_diagonalization():
                     f"Im f {im_f:.3f} >= 0.5, {dt:.0f}s < 180s")
 
 
+@pytest.mark.slow
 def test_criterion_07_markov_scalar_collapse():
     t0 = time.perf_counter()
     rep = _cached("markov_scalar_collapse")
@@ -243,6 +249,7 @@ def test_criterion_07_markov_scalar_collapse():
                     f"Im scalar {im_s:.3f} >= 0.4, {dt:.0f}s < 180s")
 
 
+@pytest.mark.slow
 def test_criterion_08_disk_subordination():
     t0 = time.perf_counter()
     haar_rep = _cached("disk_haar")
@@ -271,6 +278,7 @@ def test_criterion_09_contraction_margins():
                     f"identity {identity:.2e} <= 1e-11, {dt:.1f}s < 10s")
 
 
+@pytest.mark.slow
 def test_criterion_10_determinism():
     mismatched = []
     for key, runner in _RUNNERS.items():

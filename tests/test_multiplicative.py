@@ -5,17 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freesub.multiplicative as multiplicative
+import freesub.transforms as transforms
 from freesub import (
     circle_atoms,
     circle_cauchy,
     disk_subordination_solve,
+    eta_transform,
     free_mult_convolve_unitary,
     free_multiplicative_moments,
     haar_circle,
+    measure_from_circle_moments,
     rotate,
 )
 from freesub.errors import (BadParams, DegenerateTransform, DomainError,
                             NoConvergence)
+from freesub.multiplicative import _ETA_TOL, _eta_ratio, _omega1
 
 
 def test_disk_solve_point_mass():
@@ -111,15 +116,15 @@ def test_mult_convolve_haar_absorbs(atoms):
     # Haar x nu is Haar, so every moment is exactly 0.  What remains is
     # rounding: K over 2048 equal-weight nodes cancels to zero, and the
     # radius^-k of the Fourier read-out amplifies it with the order.  The
-    # bounds are 4-6x the worst seen over thousands of such draws: 8.8e-15
-    # up to order 6, 1.3e-11 up to order 16 and 3.5e-9 for the certificates
+    # bounds are 4-6x the worst seen over 4,800 such draws: 2.4e-15 up to
+    # order 6, 1.9e-12 up to order 16 and 4.6e-10 for the certificates
     total = sum(w for _, w in atoms)
     nu = circle_atoms([(a, w / total) for a, w in atoms])
     conv = free_mult_convolve_unitary(haar_circle(), nu, order=16)
     moments = np.abs(conv.moments)
-    assert moments[:6].max() <= 5e-14
-    assert moments.max() <= 5e-11
-    assert max(conv.certificates) <= 1.5e-8
+    assert moments[:6].max() <= 1e-14
+    assert moments.max() <= 1e-11
+    assert max(conv.certificates) <= 2e-9
 
 
 def test_mult_convolve_both_centered():
@@ -174,3 +179,58 @@ def test_mult_convolution_measure_roundtrip():
     for k in range(1, 9):
         want = conv.moments[k - 1] * (1 - k / 9)
         assert abs(rec.moment(k) - want) <= 1e-9
+
+
+def test_mult_convolve_calls_no_public_transform(monkeypatch):
+    # the fixed point and the read-out take K at the conjugate point
+    # straight from the node-sum kernel
+    def refuse(*args):
+        raise AssertionError("public transform called")
+
+    for name in ("circle_cauchy", "psi_transform", "eta_transform"):
+        monkeypatch.setattr(transforms, name, refuse)
+        monkeypatch.setattr(multiplicative, name, refuse, raising=False)
+    mu = circle_atoms([(0.4, 0.6), (-0.9, 0.4)])
+    conv = free_mult_convolve_unitary(mu, haar_circle(), order=4)
+    assert np.max(np.abs(conv.moments)) <= 1e-14
+
+
+@st.composite
+def _circle_laws(draw):
+    """An atomic law of 1-4 atoms, a Poisson kernel read off its moments
+    on a grid, or Haar measure."""
+    kind = draw(st.sampled_from(["atoms", "poisson", "haar"]))
+    if kind == "haar":
+        return haar_circle(n=draw(st.sampled_from([256, 2048])))
+    if kind == "poisson":
+        r = draw(st.floats(0.0, 0.9))
+        phi = draw(st.floats(0.0, 2 * np.pi))
+        return measure_from_circle_moments(
+            [(r * np.exp(1j * phi)) ** k for k in range(1, 17)], n=256)
+    k = draw(st.integers(1, 4))
+    angles = draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=k, max_size=k))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    return circle_atoms(list(zip(angles, w / w.sum())))
+
+
+# batches of points with 0.05 <= |z| <= 0.9
+_DISK_POINTS = st.lists(
+    st.builds(lambda r, t: r * np.exp(1j * t), st.floats(0.05, 0.9),
+              st.floats(0.0, 2 * np.pi)),
+    min_size=1, max_size=24).map(np.array)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mu=_circle_laws(), nu=_circle_laws(), z=_DISK_POINTS)
+def test_circle_pairs_keep_the_invariants(mu, nu, z):
+    # eta maps the disk into itself and fixes 0, so Schwarz bounds both
+    # subordination functions by |z|, up to the rounding of z * eta(q)/q;
+    # eta_mu(omega1) = omega1 omega2 / z differs from eta_nu(omega2) by
+    # |omega2/z| times the next step, which the loop keeps under its tol
+    omega1, _ = _omega1(mu, nu, z)
+    omega2 = z * _eta_ratio(mu, omega1)
+    bound = np.abs(z) * (1 + 4 * np.finfo(float).eps)
+    assert np.all(np.abs(omega1) <= bound)
+    assert np.all(np.abs(omega2) <= bound)
+    gap = np.abs(eta_transform(mu, omega1) - eta_transform(nu, omega2))
+    assert gap.max() <= _ETA_TOL

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freesub import (
     CovarianceMap,
@@ -297,3 +299,38 @@ def test_stack_shapes_are_checked():
     g = lambda w: op_semicircular_cauchy(eta, w).g  # noqa: E731
     with pytest.raises(BadParams):
         solve_subordination_F(g, -1j * np.eye(2), 1j * np.ones((2, 2, 2)))
+
+
+@st.composite
+def _kraus_and_points(draw):
+    """A Kraus map of 1-3 terms on n = 1-4 and a stack of 1-6 points
+    b = H + i(C C* + lift I), with entries drawn from a seeded generator."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    scale = draw(st.floats(0.1, 2.0))
+    kraus = tuple(scale * gaussian(n, n) / n
+                  for _ in range(draw(st.integers(1, 3))))
+    k = draw(st.integers(1, 6))
+    h, c = gaussian(k, n, n), gaussian(k, n, n)
+    lift = 10.0 ** draw(st.floats(-2.0, 0.5))
+    b = (h + h.conj().mT) / 2 + 1j * (c @ c.conj().mT / n + lift * np.eye(n))
+    return CovarianceMap(kraus), b
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_kraus_and_points())
+def test_op_cauchy_keeps_the_invariants(case):
+    # at every point of the stack: Im G(b) < 0, and g solves
+    # g = (b - eta(g))^{-1} to the solver's tolerance, scaled as its
+    # stopping rule scales it by max(1, ||b^{-1}||)
+    eta, b = case
+    res = op_semicircular_cauchy(eta, b)
+    assert np.all(halfplane_margin(-res.g) > 0)
+    fixed = np.linalg.inv(b - eta(res.g))
+    gap = np.linalg.norm(fixed - res.g, axis=(-2, -1))
+    scale = np.maximum(1.0, np.linalg.norm(np.linalg.inv(b), axis=(-2, -1)))
+    assert np.all(gap <= 2e-12 * scale)

@@ -32,8 +32,6 @@ REACHING = sorted({*PUBLIC_USERS, *PACKAGE.glob("*.py"),
 UNSET_PARAMETERS = {
     "stieltjes_invert(neg_tol)":
         "unit tests loosen the negativity floor for 2048-node measures",
-    "experiment_prop32(phase_rotations)":
-        "unit tests compare rotation counts on the same draws",
     "arcsine(scale)": "the CLI's measure 'params' reach it via make_standard",
     "experiment_lemma34(dims)": "the verify config key 'dims' reaches it via **kw",
 }

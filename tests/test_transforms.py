@@ -1,8 +1,10 @@
 """Cauchy/resolvent transforms and Stieltjes density recovery."""
 
+import mpmath
 import numpy as np
 import pytest
 
+import freesub.transforms as transforms
 from freesub import (BadParams, DomainError, NonPositiveDensity, atomic,
                      bernoulli_pm1, cauchy_transform, circle_atoms,
                      circle_cauchy, eta_transform, h_transform, haar_circle,
@@ -116,6 +118,49 @@ def test_psi_eta_of_rotation():
         assert psi_transform(d, z) == pytest.approx(
             z * zeta / (1 - z * zeta) if z != 0 else 0.0, abs=1e-13)
         assert eta_transform(d, z) == pytest.approx(z * zeta, abs=1e-13)
+
+
+def test_psi_to_full_relative_accuracy():
+    # psi(z) = z conj K(conj z) neither cancels nor divides by z: against
+    # a 40-digit sum it keeps full relative accuracy from |z| = 1e-9 to
+    # 10 (-1 - K(1/z)/z lost up to 5e-7 at 1e-9).  Radii half a decade
+    # apart keep the sum away from the poles on the circle, where the
+    # rounding of the stored angles alone costs more
+    law = circle_atoms([(0.3, 0.5), (1.1, 0.3), (-0.5, 0.2)])
+    radii = 10.0 ** np.delete(np.arange(-9.0, 1.5, 0.5), 18)
+    z = np.outer(radii, np.exp(1j * np.linspace(0.1, 6.2, 7)))
+    got = psi_transform(law, z)
+    with mpmath.workdps(40):
+        terms = [(mpmath.mpf(w), mpmath.expj(t))
+                 for t, w in zip(*law.quadrature())]
+        for zi, gi in zip(z.ravel(), got.ravel()):
+            zm = mpmath.mpc(zi)
+            want = sum(w * zm * zeta / (1 - zm * zeta) for w, zeta in terms)
+            assert abs(mpmath.mpc(gi) - want) <= 1e-15 * abs(want)
+
+
+def test_public_transforms_check_points_once(monkeypatch):
+    # each public transform checks its points once and composes the
+    # unchecked forms behind that check
+    calls = []
+    check = transforms._complex_points
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(transforms, "_complex_points", counting)
+    line, circle = semicircle(0, 1), circle_atoms([(0.4, 0.3), (2.2, 0.7)])
+    for fn, law, z in ((cauchy_transform, line, 1j),
+                       (reciprocal_cauchy, line, 1j),
+                       (h_transform, line, 1j),
+                       (circle_cauchy, circle, 0.3),
+                       (psi_transform, circle, 0.3),
+                       (eta_transform, circle, 0.3)):
+        for points in (z, np.array([z, 2 * z])):
+            calls.clear()
+            fn(law, points)
+            assert len(calls) == 1, fn.__name__
 
 
 def test_psi_of_haar_vanishes():
