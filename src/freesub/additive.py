@@ -206,12 +206,24 @@ def _solve_omega1(mu, nu, z, start, tol, max_iter):
             res_out.reshape(shape), iters.reshape(shape), slope.reshape(shape))
 
 
-def _upper_points(z, who):
-    """z as a complex array, every point finite with Im z > 0."""
-    pts = _complex_points("z", z)
-    if np.any(pts.imag <= 0):
+def _upper_points(z, who, scalar=False):
+    """z as a complex array, or one complex if ``scalar``, every point
+    finite with Im z > 0."""
+    pts = _complex_points("z", z, scalar)
+    if np.any(np.imag(pts) <= 0):
         raise DomainError(f"{who} requires Im z > 0")
     return pts
+
+
+def _pairs(mu, nu, z, tol, max_iter):
+    """subordination_pairs at the checked 1-d points z."""
+    omega1, g, _, iters, _ = _solve_omega1(mu, nu, z, z + 1j, tol, max_iter)
+    omega2 = z + np.reciprocal(g) - omega1
+    gap = g - cauchy_transform(nu, omega2)
+    residual = np.hypot(gap.real, gap.imag)
+    # tolist gives Python complex, float and int with the same bits
+    fields = (z, omega1, omega2, g, residual, iters)
+    return [SubordinationEval(*f) for f in zip(*(a.tolist() for a in fields))]
 
 
 def subordination_pairs(mu: LineMeasure, nu: LineMeasure, z, tol=_TOL,
@@ -234,21 +246,15 @@ def subordination_pairs(mu: LineMeasure, nu: LineMeasure, z, tol=_TOL,
     z = _upper_points(z, "subordination").reshape(-1)
     tol = real_above("tol", tol, _MIN_TOL, closed=True)
     max_iter = int_in_range("max_iter", max_iter, 1)
-    omega1, g, _, iters, _ = _solve_omega1(mu, nu, z, z + 1j, tol, max_iter)
-    omega2 = z + np.reciprocal(g) - omega1
-    gap = g - cauchy_transform(nu, omega2)
-    residual = np.hypot(gap.real, gap.imag)
-    # tolist gives Python complex, float and int with the same bits
-    fields = (z, omega1, omega2, g, residual, iters)
-    return [SubordinationEval(*f) for f in zip(*(a.tolist() for a in fields))]
+    return _pairs(mu, nu, z, tol, max_iter)
 
 
 def subordination_pair(mu: LineMeasure, nu: LineMeasure,
                        z) -> SubordinationEval:
     """The subordination pair at one point z with Im z > 0: the one-point
     form of subordination_pairs, at its default tol and max_iter."""
-    z = _complex_points("z", z, scalar=True)
-    return subordination_pairs(mu, nu, np.array([z]))[0]
+    z = _upper_points(z, "subordination", scalar=True)
+    return _pairs(mu, nu, np.array([z]), _TOL, _MAX_ITER)[0]
 
 
 def convolve_cauchy(mu: LineMeasure, nu: LineMeasure, z):

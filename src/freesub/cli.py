@@ -40,6 +40,8 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NOCONV = 3
 
+# the experiments' cap on N, checked before a default N x N matrix is built
+_MAX_N = 4096
 # the heights convolve-add solves its density at unless the config sets them
 _DEFAULT_ETAS = inspect.signature(continued_density).parameters[
     "eta_sequence"].default
@@ -353,10 +355,11 @@ def _run_verify(identity, cfg):
         spectra = {"lam"} if identity == "prop32" else {"A0", "C0"}
         if "N" in kw and spectra <= cfg.keys():
             raise BadParams(f"N is the size of {sorted(spectra)}; do not set it")
-        N = int_in_range("N", kw.pop("N", 600), 1)
+        N = int_in_range("N", kw.pop("N", 600), 1, _MAX_N)
     if identity == "prop32":
         lam = np.asarray(cfg["lam"], float) if "lam" in cfg else _balanced_pm1(N)
-        a0 = _parse_matrix(cfg["a0"]) if "a0" in cfg else np.diag(_balanced_pm1(lam.size))
+        a0 = _parse_matrix(cfg["a0"]) if "a0" in cfg else \
+            np.diag(_balanced_pm1(int_in_range("N", lam.size, 1, _MAX_N)))
         return experiment_prop32(lam, a0, **kw)
     if identity == "prop33":
         # the off-diagonal noise in D grows with the spread of C0's

@@ -60,6 +60,8 @@ _SWEEP_BLOCK = 256        # lemma34: draws whose linear algebra is stacked
 _FIT_STEPS = 50           # prop32: cap on Gauss-Newton steps of the shift fit
 _ROUNDING = 4 * np.finfo(float).eps  # prop32: fit stops at this step / |f|
 _PHASE_ROTATIONS = 4      # prop32: diagonal-phase conjugations per trial
+_MAX_N = 4096             # cap on N (thm31_block: on n*N), checked before a draw
+_MAX_DIM = 64             # lemma34: cap on a dims entry; a 256-draw stack is 16 MB
 
 
 def _rng(seed, *path):
@@ -287,7 +289,7 @@ def experiment_prop32(lam_diag, a0, eps=1.0, trials=200,
     lam = np.asarray(lam_diag, dtype=float)
     if not np.isfinite(lam).all():
         raise BadParams("lam_diag has a non-finite entry")
-    N = int_in_range("N", lam.size, 1)
+    N = int_in_range("N", lam.size, 1, _MAX_N)
     a0 = _complex_matrix("a0", a0, N)
     trials = int_in_range("trials", trials, 1)
     eps = real_above("eps", eps, 0.0)
@@ -332,7 +334,7 @@ def experiment_prop33(A0, C0, eps=1.0, trials=200, seed=0) -> ExperimentReport:
     imaginary part.
     """
     A0 = _complex_matrix("A0", A0)
-    N = A0.shape[0]
+    N = int_in_range("N", A0.shape[0], 1, _MAX_N)
     C0 = _complex_matrix("C0", C0, N)
     trials = int_in_range("trials", trials, 1)
     eps = real_above("eps", eps, 0.0)
@@ -378,7 +380,7 @@ def experiment_thm36(theta_law: CircleMeasure, c0=None, N=600, trials=100,
     The reported omega_margin is 1 - ||c0||, which equals
     1 - ||u^{-1} c0|| for every unitary u, so no trial recomputes it.
     """
-    N = int_in_range("N", N, 1)
+    N = int_in_range("N", N, 1, _MAX_N)
     trials = int_in_range("trials", trials, 1)
     seed = int_in_range("seed", seed, 0)
     if c0 is None:
@@ -434,8 +436,8 @@ def experiment_thm31_block(eta_x: CovarianceMap, eta_y: CovarianceMap, b,
     N = int_in_range("N", N, 1)
     trials = int_in_range("trials", trials, 1)
     seed = int_in_range("seed", seed, 0)
-    if n * N > 4096:
-        raise BadParams("n*N capped at 4096")
+    if n * N > _MAX_N:
+        raise BadParams(f"n*N capped at {_MAX_N}")
     if _halfplane_margin(b) < 0.5:
         raise BadParams("experiments require halfplane_margin(b) >= 0.5")
     g_xy = op_add_cauchy(ex, ey, b, tol=_SOLVER_TOL).g
@@ -502,7 +504,7 @@ def experiment_lemma34(dims=(2, 3, 4, 5, 6), samples=10000,
     except TypeError:
         raise BadParams(f"dims must be a sequence of sizes, got {dims!r}") \
             from None
-    dims = tuple(int_in_range("dims entry", d, 1) for d in dims)
+    dims = tuple(int_in_range("dims entry", d, 1, _MAX_DIM) for d in dims)
     if not dims:
         raise BadParams("lemma34 needs nonempty dims")
     samples = int_in_range("samples", samples, 1)

@@ -190,7 +190,14 @@ class CircleMeasure(_Measure):
         return lo + (hi - lo) / n * np.arange(n), np.full(n, (hi - lo) / n)
 
     def unit_nodes(self) -> np.ndarray:
-        return np.exp(1j * self._nodes)
+        """exp(i*theta) of the nodes: one read-only array, formed at
+        first use and returned by every later call."""
+        zeta = self.__dict__.get("_unit_nodes")
+        if zeta is None:
+            zeta = np.exp(1j * self._nodes)
+            zeta.setflags(write=False)
+            object.__setattr__(self, "_unit_nodes", zeta)
+        return zeta
 
     def moment(self, k: int) -> complex:
         """k-th moment of the unit-circle variable; negative k allowed.

@@ -15,12 +15,11 @@ Since eta maps the disk to itself with eta(0) = 0, Schwarz gives
 |omega1| <= |z|, so the iteration is a strict self-map of a compact
 subdisk and plain iteration converges geometrically for |z| < 1.
 
-Both solvers evaluate their transforms through the chunked node-sum
-kernel ``transforms._node_sums``: K and K' in one call for the disk
-Newton solve, and for each eta ratio one call of K at the conjugate
-point, which neither cancels nor is singular at 0.  The kernel splits
-a large call over the usable cores with the bits of a single-threaded
-run; there is no setting for it.
+Both solvers read their transforms from one helper,
+``transforms._circle_cauchy``, over the nodes the measure stores once
+(``CircleMeasure.unit_nodes``): K and K' from one node sum for the disk
+Newton solve, and for each eta ratio K at the conjugate point, which
+neither cancels nor is singular at 0.
 """
 
 import math
@@ -31,7 +30,7 @@ import numpy as np
 from .errors import DegenerateTransform, NoConvergence, _complex_points, \
     int_in_range
 from .measures import CircleMeasure, measure_from_circle_moments
-from .transforms import _circle_cauchy, _node_sums
+from .transforms import _circle_cauchy
 
 _MAX_ORDER = 16
 _MAX_HALVINGS = 40
@@ -41,15 +40,18 @@ _ETA_TOL = 1e-13       # eta fixed point, sampled on _ETA_NODES points
 _ETA_MAX_ITER = 400    # of each circle |z| = r of _ETA_RADII
 _ETA_RADII = (0.5, 0.35)  # moments, then their certificates
 _ETA_NODES = 256
-# restart points of the disk Newton solve: three rings of 16, staggered
-_RESTARTS = np.concatenate([
+# starting points of the disk Newton solve, in order: 0, then three
+# staggered rings of 16
+_STARTS = np.concatenate([[0.0]] + [
     r * np.exp(2j * math.pi * (np.arange(16) + 0.5 * i) / 16)
     for i, r in enumerate((0.4, 0.7, 0.9))])
 
 
 @dataclass(frozen=True)
 class DiskSubordinationEval:
-    """Solved disk subordination value for one trace target."""
+    """Solved disk subordination value for one trace target: g is a
+    preimage of the target under K_nu, one of several where the disk
+    holds more than one."""
 
     target: complex
     g: complex
@@ -57,39 +59,16 @@ class DiskSubordinationEval:
     ball_margin: float
 
 
-def _k_and_derivative(nu, g):
-    """K(g) = integral 1/(zeta - g) dnu and K'(g) = integral 1/(zeta - g)^2 dnu."""
-    s, ds = _node_sums(g, nu.unit_nodes(), nu.quadrature()[1])
-    return -s, -ds
-
-
-def _clamp_into_disk(g, step):
-    """Scale the Newton step so the iterate stays inside the open disk.
-
-    The solution is guaranteed inside the disk, so a step that would
-    exit is shortened along its own direction to land at the radius
-    halfway between |g| and the boundary.
-    """
-    r_target = 0.5 * (1.0 + abs(g))
-    # |g + s*step| = r_target: positive root of the quadratic in s
-    a = abs(step) ** 2
-    b = 2.0 * (g.conjugate() * step).real
-    c = abs(g) ** 2 - r_target**2
-    disc = b * b - 4.0 * a * c
-    s = (-b + math.sqrt(max(disc, 0.0))) / (2.0 * a)
-    return g + s * step
-
-
 def _disk_newton(nu, target, g):
     """Newton on K(g) = target from g, kept inside the open disk.
 
-    A step that would leave the disk is shortened to stay inside, then
-    halved until |K(g) - target| decreases.  Returns (g, residual);
-    raises NoConvergence when no decrease is found or the budget runs
-    out, which happens when the path from g leads to a root of
-    K - target outside the disk.
+    Each Newton candidate is halved toward g until it lies inside the
+    disk and lowers |K - target|; K is never evaluated outside the disk.
+    Returns (g, residual); raises NoConvergence when _MAX_HALVINGS find
+    no such candidate or the budget runs out, which happens when the
+    path from g leads to a root of K - target outside the disk.
     """
-    k, kp = map(complex, _k_and_derivative(nu, g))
+    k, kp = map(complex, _circle_cauchy(nu, g))
     resid = abs(k - target)
     it = 0
     while resid > _DISK_TOL:
@@ -100,14 +79,12 @@ def _disk_newton(nu, target, g):
         if abs(kp) < 1e-300:
             raise NoConvergence("flat resolvent derivative", iterations=it,
                                 residual=resid, point=g)
-        step = -(k - target) / kp
-        cand = g + step
-        if abs(cand) >= 1.0:
-            cand = _clamp_into_disk(g, step)
+        cand = g - (k - target) / kp
         for _ in range(_MAX_HALVINGS):
-            k_c, kp_c = map(complex, _k_and_derivative(nu, cand))
-            if abs(k_c - target) < resid:
-                break
+            if abs(cand) < 1.0:
+                k_c, kp_c = map(complex, _circle_cauchy(nu, cand))
+                if abs(k_c - target) < resid:
+                    break
             cand = g + 0.5 * (cand - g)
         else:
             raise NoConvergence(
@@ -118,35 +95,32 @@ def _disk_newton(nu, target, g):
     return g, resid
 
 
-def _starting_points(nu, target):
-    """g = 0, then the restart points, best |K(g) - target| first."""
-    yield 0.0 + 0.0j
-    k, _ = _k_and_derivative(nu, _RESTARTS)
-    yield from _RESTARTS[np.argsort(np.abs(k - target), kind="stable")]
-
-
 def disk_subordination_solve(nu: CircleMeasure, target) -> DiskSubordinationEval:
     """Solve K_nu(g) = target for g in the open unit disk.
 
     Newton from g = 0 with the exact quadrature derivative
-    K'(g) = integral (zeta - g)^{-2} dnu, globalized by backtracking on
-    |K(g) - target| and kept inside the disk.  K - target is analytic,
-    so |K - target| has no local minimum off its zeros, but K is not
-    injective: the descent path from 0 can lead to a root outside the
-    disk and stall at the boundary.  The solve then restarts from fixed
-    points spread over the disk, best residual first, each with its own
-    budget of _DISK_MAX_ITER Newton steps.  A constant K (Haar measure,
-    where K vanishes identically on the disk) makes every g a solution;
-    that degeneracy is detected up front and surfaced as a typed error.
+    K'(g) = integral (zeta - g)^{-2} dnu, globalized by halving each
+    step until it stays inside the disk and lowers |K(g) - target|.
+    K - target is analytic, so |K - target| has no local minimum off
+    its zeros, but K is not injective: the descent path from 0 can lead
+    to a root outside the disk and stall at the boundary.  The solve
+    then restarts from the fixed points of _STARTS, in order, each with
+    its own budget of _DISK_MAX_ITER Newton steps.  Where the disk holds
+    more than one preimage of ``target``, the solve returns one of them,
+    the first its starts reach: the contract is a preimage g with
+    |K(g) - target| <= _DISK_TOL, not a particular one.  A constant K
+    (Haar measure, where K vanishes identically on the disk) makes every
+    g a solution; that degeneracy is detected up front and surfaced as a
+    typed error.
     """
     target = _complex_points("target", target, scalar=True)
     probes = np.array([0.0, 0.3, -0.3, 0.3j])
-    k_probe, _ = _k_and_derivative(nu, probes)
+    k_probe, _ = _circle_cauchy(nu, probes)
     if np.ptp(k_probe.real) + np.ptp(k_probe.imag) < 1e-12 * (1 + abs(k_probe[0])):
         raise DegenerateTransform(
             "circle resolvent is constant on the disk; g is not identifiable")
     best = None
-    for g0 in _starting_points(nu, target):
+    for g0 in _STARTS:
         try:
             g, resid = _disk_newton(nu, target, complex(g0))
         except NoConvergence as exc:
@@ -156,14 +130,14 @@ def disk_subordination_solve(nu: CircleMeasure, target) -> DiskSubordinationEval
         return DiskSubordinationEval(
             target=target, g=g, residual=resid, ball_margin=1.0 - abs(g))
     raise NoConvergence(
-        f"disk subordination Newton stalled from all {1 + _RESTARTS.size} "
+        f"disk subordination Newton stalled from all {_STARTS.size} "
         f"starting points; best: {best}",
         iterations=best.iterations, residual=best.residual, point=best.point)
 
 
 def _eta_ratio(measure, q):
     """eta(q)/q = c/(1 + q*c) with c = conj K(conj q); c(0) = m_1."""
-    c = _circle_cauchy(measure, q, conjugate=True)
+    c, _ = _circle_cauchy(measure, q, conjugate=True)
     return c / (1.0 + q * c)
 
 
@@ -212,7 +186,7 @@ def free_mult_convolve_unitary(mu: CircleMeasure, nu: CircleMeasure,
     theta = (np.arange(_ETA_NODES) + 0.5) * (2.0 * math.pi / _ETA_NODES)
     radii = np.array(_ETA_RADII)[:, None]
     w, resid = _omega1(mu, nu, radii * np.exp(1j * theta))
-    psi = w * _circle_cauchy(mu, w, conjugate=True)
+    psi = w * _circle_cauchy(mu, w, conjugate=True)[0]
     k = np.arange(1, order + 1)
     rows = (psi @ np.exp(-1j * np.outer(theta, k))) / (_ETA_NODES * radii**k)
     moments, check = (tuple(map(complex, row)) for row in rows)

@@ -29,10 +29,12 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 
 from .errors import (BadParams, DomainError, NonPositiveDensity, ZeroTransform,
-                     _complex_points, real_above)
+                     _complex_points)
 from .measures import CircleMeasure, GridSpec, LineMeasure
 
 _NODE_CLEARANCE = 1e-12
+# stieltjes_invert rejects a density below -_NEG_TOL * max(1, peak)
+_NEG_TOL = 1e-3
 # complex reciprocals formed per chunk of points: 512 KB, within L2
 _CHUNK_ELEMENTS = 1 << 15
 # fewest chunks worth a thread's round trip: a call splits from twice this
@@ -205,12 +207,15 @@ def h_transform(measure: LineMeasure, z):
 
 
 def _circle_cauchy(measure, g, conjugate=False):
-    """K(g), unchecked.  Over the conjugate nodes it is c(g) = conj K(conj g)
-    = integral zeta/(1 - g*zeta) dnu; psi(z) = z*c(z) and eta(z)/z =
-    c/(1 + z*c), with c(0) = m_1, neither cancel nor divide by z."""
+    """K(g) and K'(g) = integral 1/(zeta - g)^2 dnu from one node sum,
+    unchecked.  Over the conjugate nodes they are c(g) = conj K(conj g)
+    = integral zeta/(1 - g*zeta) dnu and c'(g); psi(z) = z*c(z) and
+    eta(z)/z = c/(1 + z*c), with c(0) = m_1, neither cancel nor divide
+    by z."""
     zeta = measure.unit_nodes()
-    return -_node_sums(g, zeta.conj() if conjugate else zeta,
-                       measure.quadrature()[1])[0]
+    s, ds = _node_sums(g, zeta.conj() if conjugate else zeta,
+                       measure.quadrature()[1])
+    return -s, -ds
 
 
 def _circle_points(measure, z, name="z", conjugate=False):
@@ -227,7 +232,7 @@ def _circle_points(measure, z, name="z", conjugate=False):
 def circle_cauchy(measure: CircleMeasure, g):
     """K(g) = integral 1/(zeta - g) dnu(zeta); g off the unit circle."""
     pts, scalar = _circle_points(measure, g, "g")
-    return _restore(_circle_cauchy(measure, pts), scalar)
+    return _restore(_circle_cauchy(measure, pts)[0], scalar)
 
 
 def psi_transform(measure: CircleMeasure, z):
@@ -237,13 +242,13 @@ def psi_transform(measure: CircleMeasure, z):
     z with |z| != 1 at full relative accuracy, down to psi(0) = 0.
     """
     pts, scalar = _circle_points(measure, z, conjugate=True)
-    return _restore(pts * _circle_cauchy(measure, pts, True), scalar)
+    return _restore(pts * _circle_cauchy(measure, pts, True)[0], scalar)
 
 
 def eta_transform(measure: CircleMeasure, z):
     """eta(z) = psi(z)/(1 + psi(z)), the moment-generating ratio."""
     pts, scalar = _circle_points(measure, z, conjugate=True)
-    psi = pts * _circle_cauchy(measure, pts, True)
+    psi = pts * _circle_cauchy(measure, pts, True)[0]
     denom = 1.0 + psi
     if np.any(np.abs(denom) < 1e-14 * (1.0 + np.abs(psi))):
         raise ZeroTransform("1 + psi vanishes at an evaluation point")
@@ -259,7 +264,7 @@ def _lagrange_at_zero(etas):
     return coeff
 
 
-def stieltjes_invert(g_eval, grid, eta_sequence, neg_tol=1e-3):
+def stieltjes_invert(g_eval, grid, eta_sequence):
     """Recover a density from a Cauchy-transform evaluator.
 
     ``g_eval(z)`` must accept a complex vector in the upper half plane.
@@ -273,11 +278,10 @@ def stieltjes_invert(g_eval, grid, eta_sequence, neg_tol=1e-3):
 
     Returns (measure, renorm) where renorm is the factor that rescaled
     the clipped density to unit mass.  Raises NonPositiveDensity if the
-    extrapolated density dips below -neg_tol * max(1, peak): genuine
+    extrapolated density dips below -_NEG_TOL * max(1, peak): genuine
     negativity at that scale means the evaluator was not a Cauchy
     transform of a positive measure.
     """
-    neg_tol = real_above("neg_tol", neg_tol, 0.0, closed=True)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 8:
         raise BadParams("grid must be a 1-d array with at least 8 points")
@@ -295,7 +299,7 @@ def stieltjes_invert(g_eval, grid, eta_sequence, neg_tol=1e-3):
     for c, eta in zip(coeff, etas):
         g = np.asarray(g_eval(grid + 1j * eta), dtype=complex)
         dens += c * (-np.imag(g) / np.pi)
-    floor = -neg_tol * max(1.0, float(dens.max(initial=0.0)))
+    floor = -_NEG_TOL * max(1.0, float(dens.max(initial=0.0)))
     if dens.min() < floor:
         raise NonPositiveDensity(
             f"recovered density reaches {dens.min():.3e}, below {floor:.3e}")

@@ -168,7 +168,26 @@ def test_subordination_pair_rejects_points_that_are_not_one_number(bad):
         subordination_pair(mu, mu, bad)
 
 
-_NEAR_POLE = (atomic([(-0.375, 0.5), (-0.5, 0.5)]),
+def test_subordination_pair_checks_its_point_once(monkeypatch):
+    # the one-point form checks z and calls the body of the batch form,
+    # which does not check it again
+    calls = []
+    check = additive._complex_points
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(additive, "_complex_points", counting)
+    mu, nu = semicircle(0, 1), bernoulli_pm1()
+    for z in (1j, 0.3 + 0.5j, -2 + 1e-3j):
+        calls.clear()
+        one = subordination_pair(mu, nu, z)
+        assert calls == ["z"]
+        assert one == subordination_pairs(mu, nu, [z])[0]
+
+
+_NEAR_POLE =(atomic([(-0.375, 0.5), (-0.5, 0.5)]),
               atomic([(1.875, 5 / 21), (0.0, 16 / 21)]))
 
 

@@ -13,6 +13,7 @@ import pytest
 
 import freesub.cli
 import freesub.measures
+import freesub.matrixmodels
 from freesub import (CovarianceMap, experiment_prop33, experiment_thm36,
                      haar_circle)
 from freesub.cli import main
@@ -208,6 +209,30 @@ def test_rejected_sizes_and_values_exit_2(tmp_path, capsys, argv, cfg):
     assert "Traceback" not in err
     assert not (tmp_path / "summary.json").exists()
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["verify", "prop32", "--N", "4097", "--trials", "1"], {}),
+    (["verify", "prop32", "--trials", "1"], {"lam": [1.0] * 4097}),
+    (["verify", "prop33", "--N", "4097", "--trials", "1"], {}),
+    (["verify", "thm36", "--N", "4097", "--trials", "1"], {}),
+    (["verify", "lemma34", "--samples", "5"], {"dims": [65]}),
+])
+def test_oversized_runs_exit_2_before_any_allocation(tmp_path, capsys,
+                                                     monkeypatch, argv, cfg):
+    # prop32's and prop33's default spectra are N x N np.diag matrices,
+    # once built before the library saw N; any size ended in a MemoryError
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before capping sizes")
+    monkeypatch.setattr(np, "diag", refuse)
+    monkeypatch.setattr("freesub.matrixmodels._rng", refuse)
+    argv = argv + ["--config", write_cfg(tmp_path / "cfg.json", cfg),
+                   "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert not (tmp_path / "report.json").exists()
+    assert freesub.cli._MAX_N == freesub.matrixmodels._MAX_N
 
 
 @pytest.mark.parametrize("points", ["abc", [[0, 1, 2]]])

@@ -345,6 +345,24 @@ def test_experiments_reject_empty_sizes(monkeypatch, run):
         run()
 
 
+# one size above each cap; the oversized matrices are zero-copy views
+@pytest.mark.parametrize("name, run", [
+    ("N", lambda: experiment_thm36(circle_atoms([(0.0, 1.0)]), N=4097)),
+    ("N", lambda: experiment_prop32(np.ones(4097), np.eye(1))),
+    ("N", lambda: experiment_prop33(np.broadcast_to(0j, (4097, 4097)),
+                                    np.eye(1))),
+    ("dims", lambda: experiment_lemma34(dims=(2, 65), samples=1)),
+])
+def test_experiments_cap_sizes_before_any_draw(monkeypatch, name, run):
+    # thm36 once drew an N x N Haar c0 for any N, and lemma34 stacked 256
+    # draws of any size: N = 100,000 asks for 80 GB
+    def no_draw(*args):
+        raise AssertionError("drew before capping sizes")
+    monkeypatch.setattr("freesub.matrixmodels._rng", no_draw)
+    with pytest.raises(BadParams, match=rf"\b{name}\b"):
+        run()
+
+
 @pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -1.0, True, "1"])
 @pytest.mark.parametrize("experiment", ["prop32", "prop33"])
 def test_experiments_reject_bad_eps(monkeypatch, experiment, eps):

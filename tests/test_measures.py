@@ -162,6 +162,15 @@ def test_circle_atoms_angle_reduction():
     assert c.moment(1) == pytest.approx(np.exp(0.5j), abs=1e-15)
 
 
+def test_unit_nodes_are_stored_once():
+    # every circle node sum reads them; they were once recomputed per call
+    m = haar_circle(n=64)
+    zeta = m.unit_nodes()
+    assert m.unit_nodes() is zeta
+    assert not zeta.flags.writeable
+    assert np.array_equal(zeta, np.exp(1j * m.quadrature()[0]))
+
+
 def test_rotate_circle_measure():
     c = circle_atoms([(0.0, 0.5), (6.0, 0.5)])
     r = rotate(c, 1.25)

@@ -61,13 +61,45 @@ def test_disk_solve_leaves_path_to_outer_root():
     assert abs(res.g - g0) <= 1e-10
 
 
-def test_disk_solve_seeded_sweep():
-    rng = np.random.default_rng(20261018)
+def test_disk_solve_returns_a_preimage():
+    # K is not injective on the disk: here K(g) = K(g0) has a second root
+    # in the disk (and a third at |g| = 1.09), and either disk root is a
+    # solution
+    nu = circle_atoms([(4.439457722628015, 0.5), (0.3334388087684525, 0.3),
+                       (3.0767889122509464, 0.2)])
+    g0 = -0.35074006904520333 - 0.30564131504810876j
+    other = -0.3867256361012562 + 0.5621785903718889j
+    target = circle_cauchy(nu, g0)
+    assert abs(circle_cauchy(nu, other) - target) <= 1e-12
+    res = disk_subordination_solve(nu, target)
+    assert res.residual <= 1e-12
+    assert min(abs(res.g - g0), abs(res.g - other)) <= 1e-10
+
+
+def _disk_law(kind, rng):
+    if kind == "poisson":
+        a = rng.uniform(0.1, 0.9) * np.exp(2j * np.pi * rng.random())
+        return measure_from_circle_moments([a ** k for k in range(1, 17)],
+                                           n=256)
+    k = 3 if kind == "atoms3" else 5
+    w = np.array([0.5, 0.3, 0.2]) if k == 3 else rng.dirichlet(np.ones(5))
+    return circle_atoms(list(zip(rng.uniform(0, 2 * np.pi, k), w)))
+
+
+_LAW_KINDS = ["atoms3", "atoms5", "poisson"]
+_BANDS = [(0.0, 0.25), (0.3, 0.6), (0.6, 0.9), (0.9, 0.97)]  # of |g0|
+
+
+@pytest.mark.parametrize("kind", _LAW_KINDS)
+@pytest.mark.parametrize("band", _BANDS, ids="{0[0]}-{0[1]}".format)
+def test_disk_solve_seeded_sweep(kind, band):
+    # every target K(g0) has a preimage in the disk, g0 or another root
+    rng = np.random.default_rng(
+        [20261020, _LAW_KINDS.index(kind), _BANDS.index(band)])
     failures = []
-    for _ in range(1500):
-        nu = circle_atoms(list(zip(rng.uniform(0, 2 * np.pi, 3),
-                                   [0.5, 0.3, 0.2])))
-        g0 = rng.uniform(0.3, 0.6) * np.exp(2j * np.pi * rng.random())
+    for _ in range(500):
+        nu = _disk_law(kind, rng)
+        g0 = rng.uniform(*band) * np.exp(2j * np.pi * rng.random())
         target = circle_cauchy(nu, g0)
         try:
             res = disk_subordination_solve(nu, target)

@@ -30,8 +30,6 @@ REACHING = sorted({*PUBLIC_USERS, *PACKAGE.glob("*.py"),
                    *(ROOT / "perfbench").glob("*.py")} - {PACKAGE / "__init__.py"})
 # defaulted parameters that no call in REACHING sets, and why they stay
 UNSET_PARAMETERS = {
-    "stieltjes_invert(neg_tol)":
-        "unit tests loosen the negativity floor for 2048-node measures",
     "arcsine(scale)": "the CLI's measure 'params' reach it via make_standard",
     "experiment_lemma34(dims)": "the verify config key 'dims' reaches it via **kw",
 }
@@ -213,7 +211,7 @@ def test_numeric_parameters_reject_bad_values():
     found = {f"{label}({param.name})" for label, _, _, param, _ in probes}
     assert {"LineMeasure.moment(k)", "rotate(phi)", "convolve_moments(order)",
             "free_mult_convolve_unitary(order)", "MultConvolution.measure(n)",
-            "experiment_prop33(seed)", "stieltjes_invert(neg_tol)"} <= found
+            "experiment_prop33(seed)"} <= found
     accepted = []
     for label, call, base, param, kind in probes:
         bad = [2.5, "3", True, math.nan] if kind is int else \

@@ -199,16 +199,18 @@ def test_stieltjes_invert_concentrates_atom():
     assert np.sum((w * rec.density)[near]) >= 0.9
 
 
-def test_stieltjes_invert_renorm_sweep(standard_line_measures):
-    # neg_tol is widened here: just outside an inverse-square-root edge the
-    # smoothed density is not polynomial in eta, and the extrapolation to
-    # eta = 0 overshoots below zero by ~1e-2 before being clipped.
+def test_stieltjes_invert_renorm_sweep(standard_line_measures, monkeypatch):
+    # the negativity floor is widened here: just outside an
+    # inverse-square-root edge the smoothed density is not polynomial in
+    # eta, and the extrapolation to eta = 0 overshoots below zero by ~1e-2
+    # before being clipped.
+    monkeypatch.setattr(transforms, "_NEG_TOL", 2e-2)
     for name in ("semicircle", "arcsine", "marchenko_pastur"):
         m = standard_line_measures[name]
         lo, hi = m.support()
         grid = np.linspace(lo - 0.3, hi + 0.3, 1001)
         _, renorm = stieltjes_invert(lambda z: cauchy_transform(m, z), grid,
-                                     eta_sequence=GRID_ETAS, neg_tol=2e-2)
+                                     eta_sequence=GRID_ETAS)
         assert abs(renorm - 1) <= 1e-2
 
 
@@ -266,14 +268,16 @@ def test_stieltjes_invert_rejects_non_uniform_grid():
     assert not calls
 
 
-def test_mp_inversion_with_hard_edge():
+def test_mp_inversion_with_hard_edge(monkeypatch):
     # The grid must extend below t = 0: truncating at 0.05 discards the
     # ~14% of mass that the hard edge packs into [0, 0.05] and the
-    # renormalization then inflates the whole density.
+    # renormalization then inflates the whole density.  The negativity
+    # floor is widened as in test_stieltjes_invert_renorm_sweep.
+    monkeypatch.setattr(transforms, "_NEG_TOL", 2e-2)
     mp = marchenko_pastur(1.0)
     grid = np.linspace(-0.3, 4.3, 1001)
     rec, renorm = stieltjes_invert(lambda z: cauchy_transform(mp, z), grid,
-                                   eta_sequence=GRID_ETAS, neg_tol=2e-2)
+                                   eta_sequence=GRID_ETAS)
     t = rec.grid.points()
     target = np.sqrt(np.clip(t * (4 - t), 0, None)) / (2 * np.pi * np.clip(t, 1e-9, None))
     window = (t >= 0.2) & (t <= 3.8)
