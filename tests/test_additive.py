@@ -187,7 +187,7 @@ def test_subordination_pair_checks_its_point_once(monkeypatch):
         assert one == subordination_pairs(mu, nu, [z])[0]
 
 
-_NEAR_POLE =(atomic([(-0.375, 0.5), (-0.5, 0.5)]),
+_NEAR_POLE = (atomic([(-0.375, 0.5), (-0.5, 0.5)]),
               atomic([(1.875, 5 / 21), (0.0, 16 / 21)]))
 
 

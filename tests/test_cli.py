@@ -221,7 +221,7 @@ def test_rejected_sizes_and_values_exit_2(tmp_path, capsys, argv, cfg):
 def test_oversized_runs_exit_2_before_any_allocation(tmp_path, capsys,
                                                      monkeypatch, argv, cfg):
     # prop32's and prop33's default spectra are N x N np.diag matrices,
-    # once built before the library saw N; any size ended in a MemoryError
+    # once built before the library saw N; a large N ended in a MemoryError
     def refuse(*args, **kwargs):
         raise AssertionError("allocated before capping sizes")
     monkeypatch.setattr(np, "diag", refuse)
