@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from freesub import (CovarianceMap, circle_atoms, experiment_lemma34,
-                     experiment_prop32, experiment_prop33,
+from freesub import (CovarianceMap, circle_atoms, contraction_margins,
+                     experiment_lemma34, experiment_prop32, experiment_prop33,
                      experiment_thm31_block, experiment_thm36, haar_circle)
 
 
@@ -57,7 +57,15 @@ show("disk, atomic law", experiment_thm36(theta_law=law,
                                           N=200, trials=40, seed=3))
 
 # -- 5. strict contraction margins agree -------------------------------------
+#
+# For x = s * [[0, 1], [0, 0]] both margins are 1 - s: they change sign
+# together as ||x|| = s crosses 1.  The sweep checks this on random x.
 
+for s in (0.9, 1.1):
+    norm_margin, resolvent_margin = contraction_margins(
+        s * np.array([[0.0, 1.0], [0.0, 0.0]]))
+    print(f"||x|| = {s}: norm margin {norm_margin:+.3f}, "
+          f"resolvent margin {resolvent_margin:+.3f}")
 show("contraction margins", experiment_lemma34(samples=2000, seed=4))
 
 # -- 6. determinism ----------------------------------------------------------

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import (DomainError, NoConvergence, _complex_points,
                      int_in_range, real_above)
-from .measures import LineMeasure
+from .measures import LineMeasure, _require
 from .transforms import _node_sums, cauchy_transform, stieltjes_invert
 
 _DAMPING = 0.5
@@ -143,6 +143,7 @@ def _solve_omega1(mu, nu, z, start, tol, max_iter):
     res_out = np.empty(z.size)
     iters = np.empty(z.size, dtype=int)
     at = np.arange(z.size)  # each open point's index in the batch
+    low = z.imag - _HERGLOTZ_SLACK  # the lowest Im a candidate may keep
     t_val, tprime, g_mu, dg_mu, dh_nu = _t_and_derivative(mu, nu, z, w)
     for it in range(max_iter):
         step = t_val - w
@@ -150,7 +151,10 @@ def _solve_omega1(mu, nu, z, start, tol, max_iter):
         denom = tprime - 1.0
         safe = np.abs(denom) > 1e-12
         picard = w + _DAMPING * step
-        cand = np.where(safe, w - step / np.where(safe, denom, 1.0), picard)
+        if safe.all():
+            cand = w - step / denom
+        else:
+            cand = np.where(safe, w - step / np.where(safe, denom, 1.0), picard)
         size = np.abs(w)
         limit = tol * np.maximum(1.0, size)
         if it >= _FLOOR_AFTER:
@@ -160,7 +164,7 @@ def _solve_omega1(mu, nu, z, start, tol, max_iter):
                 size + np.abs(1.0 / g_mu) + np.abs(z))
             limit = np.maximum(limit,
                                np.minimum(floor, _ROUNDING_CAP * limit))
-        ok = safe & (cand.imag > z.imag - _HERGLOTZ_SLACK)
+        ok = safe & (cand.imag > low)
         near = res < _NEWTON_HANDOFF
         # a NaN residual never converges: it ends in NoConvergence
         done = res <= limit
@@ -176,16 +180,19 @@ def _solve_omega1(mu, nu, z, start, tol, max_iter):
             keep = ~done
             at = at[keep]
             if at.size:
-                z, w, res, cand, picard, ok, near = (
-                    a[keep] for a in (z, w, res, cand, picard, ok, near))
+                z, low, w, res, cand, picard, ok, near = (
+                    a[keep] for a in (z, low, w, res, cand, picard, ok, near))
         if not at.size:
             break
         t_val, tprime, g_mu, dg_mu, dh_nu = _t_and_derivative(mu, nu, z, cand)
         # near the solution any in-domain Newton step is fine; further out
         # it must beat the current residual or Picard takes over
-        ok &= near | (np.abs(t_val - cand) < 0.9 * res)
-        w = np.where(ok, cand, picard)
-        if not ok.all():
+        if not near.all():
+            ok &= near | (np.abs(t_val - cand) < 0.9 * res)
+        if ok.all():
+            w = cand
+        else:
+            w = np.where(ok, cand, picard)
             back = ~ok
             (t_val[back], tprime[back], g_mu[back], dg_mu[back],
              dh_nu[back]) = _t_and_derivative(mu, nu, z[back], w[back])
@@ -217,6 +224,7 @@ def _upper_points(z, who, scalar=False):
 
 def _pairs(mu, nu, z, tol, max_iter):
     """subordination_pairs at the checked 1-d points z."""
+    _require(LineMeasure, mu, nu)
     omega1, g, _, iters, _ = _solve_omega1(mu, nu, z, z + 1j, tol, max_iter)
     omega2 = z + np.reciprocal(g) - omega1
     gap = g - cauchy_transform(nu, omega2)
@@ -262,6 +270,7 @@ def convolve_cauchy(mu: LineMeasure, nu: LineMeasure, z):
 
     Every point is solved cold from z + i, so any points will do.
     """
+    _require(LineMeasure, mu, nu)
     pts = _upper_points(z, "convolve_cauchy")
     scalar = pts.ndim == 0
     pts = np.atleast_1d(pts)
@@ -322,6 +331,7 @@ def continued_density(mu: LineMeasure, nu: LineMeasure, grid,
     way where the map's rounding lies above it.  Returns
     stieltjes_invert's (measure, renorm).
     """
+    _require(LineMeasure, mu, nu)
     tol = real_above("tol", tol, _MIN_TOL, closed=True)
     max_iter = int_in_range("max_iter", max_iter, 1)
     last = None
@@ -368,6 +378,7 @@ def convolve_moments(mu: LineMeasure, nu: LineMeasure, order: int):
     Node angles are offset by half a step so no node hits the real axis,
     and conjugate symmetry G(conj z) = conj G(z) halves the work.
     """
+    _require(LineMeasure, mu, nu)
     order = int_in_range("order", order, 1)
     radius = mu.support_radius() + nu.support_radius() + 2.0
     step = 2.0 * math.pi / _CONTOUR_NODES

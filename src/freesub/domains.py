@@ -73,7 +73,12 @@ def contraction_margins(x):
     are open and equivalent).  If ``1 - x`` is singular the resolvent
     margin is reported as ``-inf``.
     """
-    m = _complex_matrix("x", x, stack=True)
+    return _contraction_margins(_complex_matrix("x", x, stack=True))[:2]
+
+
+def _contraction_margins(m):
+    """contraction_margins of a checked matrix or stack, and the singular
+    values of 1 - m that it takes."""
     norm_margin = 1.0 - np.linalg.svd(m, compute_uv=False)[..., 0]
     a = np.eye(m.shape[-1]) - m
     s = np.linalg.svd(a, compute_uv=False)
@@ -81,7 +86,7 @@ def contraction_margins(x):
     resolvent_margin = np.full(regular.shape, -np.inf)
     r = np.linalg.inv(a[regular])
     resolvent_margin[regular] = np.linalg.eigvalsh(r + r.conj().mT)[..., 0] - 1.0
-    return _per_matrix(norm_margin), _per_matrix(resolvent_margin)
+    return _per_matrix(norm_margin), _per_matrix(resolvent_margin), s
 
 
 def resolvent_identity_residual(x):

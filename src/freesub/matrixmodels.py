@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .domains import _halfplane_margin, contraction_margins, \
+from .domains import _contraction_margins, _halfplane_margin, \
     operator_norm, resolvent_identity_residual
 from .errors import BadParams, DegenerateTransform, NoConvergence, \
     _complex_matrix, int_in_range, real_above
@@ -531,12 +531,12 @@ def experiment_lemma34(dims=(2, 3, 4, 5, 6), samples=10000,
             a = np.stack([drawn[i][2] for i in at])
             target = np.array([drawn[i][1] for i in at])
             x = a * (target / operator_norm(a))[:, None, None]
-            norm_margin, resolvent_margin = contraction_margins(x)
+            norm_margin, resolvent_margin, s = _contraction_margins(x)
             violations += int(np.count_nonzero(
                 (norm_margin > 0) != (resolvent_margin > 0)))
             stacks[d] = at, x
             if checked < _IDENTITY_SAMPLES:
-                s_min[at] = np.linalg.svd(np.eye(d) - x, compute_uv=False)[:, -1]
+                s_min[at] = s[:, -1]
         if checked < _IDENTITY_SAMPLES:
             # the first well-conditioned draws in draw order
             take = np.zeros(len(drawn), dtype=bool)

@@ -156,8 +156,13 @@ class LineMeasure(_Measure):
         return self.grid.points(), self.grid.trapezoid_weights()
 
     def support(self):
-        """Smallest interval containing all nodes."""
-        return float(self._nodes.min()), float(self._nodes.max())
+        """Smallest interval containing all nodes, found at first use and
+        returned by every later call."""
+        lo_hi = self.__dict__.get("_support")
+        if lo_hi is None:
+            lo_hi = float(self._nodes.min()), float(self._nodes.max())
+            object.__setattr__(self, "_support", lo_hi)
+        return lo_hi
 
     def support_radius(self) -> float:
         lo, hi = self.support()
@@ -209,6 +214,13 @@ class CircleMeasure(_Measure):
         th, w = self.quadrature()
         m = complex(np.sum(w * np.exp(1j * abs(k) * th)))
         return m.conjugate() if k < 0 else m
+
+
+def _require(kind, *measures):
+    """Raise BadParams unless every one of ``measures`` is a ``kind``."""
+    for m in measures:
+        if not isinstance(m, kind):
+            raise BadParams(f"expected a {kind.__name__}, got {type(m).__name__}")
 
 
 def from_json(text: str):

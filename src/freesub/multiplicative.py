@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateTransform, NoConvergence, _complex_points, \
     int_in_range
-from .measures import CircleMeasure, measure_from_circle_moments
+from .measures import CircleMeasure, _require, measure_from_circle_moments
 from .transforms import _circle_cauchy
 
 _MAX_ORDER = 16
@@ -113,6 +113,7 @@ def disk_subordination_solve(nu: CircleMeasure, target) -> DiskSubordinationEval
     g a solution; that degeneracy is detected up front and surfaced as a
     typed error.
     """
+    _require(CircleMeasure, nu)
     target = _complex_points("target", target, scalar=True)
     probes = np.array([0.0, 0.3, -0.3, 0.3j])
     k_probe, _ = _circle_cauchy(nu, probes)
@@ -182,6 +183,7 @@ def free_mult_convolve_unitary(mu: CircleMeasure, nu: CircleMeasure,
     collapses to uniform (all moments zero) -- an alternating product of
     centered free factors has zero trace.
     """
+    _require(CircleMeasure, mu, nu)
     order = int_in_range("order", order, 1, _MAX_ORDER)
     theta = (np.arange(_ETA_NODES) + 0.5) * (2.0 * math.pi / _ETA_NODES)
     radii = np.array(_ETA_RADII)[:, None]

@@ -11,8 +11,9 @@ free semicirculars stay semicircular with added covariances, which makes
 G_X, G_Y and G_{X+Y} all independently computable; the subordination map
 F with G_{X+Y}(b) = G_X(F(b)) is then extracted by inverting G_X with
 Newton's method, using that G_X is holomorphic, so its derivative is a
-complex-linear map.  That turns the subordination identity into a
-two-sided numerical check instead of a definition.
+complex-linear map, differenced from one stacked G_X call per Newton
+point.  That turns the subordination identity into a two-sided
+numerical check instead of a definition.
 """
 
 from dataclasses import dataclass, field
@@ -235,16 +236,18 @@ def semicircular_shift_F(eta_y: CovarianceMap, g_xy, b):
 def solve_subordination_F(g_x_eval, g_target, b_start, tol=1e-10):
     """Invert the Cauchy transform of X: find F with G_X(F) = g_target.
 
-    ``g_x_eval(b)`` must return the matrix Cauchy transform of X at b;
-    it also accepts a (k, n, n) stack and returns the stack of values.
-    G_X is holomorphic on the matrix upper half plane, so its derivative
-    is complex linear: Newton differences G_X along the n^2 complex unit
-    directions, all n^2 perturbed points in one call, and solves one
-    complex n^2 x n^2 system per step.  Candidate steps are cut back
-    until the iterate keeps a positive half-plane margin, one call per
-    candidate evaluated.  Raises JacobianSingular where G_X is locally
-    non-invertible and the subordination point cannot be extracted this
-    way.
+    ``g_x_eval(b)`` must return the matrix Cauchy transform of X at each
+    matrix of a (k, n, n) stack, as a stack of the same shape.  G_X is
+    holomorphic on the matrix upper half plane, so its derivative is
+    complex linear: Newton differences G_X along the n^2 complex unit
+    directions and solves one complex n^2 x n^2 system per step.  Each
+    point the solve visits, ``b_start`` and every line-search candidate,
+    is evaluated in one call together with its n^2 difference points, a
+    stack of n^2 + 1 matrices, so an accepted candidate already carries
+    the next step's Jacobian.  Candidate steps are cut back until the
+    iterate keeps a positive half-plane margin.  Raises JacobianSingular
+    where G_X is locally non-invertible and the subordination point
+    cannot be extracted this way.
     """
     tol = real_above("tol", tol, 0.0)
     g_target = _complex_matrix("g_target", g_target)
@@ -255,19 +258,24 @@ def solve_subordination_F(g_x_eval, g_target, b_start, tol=1e-10):
     if _halfplane_margin(w) <= 0:
         raise DomainError("b_start must lie in the matrix upper half plane")
     directions = np.eye(n * n).reshape(n * n, n, n)
-    resid_mat = g_x_eval(w) - g_target
+
+    def evaluate(at):
+        """G_X - g_target at ``at`` and its difference points, and the step."""
+        delta = _FD_STEP * max(1.0, float(np.linalg.norm(at)))
+        points = np.concatenate([at[None], at + delta * directions])
+        vals = g_x_eval(points) - g_target
+        if vals.shape != points.shape:
+            raise BadParams("g_x_eval must return one value per matrix of a stack")
+        return vals, delta
+
+    vals, delta = evaluate(w)
     for _ in range(_F_MAX_ITER):
-        resid = float(np.linalg.norm(resid_mat))
+        resid = float(np.linalg.norm(vals[0]))
         if resid <= tol:
             return w
-        delta = _FD_STEP * max(1.0, float(np.linalg.norm(w)))
-        pert = w + delta * directions
-        moved = g_x_eval(pert) - g_target
-        if moved.shape != pert.shape:
-            raise BadParams("g_x_eval must return one value per matrix of a stack")
-        jac = (moved - resid_mat).reshape(n * n, n * n).T / delta
+        jac = (vals[1:] - vals[0]).reshape(n * n, n * n).T / delta
         try:
-            step = np.linalg.solve(jac, -resid_mat.reshape(-1)).reshape(n, n)
+            step = np.linalg.solve(jac, -vals[0].reshape(-1)).reshape(n, n)
         except np.linalg.LinAlgError:
             raise JacobianSingular("Cauchy transform is locally non-invertible") from None
         if not np.all(np.isfinite(step)):
@@ -276,15 +284,14 @@ def solve_subordination_F(g_x_eval, g_target, b_start, tol=1e-10):
         for _ in range(30):
             cand = w + s * step
             if _halfplane_margin(cand) > 0:
-                cand_mat = g_x_eval(cand) - g_target
-                if np.linalg.norm(cand_mat) < 10.0 * resid:
+                cand_vals, cand_delta = evaluate(cand)
+                if np.linalg.norm(cand_vals[0]) < 10.0 * resid:
                     break
             s *= 0.5
         else:
             raise NoConvergence("step search could not stay in the half plane",
                                 residual=resid)
-        w = cand
-        resid_mat = cand_mat
+        w, vals, delta = cand, cand_vals, cand_delta
     raise NoConvergence("subordination Newton stalled",
                         iterations=_F_MAX_ITER,
-                        residual=float(np.linalg.norm(resid_mat)))
+                        residual=float(np.linalg.norm(vals[0])))

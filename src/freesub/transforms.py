@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (BadParams, DomainError, NonPositiveDensity, ZeroTransform,
                      _complex_points)
-from .measures import CircleMeasure, GridSpec, LineMeasure
+from .measures import CircleMeasure, GridSpec, LineMeasure, _require
 
 _NODE_CLEARANCE = 1e-12
 # stieltjes_invert rejects a density below -_NEG_TOL * max(1, peak)
@@ -81,21 +81,22 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _chunk_sum(r, weights, s_pairs, ds_pairs):
+    """Fill one chunk's sums from its differences r = x - t, in place."""
+    np.reciprocal(r, out=r)
+    np.matmul(weights, r.view(float).reshape(r.shape + (2,)), out=s_pairs)
+    # numpy squares a lone element in place outside its vector loop,
+    # which rounds differently, so that one is squared into a copy
+    r = np.multiply(r, r, out=r if r.size > 1 else None)
+    np.matmul(weights, r.view(float).reshape(r.shape + (2,)), out=ds_pairs)
+
+
 def _chunk_sums(flat, nodes, weights, rows, buf, s_pairs, ds_pairs):
     """Fill the sums of the points ``flat``, ``rows`` points a chunk."""
-    m = nodes.size
     for lo in range(0, flat.size, rows):
         xs = flat[lo:lo + rows]
-        r = buf[:xs.size]
-        np.subtract(xs[:, None], nodes, out=r)
-        np.reciprocal(r, out=r)
-        np.matmul(weights, r.view(float).reshape(xs.size, m, 2),
-                  out=s_pairs[lo:lo + rows])
-        # numpy squares a lone element in place outside its vector loop,
-        # which rounds differently, so that one is squared into a copy
-        r = np.multiply(r, r, out=r if r.size > 1 else None)
-        np.matmul(weights, r.view(float).reshape(xs.size, m, 2),
-                  out=ds_pairs[lo:lo + rows])
+        _chunk_sum(np.subtract(xs[:, None], nodes, out=buf[:xs.size]),
+                   weights, s_pairs[lo:lo + rows], ds_pairs[lo:lo + rows])
 
 
 def _node_sums(x, nodes, weights):
@@ -132,8 +133,11 @@ def _node_sums(x, nodes, weights):
     shares = 1
     if chunks >= 2 * _MIN_SHARE:
         shares = min(_usable_cores(), chunks // _MIN_SHARE)
-    if shares == 1:
-        buf = np.empty((min(rows, n), m), dtype=complex)
+    if chunks <= 1:
+        # one chunk needs no scratch buffer
+        _chunk_sum(flat[:, None] - nodes, weights, s_pairs, ds_pairs)
+    elif shares == 1:
+        buf = np.empty((rows, m), dtype=complex)
         _chunk_sums(flat, nodes, weights, rows, buf, s_pairs, ds_pairs)
     else:
         ends = [min(n, rows * (chunks * k // shares))
@@ -172,8 +176,7 @@ def _require_clear(pts, nodes, gap, clearance):
 
 def _line_cauchy(measure, z):
     """Checked points of ``z`` (a line transform's one check) and G there."""
-    if not isinstance(measure, LineMeasure):
-        raise BadParams("the line transforms take a LineMeasure")
+    _require(LineMeasure, measure)
     pts = _complex_points("z", z)
     t, w = measure.quadrature()
     clearance = _NODE_CLEARANCE * max(1.0, measure.support_radius())
@@ -220,8 +223,7 @@ def _circle_cauchy(measure, g, conjugate=False):
 
 def _circle_points(measure, z, name="z", conjugate=False):
     """Checked points of ``z``: a circle transform's one check."""
-    if not isinstance(measure, CircleMeasure):
-        raise BadParams("the circle transforms take a CircleMeasure")
+    _require(CircleMeasure, measure)
     pts = _complex_points(name, z)
     # unit nodes: |zeta - g| >= ||g| - 1|; |g - conj zeta| = |conj g - zeta|
     _require_clear(pts.conj() if conjugate else pts, measure.unit_nodes(),

@@ -168,9 +168,9 @@ def test_solve_subordination_roundtrip():
 
 
 def test_solve_subordination_call_count():
-    # one call at b_start, then per Newton step one call on the stack of
-    # the n^2 perturbed points and one per line-search candidate; this
-    # n = 3 point accepts four full steps, so 1 + 2 * 4 calls
+    # one call at b_start and one per line-search candidate, each on the
+    # point and its n^2 difference points; this n = 3 point accepts four
+    # full steps, so 1 + 4 calls of 10 matrices
     rng = np.random.default_rng(3)
     n = 3
     eta_x = cm(rng.normal(size=(n, n)) / 2)
@@ -184,8 +184,8 @@ def test_solve_subordination_call_count():
         return op_semicircular_cauchy(eta_x, w).g
 
     f = solve_subordination_F(g_x, gxy.g, b)
-    steps = (len(shapes) - 1) // 2
-    assert shapes == [(n, n)] + [(n * n, n, n), (n, n)] * steps
+    steps = len(shapes) - 1
+    assert shapes == [(n * n + 1, n, n)] * (1 + steps)
     assert steps == 4
     assert np.max(np.abs(g_x(f) - gxy.g)) <= 1e-10
 
@@ -271,7 +271,7 @@ def test_stacked_cauchy_matches_per_matrix_solves():
         assert res.g.shape == res.b.shape == b.shape
         singles = [op_semicircular_cauchy(eta, p) for p in b.reshape(-1, n, n)]
         for got, one in zip(res.g.reshape(-1, n, n), singles):
-            assert np.max(np.abs(got - one.g)) <= 1e-13
+            assert np.array_equal(got, one.g)
         assert res.residual == max(one.residual for one in singles)
         assert res.iterations == max(one.iterations for one in singles)
         assert isinstance(res.iterations, int)
@@ -334,3 +334,67 @@ def test_op_cauchy_keeps_the_invariants(case):
     gap = np.linalg.norm(fixed - res.g, axis=(-2, -1))
     scale = np.maximum(1.0, np.linalg.norm(np.linalg.inv(b), axis=(-2, -1)))
     assert np.all(gap <= 2e-12 * scale)
+
+
+def _two_call_newton(g_x_eval, g_target, w, tol=1e-10):
+    """solve_subordination_F as it was written before each point was
+    evaluated with its difference points: one call on w's n^2 difference
+    points and one per line-search candidate."""
+    n = w.shape[0]
+    directions = np.eye(n * n).reshape(n * n, n, n)
+    resid_mat = g_x_eval(w) - g_target
+    for _ in range(50):
+        resid = float(np.linalg.norm(resid_mat))
+        if resid <= tol:
+            return w
+        delta = 1e-6 * max(1.0, float(np.linalg.norm(w)))
+        moved = g_x_eval(w + delta * directions) - g_target
+        jac = (moved - resid_mat).reshape(n * n, n * n).T / delta
+        step = np.linalg.solve(jac, -resid_mat.reshape(-1)).reshape(n, n)
+        s = 1.0
+        for _ in range(30):
+            cand = w + s * step
+            if halfplane_margin(cand) > 0:
+                cand_mat = g_x_eval(cand) - g_target
+                if np.linalg.norm(cand_mat) < 10.0 * resid:
+                    break
+            s *= 0.5
+        else:
+            raise AssertionError("the reference line search failed")
+        w, resid_mat = cand, cand_mat
+    raise AssertionError("the reference Newton stalled")
+
+
+@st.composite
+def _subordination_triples(draw):
+    """Kraus maps eta_X (1-2 terms) and eta_Y on n = 1-4 and a point b =
+    H + i(lift I), as the benchmark draws its triples."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def unit(scale):
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return scale * m / np.linalg.norm(m, 2)
+
+    eta_x = CovarianceMap(tuple(unit(0.6)
+                                for _ in range(draw(st.integers(1, 2)))))
+    eta_y = CovarianceMap((unit(0.7),))
+    h = rng.normal(size=(n, n))
+    lift = draw(st.floats(0.3, 2.0))
+    return eta_x, eta_y, (h + h.T) / 4 + 1j * lift * np.eye(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_subordination_triples())
+def test_solve_subordination_keeps_the_two_call_bits(case):
+    # evaluating each point with its difference points in one stack must
+    # not move F by a bit: the stacked Cauchy solve gives each matrix the
+    # bits of its own solve
+    eta_x, eta_y, b = case
+    gxy = op_add_cauchy(eta_x, eta_y, b).g
+
+    def g_x(w):
+        return op_semicircular_cauchy(eta_x, w).g
+
+    want = _two_call_newton(g_x, gxy, b.astype(complex))
+    assert solve_subordination_F(g_x, gxy, b).tobytes() == want.tobytes()

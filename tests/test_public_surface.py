@@ -297,6 +297,38 @@ def test_matrix_arguments_reject_bad_values(monkeypatch, name, size_name,
             call(bad)
 
 
+@pytest.mark.parametrize("name, call", [
+    ("subordination_pairs",
+     lambda line, circle: freesub.additive.subordination_pairs(circle, line, [1j])),
+    ("subordination_pair",
+     lambda line, circle: freesub.subordination_pair(circle, line, 1j)),
+    ("convolve_cauchy",
+     lambda line, circle: freesub.convolve_cauchy(line, circle, 1j)),
+    ("continued_density",
+     lambda line, circle: freesub.additive.continued_density(
+         circle, line, np.linspace(-3, 3, 33))),
+    ("free_add_convolve",
+     lambda line, circle: freesub.free_add_convolve(
+         line, circle, np.linspace(-3, 3, 33))),
+    ("convolve_moments",
+     lambda line, circle: freesub.convolve_moments(circle, line, 2)),
+    ("disk_subordination_solve",
+     lambda line, circle: freesub.disk_subordination_solve(line, 0.3)),
+    ("free_mult_convolve_unitary(mu)",
+     lambda line, circle: freesub.free_mult_convolve_unitary(line, circle)),
+    ("free_mult_convolve_unitary(nu)",
+     lambda line, circle: freesub.free_mult_convolve_unitary(circle, line)),
+])
+def test_solvers_reject_the_other_measure_type(name, call):
+    # a circle law on a line solver read its angles as positions and
+    # returned a converged answer; a line law on a circle solver ended
+    # in an AttributeError
+    line = freesub.semicircle(0, 1)
+    circle = freesub.circle_atoms([(0.5, 0.5), (2.0, 0.5)])
+    with pytest.raises(BadParams, match="Measure"):
+        call(line, circle)
+
+
 def test_no_private_freesub_imports():
     for path in PUBLIC_USERS:
         for node in ast.walk(ast.parse(path.read_text())):
