@@ -77,8 +77,7 @@ def contraction_margins(x):
 
 
 def _contraction_margins(m):
-    """contraction_margins of a checked matrix or stack, and the singular
-    values of 1 - m that it takes."""
+    """contraction_margins of a checked m, and the singular values of 1 - m."""
     norm_margin = 1.0 - np.linalg.svd(m, compute_uv=False)[..., 0]
     a = np.eye(m.shape[-1]) - m
     s = np.linalg.svd(a, compute_uv=False)

@@ -156,8 +156,7 @@ class LineMeasure(_Measure):
         return self.grid.points(), self.grid.trapezoid_weights()
 
     def support(self):
-        """Smallest interval containing all nodes, found at first use and
-        returned by every later call."""
+        """Smallest interval containing all nodes, stored at first use."""
         lo_hi = self.__dict__.get("_support")
         if lo_hi is None:
             lo_hi = float(self._nodes.min()), float(self._nodes.max())

@@ -81,14 +81,16 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _chunk_sum(r, weights, s_pairs, ds_pairs):
-    """Fill one chunk's sums from its differences r = x - t, in place."""
+def _chunk_sum(r, weights, s_pairs=None, ds_pairs=None):
+    """One chunk's sums from its differences r = x - t, as (re, im) float
+    pairs, into the arrays given or new ones; r is overwritten."""
+    pair = r.shape + (2,)  # real weights contract both parts in one product
     np.reciprocal(r, out=r)
-    np.matmul(weights, r.view(float).reshape(r.shape + (2,)), out=s_pairs)
+    s_pairs = np.matmul(weights, r.view(float).reshape(pair), out=s_pairs)
     # numpy squares a lone element in place outside its vector loop,
     # which rounds differently, so that one is squared into a copy
     r = np.multiply(r, r, out=r if r.size > 1 else None)
-    np.matmul(weights, r.view(float).reshape(r.shape + (2,)), out=ds_pairs)
+    return s_pairs, np.matmul(weights, r.view(float).reshape(pair), out=ds_pairs)
 
 
 def _chunk_sums(flat, nodes, weights, rows, buf, s_pairs, ds_pairs):
@@ -124,19 +126,20 @@ def _node_sums(x, nodes, weights):
     flat = x.reshape(-1)
     n, m = flat.size, nodes.size
     rows = max(1, _CHUNK_ELEMENTS // m)
+    chunks = -(-n // rows)
+    if chunks <= 1:
+        # one chunk needs no scratch buffer, and its products make the sums
+        s, ds = (p.view(complex).reshape(x.shape)
+                 for p in _chunk_sum(flat[:, None] - nodes, weights))
+        return s, np.negative(ds, out=ds)
     s = np.empty(n, dtype=complex)
     ds = np.empty(n, dtype=complex)
-    # (re, im) float views: real weights contract both parts in one product
     s_pairs = s.view(float).reshape(n, 2)
     ds_pairs = ds.view(float).reshape(n, 2)
-    chunks = -(-n // rows)
     shares = 1
     if chunks >= 2 * _MIN_SHARE:
         shares = min(_usable_cores(), chunks // _MIN_SHARE)
-    if chunks <= 1:
-        # one chunk needs no scratch buffer
-        _chunk_sum(flat[:, None] - nodes, weights, s_pairs, ds_pairs)
-    elif shares == 1:
+    if shares == 1:
         buf = np.empty((rows, m), dtype=complex)
         _chunk_sums(flat, nodes, weights, rows, buf, s_pairs, ds_pairs)
     else:
