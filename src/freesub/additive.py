@@ -10,11 +10,11 @@ omega1 is computed as the attracting fixed point of
 w -> z + h_nu(z + h_mu(w)) by guarded Newton over a damped Picard
 fallback; the Newton derivative is assembled from the exact quadrature
 series of G', so no differencing step size is involved.  G and G' come
-together from the chunked node-sum kernel ``transforms._node_sums``,
-which splits a large call over the usable cores with the bits of a
-single-threaded run and no setting.  Each evaluation of the map at a
-Newton candidate is kept: once the candidate is accepted it is the next
-iterate's value and derivative.
+together from the node-sum kernel ``transforms._node_sums`` over each
+measure's stored node table: a measure of 256 nodes or more is summed
+by panels, far panels by their multipole series, on the calling thread.
+Each evaluation of the map at a Newton candidate is kept: once the
+candidate is accepted it is the next iterate's value and derivative.
 G_mu(omega1), which is G_{mu (+) nu}(z), comes out of the solve with no
 further node sum.  ``subordination_pairs`` solves the pair at a batch of
 points, and ``subordination_pair`` is its one-point form.
@@ -38,7 +38,8 @@ import numpy as np
 from .errors import (DomainError, NoConvergence, _complex_points,
                      int_in_range, real_above)
 from .measures import LineMeasure, _require
-from .transforms import _node_sums, cauchy_transform, stieltjes_invert
+from .transforms import (_node_sums, _node_table, cauchy_transform,
+                         stieltjes_invert)
 
 _DAMPING = 0.5
 _NEWTON_HANDOFF = 1e-3
@@ -75,7 +76,7 @@ class SubordinationEval:
 
 def _h_and_derivative(measure, w):
     """h(w) = 1/G(w) - w and h'(w), with G(w) and G'(w)."""
-    g, gp = _node_sums(w, *measure.quadrature())
+    g, gp = _node_sums(w, _node_table(measure))
     return 1.0 / g - w, -gp / g**2 - 1.0, g, gp
 
 

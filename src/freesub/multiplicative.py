@@ -16,10 +16,10 @@ Since eta maps the disk to itself with eta(0) = 0, Schwarz gives
 subdisk and plain iteration converges geometrically for |z| < 1.
 
 Both solvers read their transforms from one helper,
-``transforms._circle_cauchy``, over the nodes the measure stores once
-(``CircleMeasure.unit_nodes``): K and K' from one node sum for the disk
-Newton solve, and for each eta ratio K at the conjugate point, which
-neither cancels nor is singular at 0.
+``transforms._circle_cauchy``, over the node tables the measure stores
+once, for zeta and for conj zeta (``transforms._node_table``): K and K'
+from one node sum for the disk Newton solve, and for each eta ratio K
+at the conjugate point, which neither cancels nor is singular at 0.
 """
 
 import math

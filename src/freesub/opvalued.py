@@ -146,9 +146,10 @@ def op_semicircular_cauchy(eta: CovarianceMap, b, tol=1e-12) -> OpCauchyEval:
     ``b`` is one matrix or a stack (..., n, n), and g comes back in its
     shape.  A stack is iterated together, one stacked inverse and one
     stacked Newton solve per pass; each matrix leaves the stack at its
-    own tolerance, so its value does not depend on the stack around it
-    (unless a Newton system in the stack is exactly singular, which
-    sends that whole pass to Picard).
+    own tolerance, so its value does not depend on the stack around it.
+    A pass whose stacked Newton solve meets an exactly singular system
+    solves the systems one by one, and only the singular ones take a
+    Picard step.
 
     Every pass tries a Newton step on the multiplied-out residual
     (b - eta(g))g - I from g = b^{-1} on.  The candidate must stay in
@@ -197,10 +198,17 @@ def op_semicircular_cauchy(eta: CovarianceMap, b, tol=1e-12) -> OpCauchyEval:
                 v[left] for v in (at, points, tol_abs, g, lhs, fixed, res, undo))
         phi = lhs @ g - eye
         jac = _kron(lhs, eye) - _kron(eye, g.mT) @ kk
+        rhs = -phi.reshape(-1, n * n, 1)
         try:
-            delta = np.linalg.solve(jac, -phi.reshape(-1, n * n, 1))
+            delta = np.linalg.solve(jac, rhs)
         except np.linalg.LinAlgError:
-            delta = np.full(phi.shape, np.nan)
+            # solved one by one, only the singular systems take Picard
+            delta = np.full(rhs.shape, np.nan, dtype=complex)
+            for i in range(len(jac)):
+                try:
+                    delta[i] = np.linalg.solve(jac[i], rhs[i])
+                except np.linalg.LinAlgError:
+                    pass
         cand = g + delta.reshape(g.shape)
         finite = np.isfinite(cand).all(axis=(-2, -1))
         if not finite.all():

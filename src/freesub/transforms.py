@@ -10,21 +10,21 @@ All evaluators integrate the stored quadrature data exactly and are
 vectorized over the evaluation point.  Every one of them, here and in
 the solvers of ``additive`` and ``multiplicative``, reduces to the one
 node-sum kernel ``_node_sums``: S(x) = sum_j w_j/(x - t_j) together with
-S'(x), with the line nodes t_j or the unit-circle nodes zeta_j.  The
-kernel works through the points in chunks of about _CHUNK_ELEMENTS
-reciprocals, so its temporary stays cache-sized for any grid.  A call
-with enough chunks splits them over the process's usable cores (its CPU
-affinity), in runs of whole chunks on a thread pool created at first
-use; numpy releases the interpreter lock inside its loops and products.
-Every chunk is the one a single-threaded run forms, so the bits match
-that run's, and no setting exists: smaller calls, and every call on one
-usable core, run inline.
+S'(x), with the line nodes t_j or the unit-circle nodes zeta_j.
+
+A measure of fewer than _PANEL_MIN nodes is summed directly.  A larger
+one is summed by panels, the one-level form of the fast multipole method
+(Greengard & Rokhlin, J. Comput. Phys. 73, 1987; Dutt, Gu & Rokhlin,
+SIAM J. Numer. Anal. 33, 1996): its nodes are sorted and cut into
+panels of _PANEL_NODES, and a panel far from x contributes a truncated
+multipole series in place of its nodes.  The panels, their centres,
+radii and series coefficients form the measure's node table
+(``_node_table``), built once per orientation and held by the measure.
+The kernel runs inline, chunk by chunk, so its temporaries stay
+cache-sized for any grid.
 """
 
-import contextvars
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,133 +35,189 @@ from .measures import CircleMeasure, GridSpec, LineMeasure, _require
 _NODE_CLEARANCE = 1e-12
 # stieltjes_invert rejects a density below -_NEG_TOL * max(1, peak)
 _NEG_TOL = 1e-3
-# complex reciprocals formed per chunk of points: 512 KB, within L2
+# complex reciprocals or powers formed per chunk of points: 512 KB, within L2
 _CHUNK_ELEMENTS = 1 << 15
-# fewest chunks worth a thread's round trip: a call splits from twice this
-_MIN_SHARE = 2
+# measures of this many nodes or more are summed by panels of _PANEL_NODES
+_PANEL_MIN = 256
+_PANEL_NODES = 128
+# a panel of radius r is far from x when |x - c| > _FAR * r; its series
+# then truncates after _TERMS terms at (1/_FAR)^_TERMS = 6.7e-18 relative
+_FAR = 3.0
+_TERMS = 36
+# a panel radius below this one is raised to it, so that 1/r^2 stays
+# finite and v^2 = (r/(x - c))^2 normal while |x - c| < 1e50
+_MIN_RADIUS = 1e-100
+# the running product's steps: v^1 .. v^k known, v^(k+1) .. v^(2k) formed
+_DOUBLINGS = tuple(1 << j for j in range(_TERMS.bit_length()))
 
 
 def _restore(values, scalar):
     return complex(values[()]) if scalar else values
 
 
-def _usable_cores():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        return os.cpu_count() or 1
+@dataclass(frozen=True, eq=False)
+class _NodeTable:
+    """A measure's nodes and weights in the form ``_node_sums`` reads.
 
-
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _executor():
-    """The node-sum thread pool, created at first use.
-
-    The calling thread runs one share of a split itself, so the pool
-    holds one thread fewer than the usable cores.
+    A direct table holds the nodes and weights as (m,) arrays.  A panel
+    table holds them as (P, L) arrays, sorted and cut into P panels of
+    L or L - 1 nodes (a short panel repeats its last node at weight 0),
+    with each panel's centre c, radius r and far-field reach _FAR * r,
+    and ``coef``: the 2 by (_TERMS + 1) * P coefficients that turn the
+    powers v^1 .. v^(_TERMS + 1), v = r/(x - c), of every panel into S
+    and S'.  Every array is read-only.
     """
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=max(1, _usable_cores() - 1),
-                                       thread_name_prefix="freesub-node-sums")
-        return _pool
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    centres: np.ndarray = None
+    radii: np.ndarray = None
+    reach: np.ndarray = None
+    coef: np.ndarray = None
 
 
-def _forget_pool():
-    # a forked child has none of its parent's pool threads: it builds its own
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
+def _build_table(nodes, weights):
+    """The node table of a quadrature, by whole-array operations."""
+    if nodes.size < _PANEL_MIN:
+        return _NodeTable(nodes, weights)
+    m = nodes.size
+    order = np.argsort(np.angle(nodes) if np.iscomplexobj(nodes) else nodes,
+                       kind="stable")
+    panels = -(-m // _PANEL_NODES)
+    bounds = m * np.arange(panels + 1) // panels
+    take = bounds[:-1, None] + np.arange(np.diff(bounds).max())
+    stop = bounds[1:, None]
+    at = order[np.minimum(take, stop - 1)]
+    t = nodes[at]
+    w = np.where(take < stop, weights[at], 0.0)
+    centres = (t[:, 0] + t[:, -1]) / 2
+    radii = np.maximum(np.abs(t - centres[:, None]).max(axis=1), _MIN_RADIUS)
+    # scaled moments a_k = sum_j w_j ((t_j - c)/r)^k, k < _TERMS: |a_k| <= sum w
+    delta = (t - centres[:, None]) / radii[:, None]
+    powers = np.ones((panels, t.shape[1], _TERMS), dtype=delta.dtype)
+    powers[..., 1:] = delta[..., None]
+    np.cumprod(powers, axis=-1, out=powers)
+    moments = np.matmul(w[:, None, :], powers)[:, 0, :]
+    # with v = r * u, u = 1/(x - c): S = u * sum_k a_k v^k = sum_k a_k v^(k+1)/r
+    # and S' = -u^2 * sum_k (k + 1) a_k v^k = -sum_k (k + 1) a_k v^(k+2)/r^2
+    k = np.arange(1, _TERMS + 1)
+    coef = np.zeros((2, _TERMS + 1, panels), dtype=complex)
+    coef[0, :-1] = moments.T / radii
+    coef[1, 1:] = -k[:, None] * moments.T / radii**2
+    tables = (t, w, centres, radii, _FAR * radii, coef.reshape(2, -1))
+    for a in tables:
+        a.setflags(write=False)
+    return _NodeTable(*tables)
 
 
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+def _node_table(measure, conjugate=False):
+    """The node table of ``measure``: over its line nodes, its unit nodes
+    zeta or, with ``conjugate``, over conj zeta.  Built at first use and
+    held by the measure, so every later call returns the same object."""
+    name = "_conjugate_table" if conjugate else "_node_table"
+    table = measure.__dict__.get(name)
+    if table is None:
+        nodes, weights = measure.quadrature()
+        if isinstance(measure, CircleMeasure):
+            nodes = measure.unit_nodes()
+            nodes = nodes.conj() if conjugate else nodes
+        table = _build_table(nodes, weights)
+        object.__setattr__(measure, name, table)
+    return table
 
 
-def _chunk_sum(r, weights, s_pairs=None, ds_pairs=None):
-    """One chunk's sums from its differences r = x - t, as (re, im) float
-    pairs, into the arrays given or new ones; r is overwritten."""
+def _chunk_sums(r, weights):
+    """One chunk's S and S' from its differences r = x - t, (n, m), and
+    the weights, (m,) or (n, m); r is overwritten."""
     pair = r.shape + (2,)  # real weights contract both parts in one product
+    w = weights[..., None, :]
     np.reciprocal(r, out=r)
-    s_pairs = np.matmul(weights, r.view(float).reshape(pair), out=s_pairs)
+    s = np.matmul(w, r.view(float).reshape(pair))
     # numpy squares a lone element in place outside its vector loop,
     # which rounds differently, so that one is squared into a copy
     r = np.multiply(r, r, out=r if r.size > 1 else None)
-    return s_pairs, np.matmul(weights, r.view(float).reshape(pair), out=ds_pairs)
+    ds = np.matmul(w, r.view(float).reshape(pair))
+    return s.view(complex)[:, 0, 0], np.negative(ds.view(complex)[:, 0, 0])
 
 
-def _chunk_sums(flat, nodes, weights, rows, buf, s_pairs, ds_pairs):
-    """Fill the sums of the points ``flat``, ``rows`` points a chunk."""
-    for lo in range(0, flat.size, rows):
-        xs = flat[lo:lo + rows]
-        _chunk_sum(np.subtract(xs[:, None], nodes, out=buf[:xs.size]),
-                   weights, s_pairs[lo:lo + rows], ds_pairs[lo:lo + rows])
+def _direct_sums(x, nodes, weights):
+    """S and S' of the points x (n,) over shared nodes (m,) or each
+    point's own (n, m), weights alike, summed node by node.
+
+    r = 1/(x - t) is formed once per chunk of points, contracted with the
+    weights, squared in place and contracted again.  The contraction is a
+    stacked product w @ r_i over the rows, not one matrix-vector product
+    over the chunk, so every point's sum runs in the same order whatever
+    other points share the call.
+    """
+    n, m = x.size, nodes.shape[-1]
+    rows = max(1, _CHUNK_ELEMENTS // m)
+    if n <= rows:
+        # one chunk needs no scratch buffer, and its products make the sums
+        return _chunk_sums(x[:, None] - nodes, weights)
+    shared = nodes.ndim == 1
+    s = np.empty(n, dtype=complex)
+    ds = np.empty(n, dtype=complex)
+    buf = np.empty((rows, m), dtype=complex)
+    for lo in range(0, n, rows):
+        part = slice(lo, lo + rows)
+        xs = x[part, None]
+        r = np.subtract(xs, nodes if shared else nodes[part], out=buf[:xs.size])
+        s[part], ds[part] = _chunk_sums(r, weights if shared else weights[part])
+    return s, ds
 
 
-def _node_sums(x, nodes, weights):
+def _panel_sums(x, table):
+    """S and S' of the points x (n,) by the panels of ``table``.
+
+    Each point takes the multipole series of its far panels, where
+    |x - c| > _FAR * r, and sums its near panels' nodes directly.  Only
+    far pairs form v = r/(x - c), |v| < 1/_FAR: a near pair's v is 0, so
+    its powers and its part of the far sum are 0.  The powers v^1 ..
+    v^(_TERMS + 1) come from a running product that doubles the known
+    powers at each step, and one stacked product per point contracts
+    them with the coefficients.  Which panels are near, and every
+    operation on a point, depend on that point alone.
+    """
+    n = x.size
+    panels = table.centres.size
+    terms = _TERMS + 1
+    rows = max(1, _CHUNK_ELEMENTS // (terms * panels))
+    powers = np.empty((terms, min(n, rows), panels), dtype=complex)
+    out = np.empty((n, 2, 1), dtype=complex)
+    for lo in range(0, n, rows):
+        xs = x[lo:lo + rows]
+        d = xs[:, None] - table.centres
+        far = np.abs(d) > table.reach
+        pw = powers[:, :xs.size]   # pw[k] = v^(k+1)
+        pw[0] = 0.0
+        np.divide(table.radii, d, out=pw[0], where=far)
+        for k in _DOUBLINGS:   # v^(k+1) .. v^(2k) = (v^1 .. v^k) * v^k
+            np.multiply(pw[:min(k, terms - k)], pw[k - 1], out=pw[k:2 * k])
+        by_point = pw.transpose(1, 0, 2).reshape(xs.size, -1, 1)
+        np.matmul(table.coef, by_point, out=out[lo:lo + rows])
+        if not far.all():
+            at, panel = np.nonzero(~far)
+            s, ds = _direct_sums(xs[at], table.nodes[panel], table.weights[panel])
+            np.add.at(out[lo:lo + rows, 0, 0], at, s)
+            np.add.at(out[lo:lo + rows, 1, 0], at, ds)
+    return out[:, 0, 0], out[:, 1, 0]
+
+
+def _node_sums(x, table):
     """S(x) = sum_j w_j/(x - t_j) and S'(x) = -sum_j w_j/(x - t_j)^2.
 
-    The package's one quadrature kernel; ``nodes`` may be real or
-    complex, ``weights`` are real.  r = 1/(x - t) is formed once per
-    chunk of points, contracted with the weights, squared in place and
-    contracted again.  The contraction is a stacked product w @ r_i over
-    the rows, not one matrix-vector product over the chunk, so every
-    point's sum runs in the same order whatever other points share the
-    call: a value does not depend on its batch.  Returns two arrays
-    shaped like x.  No domain checks: callers keep x off the nodes.
-
-    A call of at least 2 * _MIN_SHARE chunks splits them over up to
-    _usable_cores() threads, each taking a run of at least _MIN_SHARE
-    whole chunks into its own buffer; the calling thread takes the
-    first run.  The chunks start at the same multiples of ``rows`` as
-    inline, so the bits are those of a single-threaded run.  Each
-    thread runs in a copy of the caller's context, so the caller's
-    ``np.errstate`` holds there: a point on a node raises or warns as
-    it does inline.
+    The package's one quadrature kernel over a measure's ``_node_table``;
+    the nodes may be real or complex, the weights are real.  A point's
+    value does not depend on the points sharing its call.  Returns two
+    arrays shaped like x.  No domain checks: callers keep x off the nodes.
     """
     x = np.asarray(x, dtype=complex)
     flat = x.reshape(-1)
-    n, m = flat.size, nodes.size
-    rows = max(1, _CHUNK_ELEMENTS // m)
-    chunks = -(-n // rows)
-    if chunks <= 1:
-        # one chunk needs no scratch buffer, and its products make the sums
-        s, ds = (p.view(complex).reshape(x.shape)
-                 for p in _chunk_sum(flat[:, None] - nodes, weights))
-        return s, np.negative(ds, out=ds)
-    s = np.empty(n, dtype=complex)
-    ds = np.empty(n, dtype=complex)
-    s_pairs = s.view(float).reshape(n, 2)
-    ds_pairs = ds.view(float).reshape(n, 2)
-    shares = 1
-    if chunks >= 2 * _MIN_SHARE:
-        shares = min(_usable_cores(), chunks // _MIN_SHARE)
-    if shares == 1:
-        buf = np.empty((rows, m), dtype=complex)
-        _chunk_sums(flat, nodes, weights, rows, buf, s_pairs, ds_pairs)
+    if table.coef is None:
+        s, ds = _direct_sums(flat, table.nodes, table.weights)
     else:
-        ends = [min(n, rows * (chunks * k // shares))
-                for k in range(shares + 1)]
-        bufs = np.empty((shares, rows, m), dtype=complex)
-
-        def share(k):
-            part = slice(ends[k], ends[k + 1])
-            return (flat[part], nodes, weights, rows, bufs[k], s_pairs[part],
-                    ds_pairs[part])
-
-        pool = _executor()
-        futures = [pool.submit(contextvars.copy_context().run, _chunk_sums,
-                               *share(k)) for k in range(1, shares)]
-        try:
-            _chunk_sums(*share(0))
-        finally:
-            wait(futures)
-        for f in futures:
-            f.result()
-    np.negative(ds, out=ds)
+        s, ds = _panel_sums(flat, table)
     return s.reshape(x.shape), ds.reshape(x.shape)
 
 
@@ -181,11 +237,10 @@ def _line_cauchy(measure, z):
     """Checked points of ``z`` (a line transform's one check) and G there."""
     _require(LineMeasure, measure)
     pts = _complex_points("z", z)
-    t, w = measure.quadrature()
     clearance = _NODE_CLEARANCE * max(1.0, measure.support_radius())
     # real nodes: |z - t| >= |Im z|
-    _require_clear(pts, t, np.abs(pts.imag), clearance)
-    return pts, pts.ndim == 0, _node_sums(pts, t, w)[0]
+    _require_clear(pts, measure.quadrature()[0], np.abs(pts.imag), clearance)
+    return pts, pts.ndim == 0, _node_sums(pts, _node_table(measure))[0]
 
 
 def _reciprocal(g):
@@ -218,9 +273,7 @@ def _circle_cauchy(measure, g, conjugate=False):
     = integral zeta/(1 - g*zeta) dnu and c'(g); psi(z) = z*c(z) and
     eta(z)/z = c/(1 + z*c), with c(0) = m_1, neither cancel nor divide
     by z."""
-    zeta = measure.unit_nodes()
-    s, ds = _node_sums(g, zeta.conj() if conjugate else zeta,
-                       measure.quadrature()[1])
+    s, ds = _node_sums(g, _node_table(measure, conjugate))
     return -s, -ds
 
 

@@ -1,22 +1,28 @@
 """The node-sum kernel shared by every transform and solver."""
 
-import multiprocessing
-import os
-import threading
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import freesub.additive as additive
-import freesub.transforms as transforms
 from freesub import (CircleMeasure, GridSpec, LineMeasure, arcsine,
                      bernoulli_pm1, cauchy_transform, convolve_cauchy,
                      free_add_convolve, haar_circle, semicircle,
                      stieltjes_invert)
-from freesub.transforms import _CHUNK_ELEMENTS, _MIN_SHARE, _node_sums
+from freesub.transforms import (_CHUNK_ELEMENTS, _PANEL_MIN, _TERMS,
+                                _node_sums, _node_table)
+
+# S and S' stay within _BOUND * eps * sum_j w_j |x - t_j|^-k (k = 1, 2) of
+# an exact sum.  A sweep of 600 random measures of the kind ``measures``
+# draws, 200 points each, and 40 line and circle families of 256-2048
+# nodes, 500 points each, against 80-bit sums read at most 7.4 eps for S
+# and 6.5 eps for S' (panels), 5.4 and 4.9 eps (direct sums): a margin of
+# 2.2 or more.
+_BOUND = 16
 
 
 def _naive(x, nodes, weights):
@@ -29,16 +35,18 @@ def _naive(x, nodes, weights):
 
 @st.composite
 def measures(draw):
-    """A line or circle measure with 1..2048 quadrature nodes."""
+    """A line or circle measure with 1..2048 quadrature nodes: atoms, a
+    grid, or a few atoms next to a grid, whose nodes then come unsorted."""
     n = draw(st.integers(1, 2048))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     circle = draw(st.booleans())
-    if draw(st.booleans()):
+    kind = (CircleMeasure if circle else LineMeasure)
+    span = 2 * np.pi if circle else 6.0
+    form = draw(st.sampled_from(["atoms", "grid", "grid and atoms"]))
+    if form == "atoms":
         weights = rng.random(n) + 0.01
         weights /= weights.sum()
-        span = 2 * np.pi if circle else 6.0
-        atoms = tuple(zip(rng.uniform(0.0, span, n), weights))
-        return (CircleMeasure if circle else LineMeasure)(atoms=atoms)
+        return kind(atoms=tuple(zip(rng.uniform(0.0, span, n), weights)))
     n = max(n, 8)
     if circle:
         grid = GridSpec(0.0, 2 * np.pi, n)
@@ -49,7 +57,15 @@ def measures(draw):
         grid = GridSpec(lo, lo + rng.uniform(0.5, 4.0), n)
         density = rng.random(n) + 0.01
         density /= np.sum(grid.trapezoid_weights() * density)
-    return (CircleMeasure if circle else LineMeasure)(grid=grid, density=density)
+    atoms = ()
+    if form == "grid and atoms":
+        share = rng.uniform(0.05, 0.5)
+        weights = rng.random(rng.integers(1, 6)) + 0.01
+        weights *= share / weights.sum()
+        lo, hi = (0.0, span) if circle else (grid.lo - 0.5, grid.hi + 0.5)
+        atoms = tuple(zip(rng.uniform(lo, hi, weights.size), weights))
+        density = density * (1.0 - share)
+    return kind(atoms=atoms, grid=grid, density=density)
 
 
 def _quadrature(measure):
@@ -57,15 +73,31 @@ def _quadrature(measure):
     return (measure.unit_nodes(), w) if isinstance(measure, CircleMeasure) else (t, w)
 
 
+def _points(measure, rng, size):
+    if isinstance(measure, CircleMeasure):
+        radius = np.where(rng.random(size) < 0.5, rng.uniform(0.0, 0.98, size),
+                          rng.uniform(1.02, 3.0, size))
+        return radius * np.exp(2j * np.pi * rng.random(size))
+    return rng.uniform(-4.0, 4.0, size) + 1j * (
+        rng.choice([-1.0, 1.0], size) * rng.uniform(1e-3, 2.0, size))
+
+
+def _chunk_rows(table):
+    """Points per chunk of the kernel's direct or panel sum."""
+    if table.coef is None:
+        return max(1, _CHUNK_ELEMENTS // table.nodes.size)
+    return max(1, _CHUNK_ELEMENTS // ((_TERMS + 1) * table.centres.size))
+
+
 @settings(max_examples=60, deadline=None)
 @given(measure=measures(), data=st.data())
 def test_kernel_matches_naive_sum(measure, data):
     nodes, weights = _quadrature(measure)
-    rows = max(1, _CHUNK_ELEMENTS // nodes.size)
-    # point counts around chunk multiples, one that splits over the
-    # cores of a multi-core host, and 0-d and 2-D shapes
+    table = _node_table(measure)
+    rows = _chunk_rows(table)
+    # point counts around chunk multiples, and 0-d and 2-D shapes
     count = data.draw(st.sampled_from([0, 1, rows - 1, rows + 1, 2 * rows + 3,
-                                       2 * _MIN_SHARE * rows + 5]))
+                                       4 * rows + 5]))
     shapes = [(count,)]
     if count == 1:
         shapes.append(())
@@ -74,16 +106,9 @@ def test_kernel_matches_naive_sum(measure, data):
     shape = data.draw(st.sampled_from(shapes))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     size = int(np.prod(shape, dtype=int))
-    if isinstance(measure, CircleMeasure):
-        radius = np.where(rng.random(size) < 0.5, rng.uniform(0.0, 0.98, size),
-                          rng.uniform(1.02, 3.0, size))
-        x = radius * np.exp(2j * np.pi * rng.random(size))
-    else:
-        x = rng.uniform(-4.0, 4.0, size) + 1j * (
-            rng.choice([-1.0, 1.0], size) * rng.uniform(1e-3, 2.0, size))
-    x = x.reshape(shape)
+    x = _points(measure, rng, size).reshape(shape)
 
-    s, ds = _node_sums(x, nodes, weights)
+    s, ds = _node_sums(x, table)
     ref_s, ref_ds, scale_s, scale_ds = _naive(x, nodes, weights)
     assert s.shape == ds.shape == np.shape(x)
     # relative to sum_j w_j |x - t_j|^-k, the size of the summands
@@ -92,148 +117,112 @@ def test_kernel_matches_naive_sum(measure, data):
     # a point's value does not depend on the points sharing its call
     flat = x.reshape(-1)
     for i in rng.choice(size, size=min(size, 3), replace=False):
-        one_s, one_ds = _node_sums(flat[i], nodes, weights)
+        one_s, one_ds = _node_sums(flat[i], table)
         assert one_s == s.reshape(-1)[i] and one_ds == ds.reshape(-1)[i]
 
 
-def test_kernel_empty_and_scalar_shapes():
-    t, w = bernoulli_pm1().quadrature()
-    s, ds = _node_sums(np.empty((0, 3), dtype=complex), t, w)
-    assert s.shape == ds.shape == (0, 3)
-    s, ds = _node_sums(2j, t, w)
-    assert s.shape == () and abs(complex(s) - 2j / ((2j) ** 2 - 1)) <= 1e-15
+def _exact_sums(x, nodes, weights):
+    """S, S' and sum_j w_j |x - t_j|^-k, k = 1, 2, summed in 30 digits."""
+    with mpmath.workdps(30):
+        r = [1 / (mpmath.mpc(x) - mpmath.mpc(t)) for t in nodes]
+        ws = [mpmath.mpf(w) for w in weights]
+        return tuple(complex(v) for v in (
+            mpmath.fsum(w * q for w, q in zip(ws, r)),
+            -mpmath.fsum(w * q * q for w, q in zip(ws, r)),
+            mpmath.fsum(w * abs(q) for w, q in zip(ws, r)),
+            mpmath.fsum(w * abs(q) ** 2 for w, q in zip(ws, r))))
 
 
-def _random_points(nodes, count, seed):
+@settings(max_examples=30, deadline=None)
+@given(measure=measures(), seed=st.integers(0, 2**32 - 1))
+def test_kernel_holds_its_bound_against_an_exact_sum(measure, seed):
+    # the panel sum (256 nodes or more) and the direct sum alike; a
+    # point's bits are the same alone and in a batch
+    nodes, weights = _quadrature(measure)
+    table = _node_table(measure)
+    assert (table.coef is None) == (nodes.size < _PANEL_MIN)
     rng = np.random.default_rng(seed)
-    if np.iscomplexobj(nodes):
-        return (rng.uniform(0.2, 3.0, count)
-                * np.exp(2j * np.pi * rng.random(count)))
-    return rng.uniform(-3.0, 3.0, count) + 1j * rng.uniform(1e-4, 1.0, count)
+    x = _points(measure, rng, 40)
+    s, ds = _node_sums(x, table)
+    eps = np.finfo(float).eps
+    for i in (0, 1):
+        exact_s, exact_ds, scale_s, scale_ds = _exact_sums(x[i], nodes, weights)
+        assert abs(s[i] - exact_s) <= _BOUND * eps * scale_s.real
+        assert abs(ds[i] - exact_ds) <= _BOUND * eps * scale_ds.real
+        one_s, one_ds = _node_sums(x[i], table)
+        assert one_s == s[i] and one_ds == ds[i]
+
+
+def test_kernel_empty_and_scalar_shapes():
+    table = _node_table(bernoulli_pm1())
+    s, ds = _node_sums(np.empty((0, 3), dtype=complex), table)
+    assert s.shape == ds.shape == (0, 3)
+    s, ds = _node_sums(2j, table)
+    assert s.shape == () and abs(complex(s) - 2j / ((2j) ** 2 - 1)) <= 1e-15
+    s, ds = _node_sums(np.empty(0, dtype=complex), _node_table(semicircle(0, 1)))
+    assert s.shape == ds.shape == (0,)
+
+
+def test_node_table_is_stored_once():
+    # one read-only table per measure and orientation, built at first use
+    for measure in (semicircle(0, 1), bernoulli_pm1(), haar_circle(n=700)):
+        for conjugate in ((False, True) if isinstance(measure, CircleMeasure)
+                          else (False,)):
+            table = _node_table(measure, conjugate)
+            assert _node_table(measure, conjugate) is table
+            arrays = [a for a in vars(table).values() if a is not None]
+            assert arrays and not any(a.flags.writeable for a in arrays)
+    circle = haar_circle(n=700)
+    assert _node_table(circle) is not _node_table(circle, True)
+
+
+def _cluster(spread):
+    # 300 atoms within ``spread`` of each other: at 1e-9 from them an
+    # unscaled u^37 = 1/(x - c)^37 overflows; at spread 0 every panel's
+    # radius is 0 and is raised to the floor
+    rng = np.random.default_rng(4)
+    return LineMeasure(atoms=tuple(zip(1.0 + spread * rng.random(300),
+                                       np.full(300, 1 / 300))))
 
 
 @pytest.mark.parametrize("measure", [semicircle(0, 1), arcsine(n=300),
-                                     haar_circle(n=700)],
-                         ids=["line-2048", "line-300", "circle-700"])
-def test_split_matches_serial_bits(measure, monkeypatch):
-    # the split runs whole chunks on other threads: every value keeps
-    # the bits of the inline kernel and of a one-point call, whatever the
-    # core count (patched, so a one-core host splits too)
+                                     haar_circle(n=700), _cluster(1e-10),
+                                     _cluster(0.0)],
+                         ids=["line-2048", "line-300", "circle-700", "cluster",
+                              "coincident"])
+def test_far_field_cannot_overflow_or_trap(measure):
     nodes, weights = _quadrature(measure)
-    rows = max(1, _CHUNK_ELEMENTS // nodes.size)
-    # the fewest points that split: one more than 2 * _MIN_SHARE - 1 chunks
-    threshold = (2 * _MIN_SHARE - 1) * rows + 1
-    runs = []
-    chunk_sums = transforms._chunk_sums
-
-    def recording(flat, *args):
-        # a run is a view of x: its offset in x is where it starts
-        lo = (flat.ctypes.data - x.ctypes.data) // x.itemsize
-        runs.append((lo, lo + flat.size, threading.current_thread().name))
-        chunk_sums(flat, *args)
-
-    monkeypatch.setattr(transforms, "_chunk_sums", recording)
-    caller = threading.current_thread().name
-    for count in (threshold - 1, threshold, threshold + rows,
-                  3 * threshold + rows // 2, 4 * threshold + 1):
-        x = _random_points(nodes, count, count)
-        monkeypatch.setattr(transforms, "_usable_cores", lambda: 1)
-        runs.clear()
-        serial = _node_sums(x, nodes, weights)
-        assert runs == [(0, count, caller)]
-        chunks = -(-count // rows)
-        for cores in (2, 3):
-            monkeypatch.setattr(transforms, "_usable_cores", lambda: cores)
-            runs.clear()
-            split = _node_sums(x, nodes, weights)
-            if count < threshold:
-                assert runs == [(0, count, caller)]
-            else:
-                # contiguous runs of at least _MIN_SHARE whole chunks, the
-                # first on the calling thread and the others on the pool's
-                assert len(runs) == min(cores, chunks // _MIN_SHARE) > 1
-                runs.sort()
-                assert runs[0][0] == 0 and runs[-1][1] == count
-                for (_, hi, _), (lo, _, _) in zip(runs, runs[1:]):
-                    assert hi == lo and lo % rows == 0
-                assert all(-(-(hi - lo) // rows) >= _MIN_SHARE
-                           for lo, hi, _ in runs)
-                assert runs[0][2] == caller
-                assert all(name.startswith("freesub-node-sums")
-                           for _, _, name in runs[1:])
-            for got, want in zip(split, serial):
-                assert np.array_equal(got, want)
-        for i in (0, count // 2, count - 1):
-            one = _node_sums(x[i], nodes, weights)
-            assert one[0] == serial[0][i] and one[1] == serial[1][i]
+    table = _node_table(measure)
+    scale = 1e-9 if measure.atoms and measure.grid is None else 1.0
+    rng = np.random.default_rng(8)
+    x = np.concatenate([
+        table.centres[np.abs(table.centres[:, None] - nodes).min(axis=1) > 0],
+        1e6 * np.exp(2j * np.pi * rng.random(4)),          # |x| = 1e6
+        nodes[0] + scale * np.exp(2j * np.pi * rng.random(50))])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        s, ds = _node_sums(x, table)
+    ref_s, ref_ds, scale_s, scale_ds = _naive(x, nodes, weights)
+    assert np.all(np.abs(s - ref_s) <= 1e-12 * scale_s)
+    assert np.all(np.abs(ds - ref_ds) <= 1e-12 * scale_ds)
 
 
-def test_one_usable_core_stays_inline(monkeypatch):
-    # the worker count is the CPU affinity; one core never starts a pool
-    def no_pool():
-        raise AssertionError("a one-core call reached the thread pool")
-
-    monkeypatch.setattr(transforms.os, "sched_getaffinity", lambda pid: {0},
-                        raising=False)
-    monkeypatch.setattr(transforms, "_executor", no_pool)
-    assert transforms._usable_cores() == 1
-    t, w = semicircle(0, 1).quadrature()
-    x = _random_points(t, 50 * _CHUNK_ELEMENTS // t.size, 5)
-    s, _ = _node_sums(x, t, w)
-    assert s[7] == _node_sums(x[7], t, w)[0]
-
-
-@pytest.mark.parametrize("cores", [1, 2, 3])
-def test_split_keeps_callers_error_state(cores, monkeypatch):
-    # np.errstate is context-local: each thread runs in a copy of the
-    # caller's context, so a point on a node raises, or stays silent, on
-    # every path alike; it sits in the last chunk, another thread's run
-    monkeypatch.setattr(transforms, "_usable_cores", lambda: cores)
-    t, w = semicircle(0, 1).quadrature()
-    x = _random_points(t, 8 * _MIN_SHARE * _CHUNK_ELEMENTS // t.size, 9)
-    x[-1] = t[100]
+@pytest.mark.parametrize("measure", [semicircle(0, 1), bernoulli_pm1()],
+                         ids=["panels", "direct"])
+def test_point_on_a_node_keeps_callers_error_state(measure):
+    # the kernel runs in the caller's np.errstate: a point on a node
+    # raises, or stays silent, as that state says
+    t, w = measure.quadrature()
+    table = _node_table(measure)
+    x = _points(measure, np.random.default_rng(9), 600)
+    x[-1] = t[-1]
     with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-        _node_sums(x, t, w)
+        _node_sums(x, table)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with np.errstate(all="ignore"):
-            s, _ = _node_sums(x, t, w)
+            s, _ = _node_sums(x, table)
     assert not caught
     assert not np.isfinite(s[-1]) and np.all(np.isfinite(s[:-1]))
-
-
-def _child_sums(conn, x, t, w):
-    s, ds = _node_sums(x, t, w)
-    conn.send((s, ds))
-    conn.close()
-
-
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")   # fork with threads
-@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
-def test_forked_child_builds_its_own_pool(monkeypatch):
-    # the parent's pool threads do not exist in a forked child; a child
-    # that submitted to the inherited pool would wait forever
-    monkeypatch.setattr(transforms, "_usable_cores", lambda: 2)
-    t, w = semicircle(0, 1).quadrature()
-    x = _random_points(t, 8 * _MIN_SHARE * _CHUNK_ELEMENTS // t.size, 11)
-    expected = _node_sums(x, t, w)
-    assert transforms._pool is not None
-    ctx = multiprocessing.get_context("fork")
-    receive, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_child_sums, args=(send, x, t, w))
-    child.start()
-    send.close()
-    try:
-        assert receive.poll(60), "forked child did not return its node sums"
-        got = receive.recv()
-        child.join(10)
-        assert not child.is_alive() and child.exitcode == 0
-    finally:
-        if child.is_alive():
-            child.kill()
-            child.join(10)
-    for a, b in zip(got, expected):
-        assert np.array_equal(a, b)
 
 
 def test_solve_omega1_reuses_candidate_evaluations(monkeypatch):
@@ -242,9 +231,9 @@ def test_solve_omega1_reuses_candidate_evaluations(monkeypatch):
     counted = []
     kernel = additive._node_sums
 
-    def counting(x, nodes, weights):
+    def counting(x, table):
         counted.append(np.size(x))
-        return kernel(x, nodes, weights)
+        return kernel(x, table)
 
     monkeypatch.setattr(additive, "_node_sums", counting)
     sc = semicircle(0, 1)
@@ -263,9 +252,9 @@ def test_line_density_continues_omega1_across_heights(monkeypatch):
     counted = []
     kernel = additive._node_sums
 
-    def counting(x, nodes, weights):
+    def counting(x, table):
         counted.append(np.size(x))
-        return kernel(x, nodes, weights)
+        return kernel(x, table)
 
     calls = []
     solve = additive._solve_omega1

@@ -277,6 +277,30 @@ def test_stacked_cauchy_matches_per_matrix_solves():
         assert isinstance(res.iterations, int)
 
 
+def test_singular_newton_system_leaves_the_rest_of_its_stack(monkeypatch):
+    # np.linalg.solve is patched to reject the second matrix's first
+    # Newton system wherever it appears: only that matrix takes a Picard
+    # step, and every matrix keeps the bits of its own one-matrix solve
+    rng = np.random.default_rng(32)
+    eta = cm(rng.normal(size=(2, 2)) / 2, 1j * rng.normal(size=(2, 2)) / 3)
+    b = np.stack([random_upper(rng, 2, lift) for lift in (0.05, 0.3, 1.0, 4.0)])
+    solve = np.linalg.solve
+    rejected = []
+
+    def rejecting(a, rhs):
+        systems = a.reshape(-1, *a.shape[-2:])
+        if not rejected:
+            rejected.append(systems[1].copy())
+        if any(np.array_equal(m, rejected[0]) for m in systems):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", rejecting)
+    res = op_semicircular_cauchy(eta, b)
+    for got, p in zip(res.g, b):
+        assert np.array_equal(got, op_semicircular_cauchy(eta, p).g)
+
+
 def test_covariance_map_on_stack_matches_loop():
     rng = np.random.default_rng(31)
     eta = cm(*(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
