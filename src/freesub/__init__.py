@@ -29,8 +29,7 @@ from .opvalued import (CovarianceMap, OpCauchyEval, op_add_cauchy,
                        op_semicircular_cauchy, semicircular_shift_F,
                        solve_subordination_F)
 from .transforms import (cauchy_transform, circle_cauchy, eta_transform,
-                         h_transform, psi_transform, reciprocal_cauchy,
-                         stieltjes_invert)
+                         h_transform, psi_transform, reciprocal_cauchy)
 
 __version__ = "0.1.0"
 
@@ -51,6 +50,5 @@ __all__ = [
     "marchenko_pastur", "measure_from_circle_moments", "op_add_cauchy",
     "op_semicircular_cauchy", "psi_transform", "reciprocal_cauchy",
     "resolvent_identity_residual", "rotate", "semicircle",
-    "semicircular_shift_F", "solve_subordination_F", "stieltjes_invert",
-    "subordination_pair",
+    "semicircular_shift_F", "solve_subordination_F", "subordination_pair",
 ]

@@ -19,14 +19,18 @@ G_mu(omega1), which is G_{mu (+) nu}(z), comes out of the solve with no
 further node sum.  ``subordination_pairs`` solves the pair at a batch of
 points, and ``subordination_pair`` is its one-point form.
 
-Densities are solved as a predictor-corrector continuation along the
-line t + i*eta (Euler predictor, Newton corrector: Allgower and Georg,
-Introduction to Numerical Continuation Methods, SIAM 2003, ch. 2): the
-solve also returns the tangent omega1'(z) = (1 + h_nu') / (1 - T') from
-the factors of its last evaluation, so every start is predicted from
-values already solved (``continued_density``).  The fixed point attracts
-every start in the half plane above z, so the start changes the
-iteration count and not the answer.  Points off a line (moment
+Densities come from one pipeline, ``continued_density``: Stieltjes
+inversion of G_{mu (+) nu} read at a few heights eta above the grid.  It
+solves the heights in order as a predictor-corrector continuation along
+the lines t + i*eta (Euler predictor, Newton corrector: Allgower and
+Georg, Introduction to Numerical Continuation Methods, SIAM 2003, ch.
+2): the solve also returns the tangent omega1'(z) = (1 + h_nu') / (1 -
+T') from the factors of its last evaluation, so every start is
+predicted from values already solved.  The fixed point attracts every
+start in the half plane above z, so the start changes the iteration
+count and not the answer.  The heights' -Im G/pi are summed with their
+Lagrange weights at eta = 0 (``_heights``), and one step floors, clips
+and renormalises the sum (``_density``).  Points off a line (moment
 contours, subordination tables) start cold at z + i.
 """
 
@@ -35,11 +39,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, NoConvergence, _complex_points,
+from .errors import (BadParams, DomainError, NoConvergence,
+                     NonPositiveDensity, _complex_points, _real_vector,
                      int_in_range, real_above)
-from .measures import LineMeasure, _require
-from .transforms import (_node_sums, _node_table, cauchy_transform,
-                         stieltjes_invert)
+from .measures import (_MAX_MOMENT, _MIN_SAMPLES, GridSpec, LineMeasure,
+                       _require)
+from .transforms import _node_sums, _node_table, cauchy_transform
 
 _DAMPING = 0.5
 _NEWTON_HANDOFF = 1e-3
@@ -54,6 +59,8 @@ _CONTOUR_NODES = 256  # trapezoid nodes on the moment contour
 _SLOPE_FLOOR = 1e-8  # |1 - T'| below this gives the plain-shift slope 1
 _COARSE_STRIDE = 8  # first height: every 8th grid point is solved cold
 _ETA_SEQUENCE = (1e-1, 3e-2, 1e-2)  # density heights, coarse enough for atoms
+# a density below -_NEG_TOL * max(1, peak) is rejected as negative
+_NEG_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -314,57 +321,91 @@ def _first_height(mu, nu, z, tol, max_iter):
     return omega1, g, slope
 
 
+def _heights(grid, eta_sequence):
+    """The checked grid and heights, and the heights' Lagrange weights at
+    eta = 0: c_j = prod_{k != j} eta_k / (eta_k - eta_j)."""
+    grid = _real_vector("grid", grid, _MIN_SAMPLES)
+    step = grid[1] - grid[0]
+    if not (step > 0 and np.all(np.abs(np.diff(grid) - step) <= 1e-6 * step)):
+        raise BadParams("grid must be increasing with uniform spacing")
+    etas = _real_vector("eta_sequence", eta_sequence)
+    if not np.all(etas > 0) or np.unique(etas).size < etas.size:
+        raise BadParams("eta_sequence must be a sequence of distinct finite "
+                        "positive heights")
+    coeff = np.empty(etas.size)
+    for j in range(etas.size):
+        others = np.delete(etas, j)
+        coeff[j] = np.prod(others / (others - etas[j]))
+    return grid, etas, coeff
+
+
+def _density(grid, dens):
+    """(measure, renorm) from the extrapolated density ``dens`` on the
+    checked ``grid``: it is floored, clipped at 0 and rescaled to unit
+    trapezoid mass by renorm.  Raises NonPositiveDensity if it dips below
+    -_NEG_TOL * max(1, peak): genuine negativity at that scale means the
+    transform was not that of a positive measure."""
+    floor = -_NEG_TOL * max(1.0, float(dens.max(initial=0.0)))
+    if dens.min() < floor:
+        raise NonPositiveDensity(
+            f"recovered density reaches {dens.min():.3e}, below {floor:.3e}")
+    dens = np.clip(dens, 0.0, None)
+    mass = float(np.trapezoid(dens, dx=grid[1] - grid[0]))
+    if mass <= 0:
+        raise NonPositiveDensity("recovered density has zero mass")
+    renorm = 1.0 / mass
+    spec = GridSpec(float(grid[0]), float(grid[-1]), grid.size)
+    return LineMeasure(grid=spec, density=dens * renorm), renorm
+
+
 def continued_density(mu: LineMeasure, nu: LineMeasure, grid,
                       eta_sequence=_ETA_SEQUENCE, tol=_TOL, max_iter=_MAX_ITER):
-    """stieltjes_invert of G_{mu (+) nu}, solved as a continuation in eta.
+    """The density of mu (+) nu on ``grid`` by Stieltjes inversion of the
+    subordinated G, solved as a continuation in eta.
 
-    The heights of ``eta_sequence`` are solved in order on the same grid,
-    as an Euler-predictor / Newton-corrector continuation (Allgower and
-    Georg, Introduction to Numerical Continuation Methods, ch. 2): each
-    start is predicted from omega1 and its tangent omega1' where they are
-    already solved, and ``_solve_omega1`` corrects it.  The first height
-    is solved coarse to fine (``_first_height``); each later one starts at
-    the previous height's omega1 + omega1' * i*(eta_new - eta_prev).
-    Every start is raised to Im w >= eta_new if the predictor undershoots,
-    and the fixed point attracts from anywhere in the half plane above z,
-    so the start changes the iteration count and not the limit.  ``tol``
-    is the fixed-point tolerance of subordination_pairs, relaxed the same
-    way where the map's rounding lies above it.  Returns
-    stieltjes_invert's (measure, renorm).
+    ``grid`` must be increasing with uniform spacing, at least 8 points,
+    and the heights distinct and positive; both are checked before any
+    solve.  -Im G(t + i*eta)/pi is taken at each height and extrapolated
+    to eta = 0 by the Lagrange rule; heights down to eta = 1e-4 are
+    supported, and the extrapolation order covers the rest of the way.
+    The first height is solved coarse to fine (``_first_height``); each
+    later one starts at the previous height's omega1 + omega1' *
+    i*(eta_new - eta_prev), raised to Im w >= eta_new if the predictor
+    undershoots.  ``tol`` is the fixed-point tolerance of
+    subordination_pairs, relaxed the same way where the map's rounding
+    lies above it.  Returns (measure, renorm), renorm being the factor
+    that rescaled the clipped density to unit mass (``_density``).
     """
     _require(LineMeasure, mu, nu)
+    grid, etas, coeff = _heights(grid, eta_sequence)
     tol = real_above("tol", tol, _MIN_TOL, closed=True)
     max_iter = int_in_range("max_iter", max_iter, 1)
-    last = None
-
-    def g_eval(zs):
-        nonlocal last
-        if last is None:
-            omega1, g, slope = _first_height(mu, nu, zs, tol, max_iter)
+    dens = np.zeros(grid.size)
+    for j, (c, eta) in enumerate(zip(coeff, etas)):
+        z = grid + 1j * eta
+        if j == 0:
+            omega1, g, slope = _first_height(mu, nu, z, tol, max_iter)
         else:
-            z0, w0, slope0 = last
-            start = _above(w0 + slope0 * (zs - z0), zs.imag)
-            omega1, g, _, _, slope = _solve_omega1(mu, nu, zs, start, tol,
+            start = _above(omega1 + slope * (z - z_prev), z.imag)
+            omega1, g, _, _, slope = _solve_omega1(mu, nu, z, start, tol,
                                                    max_iter)
-        last = (zs, omega1, slope)
-        return g
-
-    return stieltjes_invert(g_eval, grid, eta_sequence=eta_sequence)
+        dens += c * (-np.imag(g) / np.pi)
+        z_prev = z
+    return _density(grid, dens)
 
 
 def free_add_convolve(mu: LineMeasure, nu: LineMeasure, grid,
                       eta_sequence=_ETA_SEQUENCE) -> LineMeasure:
     """Measure of the free additive convolution, densified on ``grid``.
 
-    The density comes from stieltjes_invert applied to the subordinated
-    Cauchy transform, with the heights solved as a predictor-corrector
-    continuation (``continued_density``): the first height coarse to
-    fine, each later one from the previous height's omega1 and its
-    tangent.  The default eta sequence favors robustness when the
-    convolution carries atoms (delta inputs), smearing them into bumps
-    of the right mass; for smooth targets a much smaller sequence
-    recovers the density to the solver floor.  Atoms are not
-    reconstructed as atoms.
+    The density is ``continued_density``'s: Stieltjes inversion of
+    G_{mu (+) nu}(z) = G_mu(omega1(z)) at the heights of ``eta_sequence``,
+    extrapolated to eta = 0 and renormalised, with the heights solved as
+    a predictor-corrector continuation in eta.  The default heights
+    favor robustness when the convolution carries atoms (delta inputs),
+    smearing them into bumps of the right mass; for smooth targets a
+    much smaller sequence recovers the density to the solver floor.
+    Atoms are not reconstructed as atoms.
     """
     measure, _ = continued_density(mu, nu, grid, eta_sequence)
     return measure
@@ -378,9 +419,11 @@ def convolve_moments(mu: LineMeasure, nu: LineMeasure, order: int):
     support the trapezoid rule on the circle converges geometrically.
     Node angles are offset by half a step so no node hits the real axis,
     and conjugate symmetry G(conj z) = conj G(z) halves the work.
+    ``order`` is capped at 32, as ``LineMeasure.moment`` is: the sum's
+    rounding grows like radius^k, and m_40 of sc (+) sc is 13% off.
     """
     _require(LineMeasure, mu, nu)
-    order = int_in_range("order", order, 1)
+    order = int_in_range("order", order, 1, _MAX_MOMENT)
     radius = mu.support_radius() + nu.support_radius() + 2.0
     step = 2.0 * math.pi / _CONTOUR_NODES
     theta = (np.arange(_CONTOUR_NODES // 2) + 0.5) * step

@@ -14,13 +14,14 @@ for a tolerance, scale or position.  Both reject a bool and a string,
 NaN or an infinity, all with BadParams; both return the plain int or
 float.  The private ``_complex_points`` does the same for an evaluation
 point or a vector of them, and rejects a NaN or an infinite point with
-DomainError.  Every matrix argument is checked once, where the library
-first reads it, by the private ``_complex_matrix``: it returns a complex
-square matrix or (where the argument may be one) a stack, reads a
-scalar as 1 x 1, and raises BadParams naming the argument for a value
-that is not numeric, is ragged, is not square or of the required size,
-or has a NaN or an infinite entry.  No solver checks again what it
-computed itself.
+DomainError; ``_real_vector`` checks a grid, heights or a spectrum, and
+raises BadParams for anything but finite reals.  Every matrix argument
+is checked once, where the library first reads it, by the private
+``_complex_matrix``: it returns a complex square matrix or (where the
+argument may be one) a stack, reads a scalar as 1 x 1, and raises
+BadParams naming the argument for a value that is not numeric, is
+ragged, is not square or of the required size, or has a NaN or an
+infinite entry.  No solver checks again what it computed itself.
 """
 
 import math
@@ -120,13 +121,15 @@ def real_above(name, value, floor=-math.inf, closed=False):
     return v
 
 
-def _numbers(value):
-    """``value`` as a complex ndarray, or None if it is not all numbers."""
+def _numbers(value, dtype=complex):
+    """``value`` as an ndarray of ``dtype`` (complex or float), or None if
+    it is not all numbers, or not all reals for float."""
     try:
         arr = np.asarray(value)
     except (TypeError, ValueError):  # a ragged sequence
         return None
-    return np.asarray(arr, dtype=complex) if arr.dtype.kind in "iufc" else None
+    kinds = "iufc" if dtype is complex else "iuf"
+    return np.asarray(arr, dtype=dtype) if arr.dtype.kind in kinds else None
 
 
 def _complex_points(name, value, scalar=False):
@@ -142,6 +145,16 @@ def _complex_points(name, value, scalar=False):
     if not np.isfinite(pts).all():
         raise DomainError(f"{name} is not finite")
     return complex(pts) if scalar else pts
+
+
+def _real_vector(name, value, min_size=1):
+    """``value`` as a 1-d float ndarray of at least ``min_size`` finite
+    reals; anything else raises BadParams naming ``name``."""
+    v = _numbers(value, float)
+    if v is None or v.ndim != 1 or v.size < min_size or not np.isfinite(v).all():
+        raise BadParams(f"{name} must be a 1-d sequence of finite real "
+                        f"numbers, at least {min_size} of them")
+    return v
 
 
 def _complex_matrix(name, value, n=None, stack=False):

@@ -44,7 +44,7 @@ from scipy.linalg import blas, lapack
 from .domains import _contraction_margins, _halfplane_margin, \
     operator_norm, resolvent_identity_residual
 from .errors import BadParams, DegenerateTransform, NoConvergence, \
-    _complex_matrix, int_in_range, real_above
+    _complex_matrix, _real_vector, int_in_range, real_above
 from .measures import CircleMeasure
 from .multiplicative import disk_subordination_solve
 from .opvalued import CovarianceMap, _kron, op_add_cauchy, \
@@ -286,9 +286,7 @@ def experiment_prop32(lam_diag, a0, eps=1.0, trials=200,
     diagonal entries are untouched by the conjugation, so the scalar
     fit sees exactly the raw per-trial statistics.
     """
-    lam = np.asarray(lam_diag, dtype=float)
-    if not np.isfinite(lam).all():
-        raise BadParams("lam_diag has a non-finite entry")
+    lam = _real_vector("lam_diag", lam_diag)
     N = int_in_range("N", lam.size, 1, _MAX_N)
     a0 = _complex_matrix("a0", a0, N)
     trials = int_in_range("trials", trials, 1)

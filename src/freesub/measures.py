@@ -28,6 +28,7 @@ DEFAULT_GRID_N = 2048
 
 _MASS_TOL = 1e-9
 _MIN_SAMPLES = 8  # density grids need at least this many samples
+_MAX_MOMENT = 32  # moment orders are capped here to bound error growth
 _TWO_PI = 2.0 * math.pi
 
 
@@ -169,7 +170,7 @@ class LineMeasure(_Measure):
 
     def moment(self, k: int) -> float:
         """k-th raw moment; k is capped at 32 to bound error growth."""
-        k = int_in_range("k", k, 0, 32)
+        k = int_in_range("k", k, 0, _MAX_MOMENT)
         t, w = self.quadrature()
         return float(np.sum(w * t**k))
 
@@ -209,7 +210,7 @@ class CircleMeasure(_Measure):
         Negative orders use the conjugate symmetry of moments of a real
         measure on the circle.
         """
-        k = int_in_range("k", k, -32, 32)
+        k = int_in_range("k", k, -_MAX_MOMENT, _MAX_MOMENT)
         th, w = self.quadrature()
         m = complex(np.sum(w * np.exp(1j * abs(k) * th)))
         return m.conjugate() if k < 0 else m

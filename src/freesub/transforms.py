@@ -1,10 +1,11 @@
-"""Analytic transforms of spectral measures.
+"""Analytic transforms of spectral measures, and the node-sum kernel.
 
 Line measures get the Cauchy transform G(z) = integral 1/(z - t) dmu(t),
 its reciprocal F = 1/G, and the shift h = F - z whose imaginary part is
 nonnegative on the upper half plane.  Circle measures get the resolvent
 K(g) = integral 1/(zeta - g) dnu(zeta) and the moment series
-psi(z) = sum_{k>=1} m_k z^k together with eta = psi/(1 + psi).
+psi(z) = sum_{k>=1} m_k z^k together with eta = psi/(1 + psi).  Densities
+are recovered from G by Stieltjes inversion in ``additive``, not here.
 
 All evaluators integrate the stored quadrature data exactly and are
 vectorized over the evaluation point.  Every one of them, here and in
@@ -28,13 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadParams, DomainError, NonPositiveDensity, ZeroTransform,
-                     _complex_points)
-from .measures import CircleMeasure, GridSpec, LineMeasure, _require
+from .errors import DomainError, ZeroTransform, _complex_points
+from .measures import CircleMeasure, LineMeasure, _require
 
 _NODE_CLEARANCE = 1e-12
-# stieltjes_invert rejects a density below -_NEG_TOL * max(1, peak)
-_NEG_TOL = 1e-3
 # complex reciprocals or powers formed per chunk of points: 512 KB, within L2
 _CHUNK_ELEMENTS = 1 << 15
 # measures of this many nodes or more are summed by panels of _PANEL_NODES
@@ -311,60 +309,3 @@ def eta_transform(measure: CircleMeasure, z):
     if np.any(np.abs(denom) < 1e-14 * (1.0 + np.abs(psi))):
         raise ZeroTransform("1 + psi vanishes at an evaluation point")
     return _restore(psi / denom, scalar)
-
-
-def _lagrange_at_zero(etas):
-    etas = np.asarray(etas, dtype=float)
-    coeff = np.empty(etas.size)
-    for j in range(etas.size):
-        others = np.delete(etas, j)
-        coeff[j] = np.prod(others / (others - etas[j]))
-    return coeff
-
-
-def stieltjes_invert(g_eval, grid, eta_sequence):
-    """Recover a density from a Cauchy-transform evaluator.
-
-    ``g_eval(z)`` must accept a complex vector in the upper half plane.
-    The smoothed density -Im G(t + i*eta)/pi is computed for each eta in
-    the sequence and extrapolated to eta = 0 with the Lagrange rule.
-    Heights down to eta = 1e-4 are supported; the extrapolation order
-    covers the rest of the way.
-
-    ``grid`` must be increasing with uniform spacing and the heights
-    distinct; both are checked before anything is evaluated.
-
-    Returns (measure, renorm) where renorm is the factor that rescaled
-    the clipped density to unit mass.  Raises NonPositiveDensity if the
-    extrapolated density dips below -_NEG_TOL * max(1, peak): genuine
-    negativity at that scale means the evaluator was not a Cauchy
-    transform of a positive measure.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 8:
-        raise BadParams("grid must be a 1-d array with at least 8 points")
-    step = grid[1] - grid[0]
-    if not (step > 0 and np.all(np.abs(np.diff(grid) - step) <= 1e-6 * step)):
-        raise BadParams("grid must be increasing with uniform spacing")
-    etas = np.asarray(eta_sequence, dtype=float)
-    if (etas.ndim != 1 or etas.size == 0
-            or not np.all(np.isfinite(etas) & (etas > 0))
-            or np.unique(etas).size < etas.size):
-        raise BadParams("eta_sequence must be a sequence of distinct finite "
-                        "positive heights")
-    coeff = _lagrange_at_zero(etas)
-    dens = np.zeros(grid.size)
-    for c, eta in zip(coeff, etas):
-        g = np.asarray(g_eval(grid + 1j * eta), dtype=complex)
-        dens += c * (-np.imag(g) / np.pi)
-    floor = -_NEG_TOL * max(1.0, float(dens.max(initial=0.0)))
-    if dens.min() < floor:
-        raise NonPositiveDensity(
-            f"recovered density reaches {dens.min():.3e}, below {floor:.3e}")
-    dens = np.clip(dens, 0.0, None)
-    mass = float(np.trapezoid(dens, dx=step))
-    if mass <= 0:
-        raise NonPositiveDensity("recovered density has zero mass")
-    renorm = 1.0 / mass
-    spec = GridSpec(float(grid[0]), float(grid[-1]), grid.size)
-    return LineMeasure(grid=spec, density=dens * renorm), renorm

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import freesub
+from freesub import additive
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +27,18 @@ def line_pairs(standard_line_measures):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260815)
+
+
+@pytest.fixture(scope="session")
+def invert():
+    """Stieltjes inversion of any Cauchy-transform evaluator by the
+    package's density steps: ``run(g_eval, grid, etas)`` sums the heights'
+    -Im g_eval(grid + i*eta)/pi with their Lagrange weights and returns
+    ``additive._density``'s (measure, renorm)."""
+    def run(g_eval, grid, etas):
+        grid, etas, coeff = additive._heights(grid, etas)
+        dens = np.zeros(grid.size)
+        for c, eta in zip(coeff, etas):
+            dens += c * (-np.imag(g_eval(grid + 1j * eta)) / np.pi)
+        return additive._density(grid, dens)
+    return run

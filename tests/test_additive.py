@@ -1,5 +1,7 @@
 """Additive convolution: subordination solves, densities, moment pipelines."""
 
+import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -15,7 +17,6 @@ from freesub import (
     free_add_convolve,
     atomic,
     semicircle,
-    stieltjes_invert,
     subordination_pair,
 )
 from freesub import (SubordinationEval, free_cumulants,
@@ -166,6 +167,56 @@ def test_subordination_pair_rejects_points_that_are_not_one_number(bad):
     mu = semicircle(0, 1)
     with pytest.raises(BadParams, match=r"\bz\b"):
         subordination_pair(mu, mu, bad)
+
+
+_GRID = np.linspace(-1, 1, 100)
+
+
+@pytest.mark.parametrize("grid, etas, match", [
+    pytest.param(np.linspace(0, 1, 4), (1e-2,), "grid", id="four-points"),
+    pytest.param(np.concatenate([np.linspace(-1, 0, 50),
+                                 np.linspace(0.05, 1, 50)]),
+                 (1e-2,), "uniform", id="non-uniform-grid"),
+    pytest.param(np.linspace(1, -1, 100), (1e-2,), "uniform",
+                 id="decreasing-grid"),
+    pytest.param(_GRID, (0.0, -1.0), "eta_sequence", id="non-positive-heights"),
+    # a repeated height makes the extrapolation weights divide by zero
+    pytest.param(_GRID, (1e-2, 1e-2), "distinct", id="repeated-height"),
+    # a bare number is a 0-d array, which the Lagrange weights cannot index
+    pytest.param(_GRID, 0.1, "eta_sequence", id="scalar-height"),
+    pytest.param(_GRID, (np.inf,), "eta_sequence", id="infinite-height"),
+    pytest.param(_GRID, (1e-2, np.nan), "eta_sequence", id="nan-height"),
+    pytest.param(_GRID, ((1e-2, 2e-2),), "eta_sequence", id="nested-heights"),
+    # these escaped as a builtin ValueError or TypeError, and a complex
+    # grid lost its imaginary part with a ComplexWarning
+    pytest.param(["a"] * 9, (1e-2,), "grid", id="string-grid"),
+    pytest.param([[0.0, 1.0], [2.0]] * 5, (1e-2,), "grid", id="ragged-grid"),
+    pytest.param({"lo": -1.0}, (1e-2,), "grid", id="dict-grid"),
+    pytest.param(_GRID + 0j, (1e-2,), "grid", id="complex-grid"),
+    pytest.param(_GRID, ["a"], "eta_sequence", id="string-height"),
+    pytest.param(_GRID, [0.1 + 1j], "eta_sequence", id="complex-height"),
+])
+def test_continued_density_rejects_bad_grid_and_heights(monkeypatch, grid,
+                                                        etas, match):
+    # BadParams naming the argument, before any solve and with no warning
+    def no_solve(*args):
+        raise AssertionError("solved before checking the grid and heights")
+    monkeypatch.setattr(additive, "_solve_omega1", no_solve)
+    mu = semicircle(0, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParams, match=match):
+            continued_density(mu, mu, grid, etas)
+
+
+def test_convolve_moments_caps_the_order():
+    # m_40 of sc (+) sc read 5.98e15 against the exact 6.88e15, and order
+    # 400 returned NaN with overflow warnings; m_32 reads 2.3e-4 relative
+    sc = semicircle(0, 1)
+    with pytest.raises(BadParams, match=r"\border\b"):
+        convolve_moments(sc, sc, 33)
+    exact = math.comb(32, 16) // 17 * 2**16  # Catalan(16) times variance^16
+    assert abs(convolve_moments(sc, sc, 32)[-1] / exact - 1) <= 1e-3
 
 
 def test_subordination_pair_checks_its_point_once(monkeypatch):
@@ -358,7 +409,8 @@ def test_subordination_pairs_keep_the_invariants(pair, z):
        width=st.floats(1.0, 6.0),
        etas=st.lists(st.sampled_from([0.2, 0.1, 0.05, 0.02, 0.01, 0.005]),
                      min_size=1, max_size=3, unique=True))
-def test_continued_density_matches_cold_heights(pair, n, lo, width, etas):
+def test_continued_density_matches_cold_heights(invert, pair, n, lo, width,
+                                               etas):
     # the predictor changes where each solve starts, never its limit: every
     # height's G and the density match cold solves, on grids of one to
     # fifty coarse strides, and every start and omega1 keeps Im >= eta
@@ -388,8 +440,7 @@ def test_continued_density_matches_cold_heights(pair, n, lo, width, etas):
     with mock.patch.object(additive, "_solve_omega1", recording):
         warm = outcome(lambda: continued_density(mu, nu, grid, etas))
     g_cold = {}
-    cold = outcome(lambda: stieltjes_invert(cold_eval, grid,
-                                            eta_sequence=etas))
+    cold = outcome(lambda: invert(cold_eval, grid, etas))
     for eta in etas:
         z, g = (np.concatenate(x) for x in
                 zip(*[c for c in calls if c[0][0].imag == eta]))

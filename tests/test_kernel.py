@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 import freesub.additive as additive
 from freesub import (CircleMeasure, GridSpec, LineMeasure, arcsine,
                      bernoulli_pm1, cauchy_transform, convolve_cauchy,
-                     free_add_convolve, haar_circle, semicircle,
-                     stieltjes_invert)
+                     free_add_convolve, haar_circle, semicircle)
 from freesub.transforms import (_CHUNK_ELEMENTS, _PANEL_MIN, _TERMS,
                                 _node_sums, _node_table)
 
@@ -243,7 +242,7 @@ def test_solve_omega1_reuses_candidate_evaluations(monkeypatch):
     assert evaluated <= iters.sum() + z.size
 
 
-def test_line_density_continues_omega1_across_heights(monkeypatch):
+def test_line_density_continues_omega1_across_heights(monkeypatch, invert):
     # a predictor-corrector continuation: the first height solves a coarse
     # subset cold and starts the rest from its Hermite interpolant, each
     # later height starts at omega1 + omega1' * i*(eta - eta_prev), and
@@ -273,8 +272,7 @@ def test_line_density_continues_omega1_across_heights(monkeypatch):
     warm_points = sum(counted)
     warm_calls = list(calls)
     counted.clear()
-    cold, _ = stieltjes_invert(lambda z: convolve_cauchy(sc, sc, z), grid,
-                               eta_sequence=etas)
+    cold, _ = invert(lambda z: convolve_cauchy(sc, sc, z), grid, etas)
     cold_points = sum(counted)
 
     assert np.max(np.abs(warm.density - cold.density)) <= 1e-12 * cold.density.max()

@@ -222,9 +222,16 @@ def test_prop32_fit_is_stationary(monkeypatch):
         np.linalg.norm(r) / np.linalg.norm(d), rel=1e-12)
 
 
-def test_prop32_validation():
+def test_prop32_validation(monkeypatch):
     with pytest.raises(BadParams):
         experiment_prop32(np.ones(4), np.eye(5), trials=1)
+    # strings and a 2-d spectrum escaped as a builtin ValueError
+    def no_draw(*args):
+        raise AssertionError("drew before checking lam_diag")
+    monkeypatch.setattr(matrixmodels, "_rng", no_draw)
+    for lam in (["a", "b"], [[1.0, 2.0]], [1.0, np.nan]):
+        with pytest.raises(BadParams, match="lam_diag"):
+            experiment_prop32(lam, np.eye(2))
 
 
 def test_prop33_central_summand_is_exact():

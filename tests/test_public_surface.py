@@ -167,7 +167,7 @@ REQUIRED = {
     "C0": np.eye(2), "b": 1j * np.eye(2), "b_start": 1j * np.eye(2),
     "g_target": -1j * np.eye(2),
     "g_x_eval": lambda w: freesub.op_semicircular_cauchy(_eta2(), w).g,
-    "g_eval": lambda z: -1j * np.ones_like(z), "grid": np.linspace(-1, 1, 9),
+    "grid": np.linspace(-1, 1, 9),
     "eta_sequence": (1e-2,),
     "z": 1j, "m": [1, 0, 1, 0, 2], "moments_a": [0, 1, 0],
     "moments_b": [0, 1, 0], "moments": [0.1, 0.0],
@@ -379,8 +379,11 @@ def test_perfbench_trace_targets_exist():
             obj = getattr(obj, part, None)
         if obj is None:
             missing.append(label)
-    # removed with its only production caller; the tracer skips it
-    assert missing == ["domains.relative_contraction_margin"]
+    # each removed with its only production caller; the tracer skips both
+    assert missing == [
+        "transforms.stieltjes_invert",  # continued_density inverts itself
+        "domains.relative_contraction_margin",
+    ]
 
 
 def test_import_loads_only_scipy_linalg():

@@ -4,12 +4,13 @@ import mpmath
 import numpy as np
 import pytest
 
+import freesub.additive as additive
 import freesub.transforms as transforms
 from freesub import (BadParams, DomainError, NonPositiveDensity, atomic,
                      bernoulli_pm1, cauchy_transform, circle_atoms,
                      circle_cauchy, eta_transform, h_transform, haar_circle,
                      marchenko_pastur, psi_transform, reciprocal_cauchy,
-                     semicircle, stieltjes_invert)
+                     semicircle)
 
 
 def sc_cauchy_closed_form(z):
@@ -178,11 +179,10 @@ GRID_ETAS = (1.6e-2, 8e-3, 4e-3)
 FINE_ETAS = (4e-4, 2e-4, 1e-4)
 
 
-def test_stieltjes_invert_semicircle_roundtrip():
+def test_stieltjes_invert_semicircle_roundtrip(invert):
     sc = semicircle(0, 1)
     grid = np.linspace(-2.5, 2.5, 1201)
-    rec, renorm = stieltjes_invert(lambda z: cauchy_transform(sc, z), grid,
-                                   eta_sequence=GRID_ETAS)
+    rec, renorm = invert(lambda z: cauchy_transform(sc, z), grid, GRID_ETAS)
     t = rec.grid.points()
     target = np.where(np.abs(t) < 2, np.sqrt(np.clip(4 - t**2, 0, None)), 0) / (2 * np.pi)
     window = np.abs(t) <= 1.9
@@ -190,94 +190,44 @@ def test_stieltjes_invert_semicircle_roundtrip():
     assert abs(renorm - 1) <= 1e-2
 
 
-def test_stieltjes_invert_concentrates_atom():
-    rec, _ = stieltjes_invert(lambda z: 1.0 / z, np.linspace(-1, 1, 801),
-                              eta_sequence=(1e-3,))
+def test_stieltjes_invert_concentrates_atom(invert):
+    rec, _ = invert(lambda z: 1.0 / z, np.linspace(-1, 1, 801), (1e-3,))
     t = rec.grid.points()
     w = rec.grid.trapezoid_weights()
     near = np.abs(t) <= 0.1
     assert np.sum((w * rec.density)[near]) >= 0.9
 
 
-def test_stieltjes_invert_renorm_sweep(standard_line_measures, monkeypatch):
+def test_stieltjes_invert_renorm_sweep(standard_line_measures, monkeypatch,
+                                       invert):
     # the negativity floor is widened here: just outside an
     # inverse-square-root edge the smoothed density is not polynomial in
     # eta, and the extrapolation to eta = 0 overshoots below zero by ~1e-2
     # before being clipped.
-    monkeypatch.setattr(transforms, "_NEG_TOL", 2e-2)
+    monkeypatch.setattr(additive, "_NEG_TOL", 2e-2)
     for name in ("semicircle", "arcsine", "marchenko_pastur"):
         m = standard_line_measures[name]
         lo, hi = m.support()
         grid = np.linspace(lo - 0.3, hi + 0.3, 1001)
-        _, renorm = stieltjes_invert(lambda z: cauchy_transform(m, z), grid,
-                                     eta_sequence=GRID_ETAS)
+        _, renorm = invert(lambda z: cauchy_transform(m, z), grid, GRID_ETAS)
         assert abs(renorm - 1) <= 1e-2
 
 
-def test_stieltjes_invert_rejects_wrong_sign():
+def test_stieltjes_invert_rejects_wrong_sign(invert):
     with pytest.raises(NonPositiveDensity):
-        stieltjes_invert(lambda z: np.full(np.shape(z), 1j),
-                         np.linspace(-1, 1, 100), FINE_ETAS)
+        invert(lambda z: np.full(np.shape(z), 1j), np.linspace(-1, 1, 100),
+               FINE_ETAS)
 
 
-def test_stieltjes_invert_validates_arguments():
-    with pytest.raises(ValueError):
-        stieltjes_invert(lambda z: 1 / z, np.linspace(0, 1, 4), FINE_ETAS)
-    with pytest.raises(ValueError):
-        stieltjes_invert(lambda z: 1 / z, np.linspace(-1, 1, 100),
-                         eta_sequence=(0.0, -1.0))
-    calls = []
-
-    def g_eval(z):
-        calls.append(z)
-        return 1 / z
-
-    # a repeated height makes the extrapolation weights divide by zero
-    with pytest.raises(BadParams, match="distinct"):
-        stieltjes_invert(g_eval, np.linspace(-1, 1, 100),
-                         eta_sequence=(1e-2, 1e-2))
-    assert not calls
-
-
-def test_stieltjes_invert_rejects_scalar_and_nonfinite_heights():
-    calls = []
-
-    def g_eval(z):
-        calls.append(z)
-        return 1 / z
-
-    # a bare number is a 0-d array, which the Lagrange weights cannot index
-    for etas in (0.1, (np.inf,), (1e-2, np.nan), ((1e-2, 2e-2),)):
-        with pytest.raises(BadParams, match="eta_sequence"):
-            stieltjes_invert(g_eval, np.linspace(-1, 1, 100), eta_sequence=etas)
-    assert not calls
-
-
-def test_stieltjes_invert_rejects_non_uniform_grid():
-    calls = []
-
-    def g_eval(z):
-        calls.append(z)
-        return 1 / z
-
-    grid = np.concatenate([np.linspace(-1, 0, 50), np.linspace(0.05, 1, 50)])
-    with pytest.raises(ValueError, match="uniform"):
-        stieltjes_invert(g_eval, grid, FINE_ETAS)
-    with pytest.raises(ValueError, match="uniform"):
-        stieltjes_invert(g_eval, np.linspace(1, -1, 100), FINE_ETAS)
-    assert not calls
-
-
-def test_mp_inversion_with_hard_edge(monkeypatch):
+def test_mp_inversion_with_hard_edge(monkeypatch, invert):
     # The grid must extend below t = 0: truncating at 0.05 discards the
     # ~14% of mass that the hard edge packs into [0, 0.05] and the
     # renormalization then inflates the whole density.  The negativity
     # floor is widened as in test_stieltjes_invert_renorm_sweep.
-    monkeypatch.setattr(transforms, "_NEG_TOL", 2e-2)
+    monkeypatch.setattr(additive, "_NEG_TOL", 2e-2)
     mp = marchenko_pastur(1.0)
     grid = np.linspace(-0.3, 4.3, 1001)
-    rec, renorm = stieltjes_invert(lambda z: cauchy_transform(mp, z), grid,
-                                   eta_sequence=GRID_ETAS)
+    rec, renorm = invert(lambda z: cauchy_transform(mp, z), grid, GRID_ETAS)
     t = rec.grid.points()
     target = np.sqrt(np.clip(t * (4 - t), 0, None)) / (2 * np.pi * np.clip(t, 1e-9, None))
     window = (t >= 0.2) & (t <= 3.8)
