@@ -27,11 +27,14 @@ scipy's BLAS/LAPACK (zgemm, and zgetrf + zgetri in ``_inv``), never
 through numpy.linalg or ``@``: numpy and scipy link separate OpenBLAS
 builds with separate thread pools, and a trial that alternates
 between the two pools runs markedly slower than one that stays in
-either.  thm36's only numpy.linalg call is its ||c0|| check, before the
-trial loop.  A Haar conjugation u m u* is one zgemm on the column-scaled
+either.  thm36's ||c0|| check, before the trial loop, is scipy's
+values-only zgesdd too, so no experiment hands numpy.linalg an N-sized
+matrix.  A Haar conjugation u m u* is one zgemm on the column-scaled
 u when m is diagonal (thm36's eigenphases, and prop32's a0 and prop33's
 C0 when they are exactly diagonal, which is checked once before the
-loop) and two otherwise.
+loop) and two otherwise; an exactly diagonal prop33 A0 is added on the
+diagonal alone.  thm31_block assembles every trial in two n*N x n*N
+buffers allocated once per call, with no Kronecker-product temporaries.
 """
 
 import json
@@ -39,15 +42,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import blas, lapack, svdvals
 
 from .domains import _contraction_margins, _halfplane_margin, \
     operator_norm, resolvent_identity_residual
 from .errors import BadParams, DegenerateTransform, NoConvergence, \
     _complex_matrix, _real_vector, int_in_range, real_above
-from .measures import CircleMeasure
+from .measures import CircleMeasure, _require
 from .multiplicative import disk_subordination_solve
-from .opvalued import CovarianceMap, _kron, op_add_cauchy, \
+from .opvalued import CovarianceMap, op_add_cauchy, \
     op_semicircular_cauchy, solve_subordination_F
 
 _GATE = 0.05              # every estimator residual: the concentration scale
@@ -136,8 +139,8 @@ def _conjugate(u, m):
 
 
 def _shifted(m, eps):
-    """m + i eps as a middle factor for ``_conjugate``: its diagonal if m
-    is exactly diagonal, else the matrix in Fortran order."""
+    """m + i eps, as a middle factor for ``_conjugate`` or a summand: its
+    diagonal if m is exactly diagonal, else the matrix in Fortran order."""
     diag = np.diagonal(m)
     if np.count_nonzero(m) == np.count_nonzero(diag):
         return diag + 1j * eps
@@ -337,14 +340,17 @@ def experiment_prop33(A0, C0, eps=1.0, trials=200, seed=0) -> ExperimentReport:
     trials = int_in_range("trials", trials, 1)
     eps = real_above("eps", eps, 0.0)
     seed = int_in_range("seed", seed, 0)
-    a = np.asfortranarray(A0 + 1j * eps * np.eye(N))
+    a = _shifted(A0, eps)
+    # a diagonal a is added to, and taken from, the diagonal alone
+    at = np.diag_indices(N) if a.ndim == 1 else np.s_[:]
     c_shift = _shifted(C0, eps)
     acc = np.zeros((N, N), dtype=complex, order="F")
     for t in range(trials):
         m = _conjugate(_haar(_rng(seed, t), N), c_shift)
-        m += a
+        m[at] += a
         acc += _inv(m)
-    d = _inv(acc / trials) - a
+    d = _inv(acc / trials)
+    d[at] -= a
     scalar = complex(np.trace(d) / N)
     dev = float(np.linalg.norm(d - scalar * np.eye(N)) / np.linalg.norm(d))
     # full-matrix dev is floored by off-diagonal sampling noise, which is
@@ -378,13 +384,14 @@ def experiment_thm36(theta_law: CircleMeasure, c0=None, N=600, trials=100,
     The reported omega_margin is 1 - ||c0||, which equals
     1 - ||u^{-1} c0|| for every unitary u, so no trial recomputes it.
     """
+    _require(CircleMeasure, theta_law)
     N = int_in_range("N", N, 1, _MAX_N)
     trials = int_in_range("trials", trials, 1)
     seed = int_in_range("seed", seed, 0)
     if c0 is None:
         c0 = 0.7 * _haar(_rng(seed, 999), N)
     c0 = _complex_matrix("c0", c0, N)
-    nrm = np.linalg.norm(c0, 2)
+    nrm = svdvals(c0, check_finite=False)[0]
     if nrm > 0.9:
         raise BadParams("c0 must satisfy ||c0|| <= 0.9")
     omega_margin = 1.0 - nrm
@@ -427,6 +434,7 @@ def experiment_thm31_block(eta_x: CovarianceMap, eta_y: CovarianceMap, b,
     supplied by the deterministic solver, plus the estimate-vs-solver
     gap as a second residual.
     """
+    _require(CovarianceMap, eta_x, eta_y)
     ex = eta_x.symmetrized()
     ey = eta_y.symmetrized()
     n = ex.n
@@ -442,31 +450,36 @@ def experiment_thm31_block(eta_x: CovarianceMap, eta_y: CovarianceMap, b,
     f_b = solve_subordination_F(
         lambda w: op_semicircular_cauchy(ex, w, tol=_SOLVER_TOL).g,
         g_xy, b_start=b, tol=1e-9)
-    eye_n = np.eye(N)
-    big_b = np.kron(b, eye_n)
-    big_f = np.kron(f_b, eye_n)
     acc_xy = np.zeros((n, n), dtype=complex)
     acc_x = np.zeros((n, n), dtype=complex)
+    # two n*N buffers serve every trial, viewed as n x n grids of N x N
+    # blocks; each entry is summed in the order np.kron's would be
+    x, xy = (np.empty((n, N, n, N), dtype=complex) for _ in range(2))
+    diag = np.arange(N)
 
-    def block_sample(rng, cov):
-        # (m + m*)/sqrt(2) for m = sum_j k_j (x) G_j, summed term by term
-        # so the n*N-sized sum is never conjugate-transposed
-        m = np.zeros((n * N, n * N), dtype=complex)
+    def block_sample(rng, cov, out):
+        # (m + m*)/sqrt(2) for m = sum_j k_j (x) G_j, into out block by block
+        out.fill(0)
         for k in cov.kraus:
             g = _ginibre(rng, N) / math.sqrt(2.0)
-            m += _kron(k, g)
-            m += _kron(k.conj().T, g.conj().T)
-        return m
+            gh = g.conj().T
+            for i, j in np.ndindex(n, n):
+                out[i, :, j] += k[i, j] * g
+                out[i, :, j] += np.conj(k[j, i]) * gh
+
+    def shifted_inverse(m, shift):
+        # shift (x) 1 - m in place (-m + s is s - m bit for bit), inverted
+        np.negative(m, out=m)
+        m[:, diag, :, diag] += shift
+        return _partial_trace(_inv(m.reshape(n * N, n * N)), n, N)
 
     for t in range(trials):
         rng = _rng(seed, t)
-        x = block_sample(rng, eta_x)
-        y = block_sample(rng, eta_y)
-        y += x
-        np.subtract(big_b, y, out=y)
-        acc_xy += _partial_trace(_inv(y), n, N)
-        np.subtract(big_f, x, out=x)
-        acc_x += _partial_trace(_inv(x), n, N)
+        block_sample(rng, eta_x, x)
+        block_sample(rng, eta_y, xy)
+        xy += x
+        acc_xy += shifted_inverse(xy, b)
+        acc_x += shifted_inverse(x, f_b)
     est_xy = acc_xy / trials
     est_x = acc_x / trials
     subord = float(np.linalg.norm(est_xy - est_x))

@@ -39,7 +39,10 @@ class CovarianceMap:
     kraus: tuple
 
     def __post_init__(self):
-        kraus = tuple(self.kraus)
+        try:
+            kraus = tuple(self.kraus)
+        except TypeError:
+            raise BadParams("kraus must be a sequence of matrices") from None
         if not kraus:
             raise BadParams("covariance map needs at least one Kraus term")
         n = _complex_matrix("kraus[0]", kraus[0]).shape[0]

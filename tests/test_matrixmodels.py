@@ -1,6 +1,7 @@
 """Seeded draws, conditional-expectation estimators, experiment reports."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from freesub import (
     experiment_thm31_block,
     experiment_thm36,
     haar_circle,
+    semicircle,
 )
 from freesub.errors import BadParams
 from freesub import matrixmodels
@@ -111,10 +113,14 @@ def test_trial_loops_keep_n_sized_algebra_off_numpy(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("qr", "inv", "solve"):
+    for name in ("qr", "inv", "solve", "svd"):
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    # np.linalg.norm(a, 2) reaches the SVD through the module's own name
+    monkeypatch.setattr(np.linalg._linalg, "svd", np.linalg.svd)
     experiment_prop33(np.diag(balanced(N)), np.diag(np.linspace(0.5, 1.5, N)),
                       trials=2, seed=0)
+    experiment_thm36(circle_atoms([(0.0, 0.5), (np.pi, 0.5)]),
+                     0.35 * np.eye(N), N=N, trials=2, seed=0)
     eta_x = CovarianceMap((np.array([[0.9, 0.3], [0.0, 0.6]]),))
     eta_y = CovarianceMap((np.array([[0.5, -0.2], [0.1, 0.7]]),))
     experiment_thm31_block(eta_x, eta_y, 1j * np.eye(2), N=N, trials=2, seed=0)
@@ -287,6 +293,76 @@ def test_thm31_block_trivial_second_summand():
     assert rep.estimates["n"] == 2
 
 
+def _thm31_inputs(kraus_x, kraus_y):
+    b = np.array([[0.3 + 1j, 0.2 + 0.1j], [0.2 - 0.1j, -0.4 + 1j]])
+    return CovarianceMap(kraus_x), CovarianceMap(kraus_y), b
+
+
+K_DENSE = np.array([[0.3 + 0.2j, -0.4], [0.25j, 0.1 - 0.3j]])
+K_ZERO = np.array([[0.9, 0.3], [0.0, 0.6]])
+K_REAL = np.array([[0.5, -0.2], [0.1, 0.7]])
+
+
+@pytest.mark.parametrize("kraus_x, kraus_y", [
+    ((K_DENSE,), (K_REAL,)),
+    ((K_DENSE, K_REAL), (K_REAL.T, K_DENSE.T)),
+    ((K_ZERO,), (K_DENSE,)),
+], ids=["one-term", "two-terms", "zero-entry"])
+def test_thm31_block_inverts_the_kron_assembly(monkeypatch, kraus_x, kraus_y):
+    # the matrices inverted are, bit for bit, B (x) 1 - (Y + X) and
+    # F(b) (x) 1 - X with X and Y summed from np.kron products of the
+    # trial's Ginibre draws
+    N, trials, seed = 16, 2, 5
+    eta_x, eta_y, b = _thm31_inputs(kraus_x, kraus_y)
+    inverted, solved = [], []
+    inv, solve_f = matrixmodels._inv, matrixmodels.solve_subordination_F
+
+    def keeping(a):
+        inverted.append(a.copy())
+        return inv(np.asfortranarray(a))
+
+    def keeping_f(*args, **kwargs):
+        solved.append(solve_f(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(matrixmodels, "_inv", keeping)
+    monkeypatch.setattr(matrixmodels, "solve_subordination_F", keeping_f)
+    experiment_thm31_block(eta_x, eta_y, b, N=N, trials=trials, seed=seed)
+
+    def kron_sample(rng, cov):
+        m = np.zeros((2 * N, 2 * N), dtype=complex)
+        for k in cov.kraus:
+            g = matrixmodels._ginibre(rng, N) / np.sqrt(2.0)
+            m += np.kron(k, g)
+            m += np.kron(k.conj().T, g.conj().T)
+        return m
+
+    want = []
+    for t in range(trials):
+        rng = _rng(seed, t)
+        x = kron_sample(rng, eta_x)
+        y = kron_sample(rng, eta_y) + x
+        want += [np.kron(b, np.eye(N)) - y, np.kron(solved[0], np.eye(N)) - x]
+    assert len(inverted) == len(want)
+    for got, ref in zip(inverted, want):
+        assert np.array_equal(got, ref)
+
+
+def test_thm31_block_keeps_two_block_buffers():
+    # the trial loop holds two (n N)^2 buffers; the np.kron assembly held
+    # about 7.6 of these units at its peak
+    n, N = 2, 128
+    unit = (n * N) ** 2 * 16
+    eta_x, eta_y, b = _thm31_inputs((K_ZERO,), (K_REAL,))
+    tracemalloc.start()
+    try:
+        experiment_thm31_block(eta_x, eta_y, b, N=N, trials=2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * unit, f"peak {peak / unit:.2f} units of {unit} B"
+
+
 def test_thm31_block_validation():
     eta = CovarianceMap((np.eye(2),))
     with pytest.raises(BadParams):
@@ -342,6 +418,15 @@ def test_lemma34_sweep_small():
     # a NaN eigenvalue once ran every trial and stalled the shift fit
     lambda: experiment_prop32([1.0, np.nan], np.eye(2)),
     lambda: experiment_prop32([np.inf, 1.0], np.eye(2)),
+    # a wrong type once escaped as AttributeError, and a line law drew c0
+    # and ran every trial before the disk solve rejected it
+    lambda: experiment_thm36(None, N=8),
+    lambda: experiment_thm36(semicircle(), N=8, trials=1),
+    lambda: experiment_thm31_block(None, CovarianceMap((np.eye(2),)),
+                                   1j * np.eye(2), N=8),
+    lambda: experiment_thm31_block(CovarianceMap((np.eye(2),)), None,
+                                   1j * np.eye(2), N=8),
+    lambda: CovarianceMap(None),
 ])
 def test_experiments_reject_empty_sizes(monkeypatch, run):
     # rejected before the first draw
