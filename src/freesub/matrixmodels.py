@@ -28,8 +28,8 @@ through numpy.linalg or ``@``: numpy and scipy link separate OpenBLAS
 builds with separate thread pools, and a trial that alternates
 between the two pools runs markedly slower than one that stays in
 either.  thm36's ||c0|| check, before the trial loop, is scipy's
-values-only zgesdd too, so no experiment hands numpy.linalg an N-sized
-matrix.  A Haar conjugation u m u* is one zgemm on the column-scaled
+values-only zgesdd too, so no N-sized factorization or SVD runs in
+numpy.linalg.  A Haar conjugation u m u* is one zgemm on the column-scaled
 u when m is diagonal (thm36's eigenphases, and prop32's a0 and prop33's
 C0 when they are exactly diagonal, which is checked once before the
 loop) and two otherwise; an exactly diagonal prop33 A0 is added on the

@@ -293,14 +293,11 @@ def test_thm31_block_trivial_second_summand():
     assert rep.estimates["n"] == 2
 
 
-def _thm31_inputs(kraus_x, kraus_y):
-    b = np.array([[0.3 + 1j, 0.2 + 0.1j], [0.2 - 0.1j, -0.4 + 1j]])
-    return CovarianceMap(kraus_x), CovarianceMap(kraus_y), b
-
-
+# Kraus terms for the block tests, and a b with real and off-diagonal parts
 K_DENSE = np.array([[0.3 + 0.2j, -0.4], [0.25j, 0.1 - 0.3j]])
 K_ZERO = np.array([[0.9, 0.3], [0.0, 0.6]])
 K_REAL = np.array([[0.5, -0.2], [0.1, 0.7]])
+B_MIXED = np.array([[0.3 + 1j, 0.2 + 0.1j], [0.2 - 0.1j, -0.4 + 1j]])
 
 
 @pytest.mark.parametrize("kraus_x, kraus_y", [
@@ -312,13 +309,14 @@ def test_thm31_block_inverts_the_kron_assembly(monkeypatch, kraus_x, kraus_y):
     # the matrices inverted are, bit for bit, B (x) 1 - (Y + X) and
     # F(b) (x) 1 - X with X and Y summed from np.kron products of the
     # trial's Ginibre draws
-    N, trials, seed = 16, 2, 5
-    eta_x, eta_y, b = _thm31_inputs(kraus_x, kraus_y)
+    N, trials, seed, b = 16, 2, 5, B_MIXED
+    eta_x, eta_y = CovarianceMap(kraus_x), CovarianceMap(kraus_y)
     inverted, solved = [], []
     inv, solve_f = matrixmodels._inv, matrixmodels.solve_subordination_F
 
     def keeping(a):
         inverted.append(a.copy())
+        # a Fortran-ordered input keeps _inv from recursing into this
         return inv(np.asfortranarray(a))
 
     def keeping_f(*args, **kwargs):
@@ -349,14 +347,14 @@ def test_thm31_block_inverts_the_kron_assembly(monkeypatch, kraus_x, kraus_y):
 
 
 def test_thm31_block_keeps_two_block_buffers():
-    # the trial loop holds two (n N)^2 buffers; the np.kron assembly held
-    # about 7.6 of these units at its peak
+    # two (n N)^2 complex buffers and N x N temporaries peak at about 3.1
+    # units; an assembly from np.kron products reached 7.6
     n, N = 2, 128
     unit = (n * N) ** 2 * 16
-    eta_x, eta_y, b = _thm31_inputs((K_ZERO,), (K_REAL,))
+    eta_x, eta_y = CovarianceMap((K_ZERO,)), CovarianceMap((K_REAL,))
     tracemalloc.start()
     try:
-        experiment_thm31_block(eta_x, eta_y, b, N=N, trials=2, seed=0)
+        experiment_thm31_block(eta_x, eta_y, B_MIXED, N=N, trials=2, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
