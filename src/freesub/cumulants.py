@@ -18,7 +18,7 @@ which serves as an independent cross-check on analytic convolutions.
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import BadParams, int_in_range
+from .errors import BadParams, _scalars, int_in_range
 
 _MAX_NC_ORDER = 12
 _MAX_PRODUCT_ORDER = 8
@@ -49,7 +49,7 @@ def _moments_to_free_cumulants(moments):
 
 def free_cumulants(m, order: int):
     """Free cumulants kappa_1..kappa_order from moments m = (m_0=1, m_1, ...)."""
-    m = list(m)
+    m = _scalars("moments", m)
     if not m or m[0] != 1:
         raise BadParams("moment list must start with m_0 = 1")
     order = int_in_range("order", order, 1, 12)
@@ -63,7 +63,7 @@ def free_cumulants_to_moments(cumulants):
 
     Round-trips exactly with ``free_cumulants`` on exact scalar types.
     """
-    cumulants = list(cumulants)
+    cumulants = _scalars("cumulants", cumulants)
     moments = []
     for n in range(1, len(cumulants) + 1):
         moments.append(sum(
@@ -135,10 +135,11 @@ def free_multiplicative_moments(moments_a, moments_b, order: int):
     with the Catalan numbers; the order is capped at 8 (C_8 = 1430).
     """
     order = int_in_range("order", order, 1, _MAX_PRODUCT_ORDER)
-    if len(moments_a) < order or len(moments_b) < order:
+    ma = _scalars("moments_a", moments_a)
+    mb = _scalars("moments_b", moments_b)
+    if len(ma) < order or len(mb) < order:
         raise BadParams("need at least `order` moments of each factor")
-    kappa_a = _moments_to_free_cumulants(list(moments_a)[:order])
-    mb = list(moments_b)
+    kappa_a = _moments_to_free_cumulants(ma[:order])
     out = []
     for n in range(1, order + 1):
         table = _kreweras_table(n)

@@ -15,15 +15,17 @@ NaN or an infinity, all with BadParams; both return the plain int or
 float.  The private ``_complex_points`` does the same for an evaluation
 point or a vector of them, and rejects a NaN or an infinite point with
 DomainError; ``_real_vector`` checks a grid, heights or a spectrum, and
-raises BadParams for anything but finite reals.  Every matrix argument
-is checked once, where the library first reads it, by the private
-``_complex_matrix``: it returns a complex square matrix or (where the
-argument may be one) a stack, reads a scalar as 1 x 1, and raises
-BadParams naming the argument for a value that is not numeric, is
+raises BadParams for anything but finite reals, and ``_scalars`` does
+so for moments or cumulants but keeps each number's type.  Every matrix
+argument is checked once, where the library first reads it, by the
+private ``_complex_matrix``: it returns a complex square matrix or
+(where the argument may be one) a stack, reads a scalar as 1 x 1, and
+raises BadParams naming the argument for a value that is not numeric, is
 ragged, is not square or of the required size, or has a NaN or an
 infinite entry.  No solver checks again what it computed itself.
 """
 
+import cmath
 import math
 import numbers
 
@@ -155,6 +157,20 @@ def _real_vector(name, value, min_size=1):
         raise BadParams(f"{name} must be a 1-d sequence of finite real "
                         f"numbers, at least {min_size} of them")
     return v
+
+
+def _scalars(name, value):
+    """``value`` as a list of finite numbers, each kept in its own type (a
+    Fraction stays exact); anything else raises BadParams naming ``name``."""
+    try:
+        out = list(value)
+    except TypeError:
+        raise BadParams(f"{name} must be a sequence, got {value!r}") from None
+    for v in out:
+        if isinstance(v, bool) or not isinstance(v, numbers.Number) or \
+                not (isinstance(v, numbers.Rational) or cmath.isfinite(v)):
+            raise BadParams(f"{name} must be finite numbers, got {v!r}")
+    return out
 
 
 def _complex_matrix(name, value, n=None, stack=False):

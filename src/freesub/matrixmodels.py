@@ -35,6 +35,9 @@ C0 when they are exactly diagonal, which is checked once before the
 loop) and two otherwise; an exactly diagonal prop33 A0 is added on the
 diagonal alone.  thm31_block assembles every trial in two n*N x n*N
 buffers allocated once per call, with no Kronecker-product temporaries.
+scipy.linalg is imported where it is called, so it loads at the first
+LAPACK call of an experiment: the solvers run on numpy alone, and a
+module-level import cost every ``import freesub`` a second OpenBLAS.
 """
 
 import json
@@ -42,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack, svdvals
 
 from .domains import _contraction_margins, _halfplane_margin, \
     operator_norm, resolvent_identity_residual
@@ -85,6 +87,7 @@ def _haar(rng, N):
     and v = x/(x0 - beta) below the diagonal.  Q = H_1 ... H_N diag(sign
     beta) is then distributed as the phase-corrected Q of a Ginibre QR.
     """
+    from scipy.linalg import lapack
     z = rng.standard_normal(N * (N + 1)).view(complex)
     a = np.zeros((N, N), dtype=complex, order="F")
     tau = np.empty(N, dtype=complex)
@@ -118,6 +121,7 @@ def _inv(a):
     ``np.linalg.LinAlgError`` on an exactly singular matrix, as
     ``np.linalg.inv`` does.
     """
+    from scipy.linalg import lapack
     if a.flags.c_contiguous and not a.flags.f_contiguous:
         return _inv(a.T).T
     lu, piv, info = lapack.zgetrf(a, overwrite_a=1)
@@ -133,6 +137,7 @@ def _conjugate(u, m):
     """u m u* by zgemm.  A 1-d m is the diagonal of the middle factor:
     u diag(m) u* is one zgemm on the column-scaled u.  A square m takes
     two."""
+    from scipy.linalg import blas
     if m.ndim == 1:
         return blas.zgemm(1.0, u * m, u, trans_b=2)
     return blas.zgemm(1.0, blas.zgemm(1.0, u, m), u, trans_b=2)
@@ -289,6 +294,7 @@ def experiment_prop32(lam_diag, a0, eps=1.0, trials=200,
     diagonal entries are untouched by the conjugation, so the scalar
     fit sees exactly the raw per-trial statistics.
     """
+    from scipy.linalg import blas
     lam = _real_vector("lam_diag", lam_diag)
     N = int_in_range("N", lam.size, 1, _MAX_N)
     a0 = _complex_matrix("a0", a0, N)
@@ -384,6 +390,7 @@ def experiment_thm36(theta_law: CircleMeasure, c0=None, N=600, trials=100,
     The reported omega_margin is 1 - ||c0||, which equals
     1 - ||u^{-1} c0|| for every unitary u, so no trial recomputes it.
     """
+    from scipy.linalg import svdvals
     _require(CircleMeasure, theta_law)
     N = int_in_range("N", N, 1, _MAX_N)
     trials = int_in_range("trials", trials, 1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadParams, int_in_range, real_above
+from .errors import BadParams, _numbers, int_in_range, real_above
 
 #: default number of density samples for gridded families
 DEFAULT_GRID_N = 2048
@@ -90,9 +90,9 @@ class _Measure:
         ws = np.array([w for _, w in atoms], dtype=float)
         density = self.density
         if density is not None:
-            density = np.asarray(density, dtype=float)
-            if density.ndim != 1 or density.size != self.grid.n:
-                raise BadParams("density length must equal grid.n")
+            density = _numbers(density, float)
+            if density is None or density.shape != (self.grid.n,):
+                raise BadParams("density must be grid.n real numbers")
             if not np.all(np.isfinite(density)):
                 raise BadParams("density has non-finite samples")
             if np.any(density < 0):
@@ -225,7 +225,10 @@ def _require(kind, *measures):
 
 def from_json(text: str):
     """Measure from ``json.dumps(m.to_dict())``; floats round-trip bit-exactly."""
-    d = json.loads(text)
+    try:
+        d = json.loads(text)
+    except (TypeError, ValueError) as exc:  # not text, or not JSON
+        raise BadParams(f"a serialized measure is JSON text: {exc}") from exc
     if not isinstance(d, dict):
         raise BadParams(f"a serialized measure is a JSON object, got {d!r}")
     cls = {"line": LineMeasure, "circle": CircleMeasure}.get(d.get("type"))
@@ -373,6 +376,7 @@ def make_standard(name, *params, **kwargs):
 
 def rotate(measure: CircleMeasure, phi: float) -> CircleMeasure:
     """Pushforward of an atomic circle measure under multiplication by e^{i*phi}."""
+    _require(CircleMeasure, measure)
     if measure.density is not None:
         raise BadParams("rotation is implemented for atomic circle measures only")
     phi = real_above("phi", phi)
@@ -386,7 +390,9 @@ def measure_from_circle_moments(moments, n=DEFAULT_GRID_N) -> CircleMeasure:
     reconstruction nonnegative for moments of a genuine measure; tiny
     negative rounding is clipped before normalization.
     """
-    m = np.asarray(moments, dtype=complex)
+    m = _numbers(moments)
+    if m is None or m.ndim != 1 or not np.isfinite(m).all():
+        raise BadParams("moments must be a 1-d sequence of finite numbers")
     order = m.size
     grid = GridSpec(0.0, _TWO_PI, n)
     theta = grid.lo + (_TWO_PI / n) * np.arange(n)

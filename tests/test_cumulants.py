@@ -7,6 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from freesub import BadParams
 from freesub.cumulants import (
     _kreweras_table,
     free_cumulants,
@@ -179,3 +180,20 @@ def test_multiplicative_moments_validation():
         free_multiplicative_moments([1] * 9, [1] * 9, 9)
     with pytest.raises(ValueError):
         free_multiplicative_moments([1, 1], [1, 1], 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: free_cumulants([1, "a"], 1),
+    lambda: free_cumulants(None, 1),
+    lambda: free_cumulants([1, float("nan")], 1),
+    lambda: free_cumulants([1, complex(0.5, float("inf"))], 1),
+    lambda: free_cumulants_to_moments(["a"]),
+    lambda: free_cumulants_to_moments([float("nan")]),
+    lambda: free_multiplicative_moments(["a"], [1.0], 1),
+    lambda: free_multiplicative_moments([1.0], [float("inf")], 1),
+], ids=["string moment", "no moments", "nan moment", "infinite moment",
+        "string cumulant", "nan cumulant", "string moment_a", "infinite moment_b"])
+def test_entries_must_be_finite_numbers(call):
+    # strings and None ended in a TypeError, and NaN came back as NaN
+    with pytest.raises(BadParams, match="moments|cumulants"):
+        call()

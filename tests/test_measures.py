@@ -230,6 +230,10 @@ def test_from_json_rejects_non_objects():
             from_json(text)
     with pytest.raises(BadParams, match="JSON object"):
         LineMeasure.from_dict([1])
+    # text that is not JSON raised the decoder's error; it is the cause now
+    with pytest.raises(BadParams) as info:
+        from_json("{")
+    assert isinstance(info.value.__cause__, json.JSONDecodeError)
 
 
 def test_quadrature_defines_mass():
@@ -262,3 +266,22 @@ def test_atoms_must_be_pairs(pairs):
         circle_atoms(pairs)
     with pytest.raises(BadParams, match="pairs"):
         from_json(json.dumps({"type": "line", "atoms": pairs}))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rotate(None, 0.1),
+    lambda: rotate(bernoulli_pm1(), 0.1),
+    lambda: from_json(None),
+    lambda: LineMeasure(grid=GridSpec(-1.0, 1.0, 9), density="abcdefghi"),
+    lambda: LineMeasure(grid=GridSpec(-1.0, 1.0, 9),
+                        density=np.full(9, 0.5 + 0.5j)),
+    lambda: measure_from_circle_moments(["a"]),
+    lambda: measure_from_circle_moments(0.5),
+], ids=["rotate None", "rotate a line measure", "JSON None",
+        "string density", "complex density", "string moment", "scalar moments"])
+def test_bad_arguments_raise_bad_params(call):
+    # each ended in a builtin AttributeError, TypeError, ValueError or
+    # IndexError, or (a complex density) lost its imaginary part with a
+    # ComplexWarning
+    with pytest.raises(BadParams):
+        call()

@@ -7,6 +7,7 @@ import ast
 import builtins
 import importlib
 import inspect
+import json
 import math
 import os
 import pathlib
@@ -386,16 +387,47 @@ def test_perfbench_trace_targets_exist():
     ]
 
 
-def test_import_loads_only_scipy_linalg():
-    # closed forms replace quadrature and a generic least-squares solver,
-    # so importing the package loads scipy.linalg and none of the
-    # subpackages those pulled in
+_NO_SCIPY_PROBE = """
+import contextlib, io, json, os, sys
+import freesub
+from freesub import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+out, loaded = sys.argv[1], {"import": scipy_modules()}
+sc = {"family": "semicircle", "params": [0.0, 1.0], "n": 64}
+runs = {"convolve-add": (["convolve-add", "--grid=-3:3:9", "--im", "1"],
+                         {"mu": sc, "nu": {"family": "bernoulli_pm1"}}),
+        "eval": (["eval", "cauchy", "--grid=-2:2:5"], {"measure": sc}),
+        "verify lemma34": (["verify", "lemma34", "--samples", "50"], {})}
+for name, (argv, cfg) in runs.items():
+    path = os.path.join(out, name.replace(" ", "-"))
+    with open(path + ".json", "w") as fh:
+        json.dump(cfg, fh)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv + ["--config", path + ".json", "--out", path])
+    loaded[name] = (code, scipy_modules())
+freesub.experiment_thm36(freesub.haar_circle(), N=16, trials=1)
+loaded["thm36"] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_import_loads_no_scipy(tmp_path):
+    # the solvers and the CLI's analytic commands run on numpy alone;
+    # scipy.linalg loads at a Monte Carlo experiment's first LAPACK call,
+    # and closed forms keep scipy's quadrature, optimizers and special
+    # functions out of it
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
-    probe = ("import sys, freesub; print(' '.join(sorted("
-             "m for m in sys.modules if m.startswith('scipy.'))))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout.split()
-    assert "scipy.linalg" in out
+    loaded = json.loads(subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_PROBE, str(tmp_path)], env=env,
+        check=True, capture_output=True, text=True).stdout)
+    assert loaded.pop("import") == []
+    thm36 = loaded.pop("thm36")
+    assert loaded == {name: [0, []] for name in
+                      ("convolve-add", "eval", "verify lemma34")}
+    assert "scipy.linalg" in thm36
     for sub in ("scipy.integrate", "scipy.optimize", "scipy.special"):
-        assert sub not in out
+        assert sub not in thm36
