@@ -36,8 +36,8 @@ loop) and two otherwise; an exactly diagonal prop33 A0 is added on the
 diagonal alone.  thm31_block assembles every trial in two n*N x n*N
 buffers allocated once per call, with no Kronecker-product temporaries.
 scipy.linalg is imported where it is called, so it loads at the first
-LAPACK call of an experiment: the solvers run on numpy alone, and a
-module-level import cost every ``import freesub`` a second OpenBLAS.
+LAPACK call of an experiment: it brings 85 modules and a second
+OpenBLAS, and the solvers and the CLI's other commands need neither.
 """
 
 import json

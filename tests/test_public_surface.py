@@ -399,6 +399,9 @@ out, loaded = sys.argv[1], {"import": scipy_modules()}
 sc = {"family": "semicircle", "params": [0.0, 1.0], "n": 64}
 runs = {"convolve-add": (["convolve-add", "--grid=-3:3:9", "--im", "1"],
                          {"mu": sc, "nu": {"family": "bernoulli_pm1"}}),
+        "convolve-mult": (["convolve-mult"], {
+            "mu": {"family": "circle_atoms", "params": [[0.5, 0.5], [2.0, 0.5]]},
+            "nu": {"family": "haar_circle", "n": 64}}),
         "eval": (["eval", "cauchy", "--grid=-2:2:5"], {"measure": sc}),
         "verify lemma34": (["verify", "lemma34", "--samples", "50"], {})}
 for name, (argv, cfg) in runs.items():
@@ -427,7 +430,8 @@ def test_import_loads_no_scipy(tmp_path):
     assert loaded.pop("import") == []
     thm36 = loaded.pop("thm36")
     assert loaded == {name: [0, []] for name in
-                      ("convolve-add", "eval", "verify lemma34")}
+                      ("convolve-add", "convolve-mult", "eval",
+                       "verify lemma34")}
     assert "scipy.linalg" in thm36
     for sub in ("scipy.integrate", "scipy.optimize", "scipy.special"):
         assert sub not in thm36
