@@ -33,8 +33,11 @@ numpy.linalg.  A Haar conjugation u m u* is one zgemm on the column-scaled
 u when m is diagonal (thm36's eigenphases, and prop32's a0 and prop33's
 C0 when they are exactly diagonal, which is checked once before the
 loop) and two otherwise; an exactly diagonal prop33 A0 is added on the
-diagonal alone.  thm31_block assembles every trial in two n*N x n*N
-buffers allocated once per call, with no Kronecker-product temporaries.
+diagonal alone.  thm31_block assembles every trial in one n*N x n*N
+buffer allocated once per call, with no Kronecker-product temporaries:
+it keeps the trial's X draws, sums Y into the buffer and adds X,
+inverts B (x) 1 - (X + Y) there, then rebuilds X from the kept draws
+in the same buffer and inverts F(b) (x) 1 - X.
 scipy.linalg is imported where it is called, so it loads at the first
 LAPACK call of an experiment: it brings 85 modules and a second
 OpenBLAS, and the solvers and the CLI's other commands need neither.
@@ -75,8 +78,12 @@ def _rng(seed, *path):
 
 
 def _ginibre(rng, N):
-    return (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))) \
-        / math.sqrt(2.0 * N)
+    # filled part by part: the bits of (re + 1j*im)/sqrt(2N), one array
+    g = np.empty((N, N), dtype=complex)
+    g.real = rng.standard_normal((N, N))
+    g.imag = rng.standard_normal((N, N))
+    g /= math.sqrt(2.0 * N)
+    return g
 
 
 def _haar(rng, N):
@@ -350,15 +357,22 @@ def experiment_prop33(A0, C0, eps=1.0, trials=200, seed=0) -> ExperimentReport:
     # a diagonal a is added to, and taken from, the diagonal alone
     at = np.diag_indices(N) if a.ndim == 1 else np.s_[:]
     c_shift = _shifted(C0, eps)
+    del A0, C0  # the trials need only the shifted forms
     acc = np.zeros((N, N), dtype=complex, order="F")
     for t in range(trials):
         m = _conjugate(_haar(_rng(seed, t), N), c_shift)
         m[at] += a
         acc += _inv(m)
-    d = _inv(acc / trials)
+        del m  # so the next trial's draws do not keep this one's inverse
+    acc /= trials
+    d = _inv(acc)
     d[at] -= a
     scalar = complex(np.trace(d) / N)
-    dev = float(np.linalg.norm(d - scalar * np.eye(N)) / np.linalg.norm(d))
+    # D - scalar*1 in the row order that d - scalar*np.eye(N) had, which
+    # fixes the order of its norm's sum
+    centred = np.ascontiguousarray(d)
+    centred[np.diag_indices(N)] -= scalar
+    dev = float(np.linalg.norm(centred) / np.linalg.norm(d))
     # full-matrix dev is floored by off-diagonal sampling noise, which is
     # N-flat as a fraction of ||D||; the diagonal restriction concentrates
     # like 1/N and is the quantity to watch when scaling N
@@ -440,6 +454,11 @@ def experiment_thm31_block(eta_x: CovarianceMap, eta_y: CovarianceMap, b,
     the two sides of G_{X+Y}(b) = G_X(F(b)) are compared, with F(b)
     supplied by the deterministic solver, plus the estimate-vs-solver
     gap as a second residual.
+
+    A trial runs in one n*N x n*N buffer: it keeps its X draws, sums Y
+    there, adds each block of X (summed apart, as np.kron's products
+    would be), inverts B (x) 1 - (X + Y) in place, then rebuilds X there
+    from the kept draws and inverts F(b) (x) 1 - X.
     """
     _require(CovarianceMap, eta_x, eta_y)
     ex = eta_x.symmetrized()
@@ -459,22 +478,40 @@ def experiment_thm31_block(eta_x: CovarianceMap, eta_y: CovarianceMap, b,
         g_xy, b_start=b, tol=1e-9)
     acc_xy = np.zeros((n, n), dtype=complex)
     acc_x = np.zeros((n, n), dtype=complex)
-    # two n*N buffers serve every trial, viewed as n x n grids of N x N
+    # one n*N buffer serves every trial, viewed as an n x n grid of N x N
     # blocks; each entry is summed in the order np.kron's would be
-    x, xy = (np.empty((n, N, n, N), dtype=complex) for _ in range(2))
+    m = np.empty((n, N, n, N), dtype=complex)
+    s, tmp = (np.empty((N, N), dtype=complex) for _ in range(2))
     diag = np.arange(N)
 
-    def block_sample(rng, cov, out):
-        # (m + m*)/sqrt(2) for m = sum_j k_j (x) G_j, into out block by block
-        out.fill(0)
-        for k in cov.kraus:
-            g = _ginibre(rng, N) / math.sqrt(2.0)
-            gh = g.conj().T
-            for i, j in np.ndindex(n, n):
-                out[i, :, j] += k[i, j] * g
-                out[i, :, j] += np.conj(k[j, i]) * gh
+    def draw(rng):
+        g = _ginibre(rng, N)
+        g /= math.sqrt(2.0)
+        return g
 
-    def shifted_inverse(m, shift):
+    def add_block(out, k, g, i, j):
+        # out += k_ij G + conj(k_ji) G*, the second as conj(k_ji G)^T,
+        # which has its bits
+        out += np.multiply(k[i, j], g, out=tmp)
+        np.multiply(k[j, i], g, out=tmp)
+        out += np.conjugate(tmp, out=tmp).T
+
+    def add_y(rng):
+        # Y's terms, drawn one at a time after X's, into m from zero
+        m.fill(0)
+        for k in eta_y.kraus:
+            g = draw(rng)
+            for i, j in np.ndindex(n, n):
+                add_block(m[i, :, j], k, g, i, j)
+
+    def x_block(gx, i, j):
+        # block (i, j) of X, summed from zero term by term into s
+        s.fill(0)
+        for k, g in zip(eta_x.kraus, gx):
+            add_block(s, k, g, i, j)
+        return s
+
+    def shifted_inverse(shift):
         # shift (x) 1 - m in place (-m + s is s - m bit for bit), inverted
         np.negative(m, out=m)
         m[:, diag, :, diag] += shift
@@ -482,11 +519,14 @@ def experiment_thm31_block(eta_x: CovarianceMap, eta_y: CovarianceMap, b,
 
     for t in range(trials):
         rng = _rng(seed, t)
-        block_sample(rng, eta_x, x)
-        block_sample(rng, eta_y, xy)
-        xy += x
-        acc_xy += shifted_inverse(xy, b)
-        acc_x += shifted_inverse(x, f_b)
+        gx = [draw(rng) for _ in eta_x.kraus]
+        add_y(rng)
+        for i, j in np.ndindex(n, n):
+            m[i, :, j] += x_block(gx, i, j)
+        acc_xy += shifted_inverse(b)
+        for i, j in np.ndindex(n, n):
+            m[i, :, j] = x_block(gx, i, j)
+        acc_x += shifted_inverse(f_b)
     est_xy = acc_xy / trials
     est_x = acc_x / trials
     subord = float(np.linalg.norm(est_xy - est_x))

@@ -86,6 +86,8 @@ class _Measure:
         atoms = tuple(atoms)
         if (self.grid is None) != (self.density is None):
             raise BadParams("grid and density must be given together")
+        if self.grid is not None:
+            _require(GridSpec, self.grid)
         ts = np.array([t for t, _ in atoms], dtype=float)
         ws = np.array([w for _, w in atoms], dtype=float)
         density = self.density

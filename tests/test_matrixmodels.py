@@ -345,19 +345,45 @@ def test_thm31_block_inverts_the_kron_assembly(monkeypatch, kraus_x, kraus_y):
         assert np.array_equal(got, ref)
 
 
-def test_thm31_block_keeps_two_block_buffers():
-    # two (n N)^2 complex buffers and N x N temporaries peak at about 3.1
-    # units; an assembly from np.kron products reached 7.6
+def _traced_peak(run, small, size):
+    """Peak bytes that tracemalloc sees during run(size).  An untraced
+    run(small) first does the lazy first-call set-up (the scipy import
+    and its LAPACK wrappers), so no bound counts it."""
+    run(small)
+    tracemalloc.start()
+    try:
+        run(size)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_thm31_block_keeps_one_block_buffer():
+    # one (n N)^2 complex buffer, the trial's X draws and N x N scratch
+    # peak at about 2.4 units; two buffers reached 3.1, and an assembly
+    # from np.kron products 7.6
     n, N = 2, 128
     unit = (n * N) ** 2 * 16
     eta_x, eta_y = CovarianceMap((K_ZERO,)), CovarianceMap((K_REAL,))
-    tracemalloc.start()
-    try:
-        experiment_thm31_block(eta_x, eta_y, B_MIXED, N=N, trials=2, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.5 * unit, f"peak {peak / unit:.2f} units of {unit} B"
+    peak = _traced_peak(lambda size: experiment_thm31_block(
+        eta_x, eta_y, B_MIXED, N=size, trials=2, seed=0), 8, N)
+    assert peak <= 2.5 * unit, f"peak {peak / unit:.2f} units of {unit} B"
+
+
+def test_prop33_keeps_no_matrix_copies():
+    # float diagonal A0 and C0: the accumulator and one trial's draw and
+    # conjugation peak at about 4.0 units; complex copies of A0 and C0,
+    # the last trial's inverse kept into the next draw and
+    # d - scalar*np.eye(N) reached 7.1
+    N = 300
+    unit = N * N * 16
+
+    def spectra(size):
+        return np.diag(balanced(size)), np.diag(np.linspace(0.5, 1.5, size))
+
+    peak = _traced_peak(lambda a0_c0: experiment_prop33(
+        *a0_c0, trials=2, seed=0), spectra(8), spectra(N))
+    assert peak <= 4.5 * unit, f"peak {peak / unit:.2f} units of {unit} B"
 
 
 def test_thm31_block_validation():

@@ -330,6 +330,15 @@ def test_solvers_reject_the_other_measure_type(name, call):
         call(line, circle)
 
 
+@pytest.mark.parametrize("kind", ["LineMeasure", "CircleMeasure"])
+@pytest.mark.parametrize("grid", ["x", (0, 1, 9)], ids=["str", "tuple"])
+def test_measures_reject_a_grid_that_is_not_a_gridspec(kind, grid):
+    # a string or a (lo, hi, n) tuple ended in a builtin AttributeError
+    # on grid.n
+    with pytest.raises(BadParams, match="GridSpec"):
+        getattr(freesub, kind)(grid=grid, density=[1.0] * 9)
+
+
 def test_no_private_freesub_imports():
     for path in PUBLIC_USERS:
         for node in ast.walk(ast.parse(path.read_text())):
