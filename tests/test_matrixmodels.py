@@ -360,7 +360,7 @@ def _traced_peak(run, small, size):
 
 def test_thm31_block_keeps_one_block_buffer():
     # one (n N)^2 complex buffer, the trial's X draws and N x N scratch
-    # peak at about 2.4 units; two buffers reached 3.1, and an assembly
+    # peak at about 2.3 units; two buffers reached 3.1, and an assembly
     # from np.kron products 7.6
     n, N = 2, 128
     unit = (n * N) ** 2 * 16
