@@ -35,9 +35,9 @@ C0 when they are exactly diagonal, which is checked once before the
 loop) and two otherwise; an exactly diagonal prop33 A0 is added on the
 diagonal alone.  thm31_block assembles every trial in one n*N x n*N
 buffer allocated once per call, with no Kronecker-product temporaries:
-it keeps the trial's X draws, sums Y into the buffer and adds X,
-inverts B (x) 1 - (X + Y) there, then rebuilds X from the kept draws
-in the same buffer and inverts F(b) (x) 1 - X.
+it keeps the trial's X draws (or X itself, when that is smaller), sums
+Y into the buffer and adds X, inverts B (x) 1 - (X + Y) there, then
+rebuilds X in the same buffer and inverts F(b) (x) 1 - X.
 scipy.linalg is imported where it is called, so it loads at the first
 LAPACK call of an experiment: it brings 85 modules and a second
 OpenBLAS, and the solvers and the CLI's other commands need neither.
@@ -70,7 +70,6 @@ _ROUNDING = 4 * np.finfo(float).eps  # prop32: fit stops at this step / |f|
 _PHASE_ROTATIONS = 4      # prop32: diagonal-phase conjugations per trial
 _MAX_N = 4096             # cap on N (thm31_block: on n*N), checked before a draw
 _MAX_DIM = 64             # lemma34: cap on a dims entry; a 256-draw stack is 16 MB
-_TILE = 64                # thm31_block: side of the tiles a transpose is added in
 
 
 def _rng(seed, *path):
@@ -370,8 +369,9 @@ def experiment_prop33(A0, C0, eps=1.0, trials=200, seed=0) -> ExperimentReport:
     d[at] -= a
     scalar = complex(np.trace(d) / N)
     # the norm sums in memory order, and scalar_dev sums D - scalar*1 by
-    # rows, so the shift goes into a C-ordered copy
-    centred = np.ascontiguousarray(d)
+    # rows, so the shift goes into a C-ordered copy (always a copy: at
+    # N = 1, D is C-ordered too and is read again below)
+    centred = np.array(d, order="C")
     centred[np.diag_indices(N)] -= scalar
     dev = float(np.linalg.norm(centred) / np.linalg.norm(d))
     # full-matrix dev is floored by off-diagonal sampling noise, which is
@@ -459,7 +459,10 @@ def experiment_thm31_block(eta_x: CovarianceMap, eta_y: CovarianceMap, b,
     A trial runs in one n*N x n*N buffer: it keeps its X draws, sums Y
     there, adds each block of X (summed apart, as np.kron's products
     would be), inverts B (x) 1 - (X + Y) in place, then rebuilds X there
-    from the kept draws and inverts F(b) (x) 1 - X.
+    from the kept draws and inverts F(b) (x) 1 - X.  With K_X Kraus
+    terms, the draws and their N x N sum take (K_X + 1) N^2 entries
+    against n^2 N^2 for X, so when K_X + 1 >= n^2 (always at n = 1) the
+    trial keeps a second buffer holding X instead, and copies it back.
     """
     _require(CovarianceMap, eta_x, eta_y)
     ex = eta_x.symmetrized()
@@ -482,7 +485,7 @@ def experiment_thm31_block(eta_x: CovarianceMap, eta_y: CovarianceMap, b,
     # one n*N buffer serves every trial, viewed as an n x n grid of N x N
     # blocks; each entry is summed in the order np.kron's would be
     m = np.empty((n, N, n, N), dtype=complex)
-    s, tmp = (np.empty((N, N), dtype=complex) for _ in range(2))
+    tmp = np.empty((N, N), dtype=complex)
     diag = np.arange(N)
 
     def draw(rng):
@@ -492,45 +495,58 @@ def experiment_thm31_block(eta_x: CovarianceMap, eta_y: CovarianceMap, b,
 
     def add_block(out, k, g, i, j):
         # out += k_ij G + conj(k_ji) G*, the second as conj(k_ji G)^T,
-        # which has its bits; a transpose added tile by tile stays in
-        # cache, at half the time of one strided pass at N = 512
+        # which has its bits
         out += np.multiply(k[i, j], g, out=tmp)
-        np.conjugate(np.multiply(k[j, i], g, out=tmp), out=tmp)
-        for r in range(0, N, _TILE):
-            for c in range(0, N, _TILE):
-                out[r:r + _TILE, c:c + _TILE] += tmp[c:c + _TILE, r:r + _TILE].T
+        out += np.conjugate(np.multiply(k[j, i], g, out=tmp), out=tmp).T
 
-    def add_y(rng):
-        # Y's terms, drawn one at a time after X's, into m from zero
-        m.fill(0)
-        for k in eta_y.kraus:
+    def add_terms(out, kraus, rng):
+        # the terms, drawn one at a time, into out's blocks from zero
+        out.fill(0)
+        for k in kraus:
             g = draw(rng)
             for i, j in np.ndindex(n, n):
-                add_block(m[i, :, j], k, g, i, j)
+                add_block(out[i, :, j], k, g, i, j)
+            del g  # so no two draws are held at once
 
-    def x_block(gx, i, j):
-        # block (i, j) of X, summed from zero term by term into s
-        s.fill(0)
-        for k, g in zip(eta_x.kraus, gx):
-            add_block(s, k, g, i, j)
-        return s
+    if len(eta_x.kraus) + 1 >= n * n:
+        # the draws and their N x N sum would take as much room as X
+        # itself (n = 1, or many terms), so X is kept instead
+        xb = np.empty_like(m)
+
+        def draw_x(rng):
+            add_terms(xb, eta_x.kraus, rng)
+            return lambda i, j: xb[i, :, j]
+    else:
+        s = np.empty((N, N), dtype=complex)
+
+        def draw_x(rng):
+            gx = [draw(rng) for _ in eta_x.kraus]
+
+            def x_block(i, j):
+                # block (i, j) of X, summed from zero term by term into s
+                s.fill(0)
+                for k, g in zip(eta_x.kraus, gx):
+                    add_block(s, k, g, i, j)
+                return s
+            return x_block
 
     def shifted_inverse(shift):
-        # shift (x) 1 - m in place (-m + s is s - m bit for bit), inverted
+        # shift (x) 1 - m in place (-m + shift is shift - m bit for bit), inverted
         np.negative(m, out=m)
         m[:, diag, :, diag] += shift
         return _partial_trace(_inv(m.reshape(n * N, n * N)), n, N)
 
     for t in range(trials):
         rng = _rng(seed, t)
-        gx = [draw(rng) for _ in eta_x.kraus]
-        add_y(rng)
+        x = draw_x(rng)
+        add_terms(m, eta_y.kraus, rng)
         for i, j in np.ndindex(n, n):
-            m[i, :, j] += x_block(gx, i, j)
+            m[i, :, j] += x(i, j)
         acc_xy += shifted_inverse(b)
         for i, j in np.ndindex(n, n):
-            m[i, :, j] = x_block(gx, i, j)
+            m[i, :, j] = x(i, j)
         acc_x += shifted_inverse(f_b)
+        del x  # so the next trial's draws do not keep this one's
     est_xy = acc_xy / trials
     est_x = acc_x / trials
     subord = float(np.linalg.norm(est_xy - est_x))

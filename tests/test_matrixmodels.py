@@ -250,6 +250,15 @@ def test_prop33_central_summand_is_exact():
     assert rep.verdict == "pass"
 
 
+def test_prop33_at_one_dimension():
+    # at N = 1 every D is scalar; the shift that forms scalar_dev must
+    # not reach D itself, which scalar_dev_diag reads again
+    rep = experiment_prop33(np.eye(1), np.eye(1), trials=2)
+    assert rep.residuals["scalar_dev"] == 0.0
+    assert rep.residuals["scalar_dev_diag"] == 0.0
+    assert rep.verdict == "pass"
+
+
 def test_prop33_validation():
     with pytest.raises(BadParams):
         experiment_prop33(np.eye(4), np.eye(5), trials=1)
@@ -303,7 +312,8 @@ B_MIXED = np.array([[0.3 + 1j, 0.2 + 0.1j], [0.2 - 0.1j, -0.4 + 1j]])
     ((K_DENSE,), (K_REAL,)),
     ((K_DENSE, K_REAL), (K_REAL.T, K_DENSE.T)),
     ((K_ZERO,), (K_DENSE,)),
-], ids=["one-term", "two-terms", "zero-entry"])
+    ((K_DENSE, K_REAL, K_ZERO), (K_REAL,)),
+], ids=["one-term", "two-terms", "zero-entry", "x-kept-whole"])
 def test_thm31_block_inverts_the_kron_assembly(monkeypatch, kraus_x, kraus_y):
     # the matrices inverted are, bit for bit, B (x) 1 - (Y + X) and
     # F(b) (x) 1 - X with X and Y summed from np.kron products of the
@@ -360,7 +370,7 @@ def _traced_peak(run, small, size):
 
 def test_thm31_block_keeps_one_block_buffer():
     # one (n N)^2 complex buffer, the trial's X draws and N x N scratch
-    # peak at about 2.3 units; two buffers reached 3.1, and an assembly
+    # peak at about 2.4 units; two buffers reached 3.1, and an assembly
     # from np.kron products 7.6
     n, N = 2, 128
     unit = (n * N) ** 2 * 16
@@ -368,6 +378,20 @@ def test_thm31_block_keeps_one_block_buffer():
     peak = _traced_peak(lambda size: experiment_thm31_block(
         eta_x, eta_y, B_MIXED, N=size, trials=2, seed=0), 8, N)
     assert peak <= 2.5 * unit, f"peak {peak / unit:.2f} units of {unit} B"
+
+
+def test_thm31_block_keeps_x_whole_for_many_terms():
+    # n = 1 with three X terms: X itself, not its three draws, is kept,
+    # so the block buffer, X, one draw and N x N scratch peak at about
+    # 4.5 units of N^2 complex; the kept draws reached 6.5, and the two
+    # block buffers before them 6.1
+    N = 256
+    unit = N * N * 16
+    one = [np.array([[v]]) for v in (0.8, 0.3 + 0.4j, -0.5j)]
+    eta_x, eta_y = CovarianceMap(tuple(one)), CovarianceMap((one[0],))
+    peak = _traced_peak(lambda size: experiment_thm31_block(
+        eta_x, eta_y, np.array([[1j]]), N=size, trials=2, seed=0), 8, N)
+    assert peak <= 5.0 * unit, f"peak {peak / unit:.2f} units of {unit} B"
 
 
 def test_prop33_keeps_no_matrix_copies():
