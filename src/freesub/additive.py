@@ -8,11 +8,11 @@ omega2 of the upper half plane with
 
 omega1 is computed as the attracting fixed point of
 w -> z + h_nu(z + h_mu(w)) by guarded Newton over a damped Picard
-fallback; the Newton derivative is assembled from the exact quadrature
-series of G', so no differencing step size is involved.  G and G' come
-together from the node-sum kernel ``transforms._node_sums`` over each
-measure's stored node table: a measure of 256 nodes or more is summed
-by panels, far panels by their multipole series, on the calling thread.
+fallback; the Newton derivative is assembled from the exact G', so no
+differencing step size is involved.  G and G' come together from
+``transforms._node_sums`` over each measure's table: a semicircle,
+arcsine or Marchenko-Pastur law in closed form, or else a node sum, by
+panels with far-field series from 640 nodes on, on the calling thread.
 Each evaluation of the map at a Newton candidate is kept: once the
 candidate is accepted it is the next iterate's value and derivative.
 G_mu(omega1), which is G_{mu (+) nu}(z), comes out of the solve with no

@@ -323,7 +323,7 @@ def cmd_eval(args):
     if not on_line and any(abs(abs(p) - 1.0) < 1e-12 for p in pts):
         raise BadParams("circle transforms are undefined on |z| = 1")
     fn = _LINE_TRANSFORMS.get(name) or _CIRCLE_TRANSFORMS[name]
-    # one call for all points: a node sum does not depend on its batch
+    # one call for all points: a value does not depend on its batch
     values = fn(measure, np.array(pts, dtype=complex))
     rows = []
     for p, v in zip(pts, values.tolist()):

@@ -109,9 +109,11 @@ def _haar(rng, N):
         tau[k] = (beta - alpha) / beta
         a[k + 1:, k] = x[1:] / (alpha - beta)
         signs[k] = math.copysign(1.0, beta)
+    del z, x  # spent: zungqr's workspace need not sit on top of them
     # the wrappers' default workspace of 3N forces LAPACK's unblocked
-    # path, which is about twice as slow here and in _inv
-    lwork = int(lapack.zungqr(a, tau, lwork=-1)[1][0].real)
+    # path, which is about twice as slow here and in _inv; overwrite_a
+    # spares the query a copy of a, which it only reads
+    lwork = int(lapack.zungqr(a, tau, lwork=-1, overwrite_a=1)[1][0].real)
     q, _, info = lapack.zungqr(a, tau, lwork=lwork, overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"zungqr failed with info {info}")

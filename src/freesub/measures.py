@@ -1,23 +1,27 @@
 """Compactly supported probability measures on the line and the circle.
 
 A measure is a list of atoms plus an optional absolutely continuous part
-given by density samples on a uniform grid.  The continuous part is
-*defined* by the trapezoid rule on those samples: every transform,
-moment and convolution in this package integrates the stored data
-exactly, so results are self-consistent to solver precision rather than
-limited by how well the grid approximates a textbook density.
+given by density samples on a uniform grid.  The continuous part of a
+measure built from its data is *defined* by the trapezoid rule on those
+samples: every transform, moment and convolution integrates the stored
+data exactly, so results are self-consistent to solver precision.
 
-Standard families are constructed so that the trapezoid weights carry
-the exact mass of each grid cell: the cell masses are differences of a
-closed-form CDF.  Grids of families with square-root or
-inverse-square-root edges are inset by half a cell so no sample sits on
-a singularity; the mass of the two edge cells is folded into the first
-and last samples, which therefore exceed the pointwise density there.
+The semicircle, arcsine and Marchenko-Pastur families carry their law
+(``_Law``: the family, its parameters and edges), set only by their
+constructors and ``from_dict``: G and G' come from the closed form and
+``moment`` and ``support`` are exact.  Their grid and density are the
+display samples, and ``quadrature`` their trapezoid rule, whose weights
+carry the exact mass of each cell: differences of a closed-form CDF.
+Grids of families with square-root or inverse-square-root edges are
+inset by half a cell so no sample sits on a singularity; the mass of the
+two edge cells is folded into the first and last samples, which
+therefore exceed the pointwise density there.
 """
 
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -59,6 +63,31 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
+class _Law:
+    """A standard family in closed form: its constructor's name and
+    parameters, and the edges a < b of its continuous part."""
+
+    kind: str
+    params: tuple
+    a: float
+    b: float
+
+    def moment(self, k):
+        """The k-th moment, summed in rationals and rounded once."""
+        p = [Fraction(v) for v in self.params]
+        if self.kind == "semicircle":   # Catalan numbers, centre c
+            c, v = p
+            m = sum(math.comb(k, 2 * j) * math.comb(2 * j, j) // (j + 1)
+                    * c ** (k - 2 * j) * v ** j for j in range(k // 2 + 1))
+        elif self.kind == "arcsine":   # central binomials, scale s
+            m = 0 if k % 2 else math.comb(k, k // 2) * p[0] ** k
+        else:   # Narayana polynomials in lam
+            m = sum(math.comb(k, j) * math.comb(k, j - 1) // k * p[0] ** j
+                    for j in range(1, k + 1)) if k else 1
+        return float(m)
+
+
+@dataclass(frozen=True)
 class _Measure:
     """Atoms plus an optional density on a GridSpec, flattened into one
     finite positive quadrature.  The subclasses differ only in where the
@@ -70,6 +99,7 @@ class _Measure:
     density: np.ndarray = None
     _nodes: np.ndarray = field(default=None, repr=False, compare=False)
     _weights: np.ndarray = field(default=None, repr=False, compare=False)
+    _law = None  # a family's _Law; not a field, so not an argument
 
     def __post_init__(self):
         try:
@@ -119,13 +149,15 @@ class _Measure:
         return self._nodes, self._weights
 
     def to_dict(self) -> dict:
+        law = self._law
         return {
             "type": self._KIND,
             "atoms": [[t, w] for t, w in self.atoms],
             "grid": None if self.grid is None else
                 {"lo": self.grid.lo, "hi": self.grid.hi, "n": self.grid.n},
             "density": [] if self.density is None else self.density.tolist(),
-        }
+        } | ({} if law is None else
+             {"law": {"kind": law.kind, "params": list(law.params)}})
 
     @classmethod
     def from_dict(cls, d: dict):
@@ -139,8 +171,19 @@ class _Measure:
         except (KeyError, TypeError):
             raise BadParams("grid must be an object with lo, hi and n") from None
         dens = d.get("density") or None
-        return cls(atoms=d.get("atoms", ()), grid=g,
-                   density=dens)
+        measure = cls(atoms=d.get("atoms", ()), grid=g, density=dens)
+        law = d.get("law")   # a family's, with the very atoms, grid and density
+        if law is None:
+            return measure
+        try:
+            family = make_standard(law["kind"], *law["params"], n=g.n)
+        except (KeyError, TypeError, AttributeError):
+            raise BadParams(f"not a law of a gridded family: {law!r}") from None
+        if family._law is None or type(family) is not cls or not (
+                family.atoms == measure.atoms and family.grid == g
+                and np.array_equal(family.density, measure.density)):
+            raise BadParams(f"law {law!r} does not match the measure's data")
+        return family
 
 
 class LineMeasure(_Measure):
@@ -159,10 +202,14 @@ class LineMeasure(_Measure):
         return self.grid.points(), self.grid.trapezoid_weights()
 
     def support(self):
-        """Smallest interval containing all nodes, stored at first use."""
+        """Smallest interval containing all nodes, or a law's atoms and
+        its [a, b], stored at first use."""
         lo_hi = self.__dict__.get("_support")
         if lo_hi is None:
-            lo_hi = float(self._nodes.min()), float(self._nodes.max())
+            law, ends = self._law, self._nodes
+            if law is not None:   # its atoms come first
+                ends = np.append(ends[:len(self.atoms)], (law.a, law.b))
+            lo_hi = float(ends.min()), float(ends.max())
             object.__setattr__(self, "_support", lo_hi)
         return lo_hi
 
@@ -171,8 +218,11 @@ class LineMeasure(_Measure):
         return max(abs(lo), abs(hi))
 
     def moment(self, k: int) -> float:
-        """k-th raw moment; k is capped at 32 to bound error growth."""
+        """k-th raw moment, exact for a law; k is capped at 32 to bound
+        error growth."""
         k = int_in_range("k", k, 0, _MAX_MOMENT)
+        if self._law is not None:
+            return self._law.moment(k)
         t, w = self.quadrature()
         return float(np.sum(w * t**k))
 
@@ -248,26 +298,23 @@ def _cell_edges(lo, hi, n):
     return np.linspace(lo, hi, int_in_range("n", n, _MIN_SAMPLES) + 1)
 
 
-def _measure_from_cell_masses(a, b, cell_mass):
-    """Midpoint grid whose trapezoid rule reproduces the given cell masses.
+def _family(law, cell_mass, atoms=()):
+    """The measure of ``law``, a _Law, on the midpoint grid whose
+    trapezoid rule reproduces the given cell masses.
 
     The support [a, b] is split into n equal cells; samples sit at cell
     midpoints and equal cell_mass/width, except the first and last which
     are doubled to compensate the half trapezoid weight at the ends.
     """
-    cell_mass = np.asarray(cell_mass, float)
-    n = cell_mass.size
+    a, b, n = law.a, law.b, cell_mass.size
     width = (b - a) / n
     samples = cell_mass / width
     samples[0] *= 2.0
     samples[-1] *= 2.0
     grid = GridSpec(a + 0.5 * width, b - 0.5 * width, n)
-    return grid, samples
-
-
-def _semicircle_std_cdf(x):
-    x = np.clip(x, -2.0, 2.0)
-    return 0.5 + (0.5 * x * np.sqrt(4.0 - x * x) + 2.0 * np.arcsin(0.5 * x)) / _TWO_PI
+    measure = LineMeasure(atoms=atoms, grid=grid, density=samples)
+    object.__setattr__(measure, "_law", law)
+    return measure
 
 
 def semicircle(center=0.0, variance=1.0, n=DEFAULT_GRID_N) -> LineMeasure:
@@ -276,15 +323,15 @@ def semicircle(center=0.0, variance=1.0, n=DEFAULT_GRID_N) -> LineMeasure:
     Support is [center - 2*sigma, center + 2*sigma]; the standard case
     has density sqrt(4 - t^2)/(2*pi).
     """
-    s = math.sqrt(real_above("variance", variance, 0.0))
+    variance = real_above("variance", variance, 0.0)
     center = real_above("center", center)
+    s = math.sqrt(variance)
     a, b = center - 2.0 * s, center + 2.0 * s
-    edges = _cell_edges(-2.0, 2.0, n)
-    cdf = _semicircle_std_cdf(edges)
+    x = _cell_edges(-2.0, 2.0, n)   # the standard law's CDF at the edges
+    cdf = 0.5 + (0.5 * x * np.sqrt(4.0 - x * x) + 2.0 * np.arcsin(0.5 * x)) / _TWO_PI
     mass = np.diff(cdf)
     mass /= mass.sum()
-    grid, samples = _measure_from_cell_masses(a, b, mass)
-    return LineMeasure(grid=grid, density=samples)
+    return _family(_Law("semicircle", (center, variance), a, b), mass)
 
 
 def arcsine(scale=1.0, n=DEFAULT_GRID_N) -> LineMeasure:
@@ -295,8 +342,7 @@ def arcsine(scale=1.0, n=DEFAULT_GRID_N) -> LineMeasure:
     cdf = 0.5 + np.arcsin(edges) / math.pi
     mass = np.diff(cdf)
     mass /= mass.sum()
-    grid, samples = _measure_from_cell_masses(a, b, mass)
-    return LineMeasure(grid=grid, density=samples)
+    return _family(_Law("arcsine", (scale,), a, b), mass)
 
 
 def marchenko_pastur(lam=1.0, n=DEFAULT_GRID_N) -> LineMeasure:
@@ -321,9 +367,8 @@ def marchenko_pastur(lam=1.0, n=DEFAULT_GRID_N) -> LineMeasure:
                         math.sqrt(a) * np.cos(half))) / _TWO_PI
     mass = np.diff(cdf)
     mass *= min(1.0, lam) / mass.sum()
-    grid, samples = _measure_from_cell_masses(a, b, mass)
     atoms = ((0.0, 1.0 - lam),) if lam < 1.0 else ()
-    return LineMeasure(atoms=atoms, grid=grid, density=samples)
+    return _family(_Law("marchenko_pastur", (lam,), a, b), mass, atoms)
 
 
 def bernoulli_pm1() -> LineMeasure:

@@ -7,11 +7,11 @@ K(g) = integral 1/(zeta - g) dnu(zeta) and the moment series
 psi(z) = sum_{k>=1} m_k z^k together with eta = psi/(1 + psi).  Densities
 are recovered from G by Stieltjes inversion in ``additive``, not here.
 
-All evaluators integrate the stored quadrature data exactly and are
-vectorized over the evaluation point.  Every one of them, here and in
-the solvers of ``additive`` and ``multiplicative``, reduces to the one
-node-sum kernel ``_node_sums``: S(x) = sum_j w_j/(x - t_j) together with
-S'(x), with the line nodes t_j or the unit-circle nodes zeta_j.
+All evaluators are vectorized over the evaluation point.  Every one of
+them, here and in the solvers of ``additive`` and ``multiplicative``,
+reduces to ``_node_sums`` over a measure's table: S(x) = sum_j w_j/(x -
+t_j) and S'(x) over the line nodes t_j or the unit nodes zeta_j, or, for
+a family that carries its law, G and G' in closed form (``_law_sums``).
 
 A measure of fewer than _PANEL_MIN nodes is summed directly.  A larger
 one is summed by panels, the one-level form of the fast multipole method
@@ -30,13 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ZeroTransform, _complex_points
-from .measures import CircleMeasure, LineMeasure, _require
+from .measures import CircleMeasure, LineMeasure, _Law, _require
 
 _NODE_CLEARANCE = 1e-12
 # complex reciprocals or powers formed per chunk of points: 512 KB, within L2
 _CHUNK_ELEMENTS = 1 << 15
-# measures of this many nodes or more are summed by panels of _PANEL_NODES
-_PANEL_MIN = 256
+# from this many nodes on, panels of _PANEL_NODES beat the direct sum on a
+# line (about 640); on the circle that happens only at 900 to 1500
+_PANEL_MIN = 640
 _PANEL_NODES = 128
 # a panel of radius r is far from x when |x - c| > _FAR * r; its series
 # then truncates after _TERMS terms at (1/_FAR)^_TERMS = 6.7e-18 relative
@@ -109,9 +110,12 @@ def _build_table(nodes, weights):
 
 
 def _node_table(measure, conjugate=False):
-    """The node table of ``measure``: over its line nodes, its unit nodes
-    zeta or, with ``conjugate``, over conj zeta.  Built at first use and
-    held by the measure, so every later call returns the same object."""
+    """The node table of ``measure``: its law if it has one, else over
+    its line nodes, its unit nodes zeta or, with ``conjugate``, over conj
+    zeta.  Built at first use and held by the measure, so every later
+    call returns the same object."""
+    if measure._law is not None:
+        return measure._law
     name = "_conjugate_table" if conjugate else "_node_table"
     table = measure.__dict__.get(name)
     if table is None:
@@ -202,17 +206,40 @@ def _panel_sums(x, table):
     return out[:, 0, 0], out[:, 1, 0]
 
 
+def _law_sums(x, law):
+    """G and G' of a family ``law`` at the points x (n,), in forms free of
+    cancellation.  s = sqrt(x - a) * sqrt(x - b), a product of principal
+    roots, is the branch of sqrt((x - a)(x - b)) with s ~ x - (a + b)/2
+    off [a, b], so x - (a + b)/2 + s never cancels.  Next to MP's atom at
+    0 (lam < 1) p + s, p = x + 1 - lam, does: G = (p - s)/(2x) there."""
+    s = np.sqrt(x - law.a) * np.sqrt(x - law.b)
+    if law.kind == "arcsine":   # centred at 0
+        return 1.0 / s, -x / s**3
+    if law.kind == "semicircle":
+        g = 2.0 / (x - law.params[0] + s)
+        return g, -g / s
+    lam = law.params[0]
+    p = x + (1.0 - lam)
+    g = 2.0 / (p + s)
+    atom = np.abs(p + s) < np.abs(p - s)
+    g[atom] = (p - s)[atom] / (2.0 * x[atom])
+    return g, -0.5 * g * g * (x - (1.0 + lam) + s) / s
+
+
 def _node_sums(x, table):
     """S(x) = sum_j w_j/(x - t_j) and S'(x) = -sum_j w_j/(x - t_j)^2.
 
     The package's one quadrature kernel over a measure's ``_node_table``;
-    the nodes may be real or complex, the weights are real.  A point's
-    value does not depend on the points sharing its call.  Returns two
-    arrays shaped like x.  No domain checks: callers keep x off the nodes.
+    the nodes may be real or complex, the weights are real.  For a law
+    table, S and S' are G and G' in closed form.  A point's value does
+    not depend on the points sharing its call.  Returns two arrays shaped
+    like x.  No domain checks: callers keep x off the nodes.
     """
     x = np.asarray(x, dtype=complex)
     flat = x.reshape(-1)
-    if table.coef is None:
+    if isinstance(table, _Law):
+        s, ds = _law_sums(flat, table)
+    elif table.coef is None:
         s, ds = _direct_sums(flat, table.nodes, table.weights)
     else:
         s, ds = _panel_sums(flat, table)
@@ -232,13 +259,19 @@ def _require_clear(pts, nodes, gap, clearance):
 
 
 def _line_cauchy(measure, z):
-    """Checked points of ``z`` (a line transform's one check) and G there."""
+    """Checked points of ``z`` (a line transform's one check) and G there;
+    a law's [a, b] is off limits as a node is."""
     _require(LineMeasure, measure)
     pts = _complex_points("z", z)
     clearance = _NODE_CLEARANCE * max(1.0, measure.support_radius())
+    nodes, table = measure.quadrature()[0], _node_table(measure)
+    if isinstance(table, _Law):
+        nodes = nodes[:len(measure.atoms)]
+        if np.any(np.abs(pts - np.clip(pts.real, table.a, table.b)) < clearance):
+            raise DomainError("evaluation point touches the support of the measure")
     # real nodes: |z - t| >= |Im z|
-    _require_clear(pts, measure.quadrature()[0], np.abs(pts.imag), clearance)
-    return pts, pts.ndim == 0, _node_sums(pts, _node_table(measure))[0]
+    _require_clear(pts, nodes, np.abs(pts.imag), clearance)
+    return pts, pts.ndim == 0, _node_sums(pts, table)[0]
 
 
 def _reciprocal(g):

@@ -368,6 +368,16 @@ def _traced_peak(run, small, size):
         tracemalloc.stop()
 
 
+def test_haar_draw_keeps_one_matrix():
+    # the reflector matrix, turned into Q in place, and the Gaussian draws
+    # peak at about 1.5 units of N^2 complex; zungqr's workspace query
+    # copied the reflectors and the draws outlived the loop: 2.5 units
+    N = 300
+    unit = N * N * 16
+    peak = _traced_peak(lambda size: _haar(_rng(0, 0), size), 8, N)
+    assert peak <= 1.6 * unit, f"peak {peak / unit:.2f} units of {unit} B"
+
+
 def test_thm31_block_keeps_one_block_buffer():
     # one (n N)^2 complex buffer, the trial's X draws and N x N scratch
     # peak at about 2.4 units; two buffers reached 3.1, and an assembly

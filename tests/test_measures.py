@@ -210,8 +210,12 @@ def test_json_roundtrip_is_bit_exact(standard_line_measures):
 
 
 def test_json_schema_keys():
+    # a family adds its law; a measure built from its data has none
     d = semicircle(0, 1).to_dict()
-    assert sorted(d) == ["atoms", "density", "grid", "type"]
+    assert sorted(d) == ["atoms", "density", "grid", "law", "type"]
+    assert d["law"] == {"kind": "semicircle", "params": [0.0, 1.0]}
+    assert sorted(bernoulli_pm1().to_dict()) == ["atoms", "density", "grid",
+                                                 "type"]
     assert d["type"] == "line"
     assert sorted(d["grid"]) == ["hi", "lo", "n"]
     assert haar_circle().to_dict()["type"] == "circle"

@@ -6,8 +6,8 @@ import pytest
 
 import freesub.additive as additive
 import freesub.transforms as transforms
-from freesub import (BadParams, DomainError, NonPositiveDensity, atomic,
-                     bernoulli_pm1, cauchy_transform, circle_atoms,
+from freesub import (BadParams, DomainError, LineMeasure, NonPositiveDensity,
+                     atomic, bernoulli_pm1, cauchy_transform, circle_atoms,
                      circle_cauchy, eta_transform, h_transform, haar_circle,
                      marchenko_pastur, psi_transform, reciprocal_cauchy,
                      semicircle)
@@ -44,11 +44,13 @@ def test_cauchy_vectorized_matches_scalar():
 
 
 def test_cauchy_domain_guards():
-    sc = semicircle(0, 1)
-    node = sc.quadrature()[0][100]
-    with pytest.raises(DomainError):
-        cauchy_transform(sc, complex(node, 1e-16))
-    assert np.imag(cauchy_transform(sc, complex(node, 1e-3))) < 0
+    # the family by its law's support, a law-free copy by its nodes
+    law = semicircle(0, 1)
+    node = law.quadrature()[0][100]
+    for sc in (law, LineMeasure(grid=law.grid, density=law.density)):
+        with pytest.raises(DomainError):
+            cauchy_transform(sc, complex(node, 1e-16))
+        assert np.imag(cauchy_transform(sc, complex(node, 1e-3))) < 0
 
 
 def test_transforms_reject_non_finite_points():
