@@ -210,8 +210,8 @@ def _law_sums(x, law):
     """G and G' of a family ``law`` at the points x (n,), in forms free of
     cancellation.  s = sqrt(x - a) * sqrt(x - b), a product of principal
     roots, is the branch of sqrt((x - a)(x - b)) with s ~ x - (a + b)/2
-    off [a, b], so x - (a + b)/2 + s never cancels.  Next to MP's atom at
-    0 (lam < 1) p + s, p = x + 1 - lam, does: G = (p - s)/(2x) there."""
+    off [a, b], so x - (a + b)/2 + s never cancels.  MP's p + s, with
+    p = x + 1 - lam, cancels next to its atom at 0: G = (p - s)/(2x) there."""
     s = np.sqrt(x - law.a) * np.sqrt(x - law.b)
     if law.kind == "arcsine":   # centred at 0
         return 1.0 / s, -x / s**3

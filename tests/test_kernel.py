@@ -165,8 +165,8 @@ def test_kernel_empty_and_scalar_shapes():
     assert s.shape == ds.shape == (0, 3)
     s, ds = _node_sums(2j, table)
     assert s.shape == () and abs(complex(s) - 2j / ((2j) ** 2 - 1)) <= 1e-15
-    for law in (semicircle(0, 1), _gridded(semicircle(0, 1))):
-        s, ds = _node_sums(np.empty(0, dtype=complex), _node_table(law))
+    for measure in (semicircle(0, 1), _gridded(semicircle(0, 1))):
+        s, ds = _node_sums(np.empty(0, dtype=complex), _node_table(measure))
         assert s.shape == ds.shape == (0,)
 
 
