@@ -1,16 +1,14 @@
 """Compactly supported probability measures on the line and the circle.
 
 A measure is a list of atoms plus an optional absolutely continuous part
-given by density samples on a uniform grid.  The continuous part of a
-measure built from its data is *defined* by the trapezoid rule on those
-samples: every transform, moment and convolution integrates the stored
-data exactly, so results are self-consistent to solver precision.
+given by density samples on a uniform grid, whose trapezoid rule
+*defines* the continuous part of a measure built from its data: every
+transform, moment and convolution integrates the stored data exactly.
 
 The semicircle, arcsine and Marchenko-Pastur families carry their law
-(``_Law``: the family, its parameters and edges), set only by their
-constructors and ``from_dict``: G and G' come from the closed form and
-``moment`` and ``support`` are exact.  Their grid and density are the
-display samples, and ``quadrature`` their trapezoid rule, whose weights
+(``_Law``), set only by their constructors and ``from_dict``: G and G'
+come from the closed form and ``moment`` and ``support`` are exact.
+Their grid and density are display samples whose trapezoid weights
 carry the exact mass of each cell: differences of a closed-form CDF.
 Grids of families with square-root or inverse-square-root edges are
 inset by half a cell so no sample sits on a singularity; the mass of the
@@ -64,8 +62,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class _Law:
-    """A standard family in closed form: its constructor's name and
-    parameters, and the edges a < b of its continuous part."""
+    """A family in closed form: constructor name, parameters, edges a < b."""
 
     kind: str
     params: tuple
@@ -84,7 +81,10 @@ class _Law:
         else:   # Narayana polynomials in lam
             m = sum(math.comb(k, j) * math.comb(k, j - 1) // k * p[0] ** j
                     for j in range(1, k + 1)) if k else 1
-        return float(m)
+        try:
+            return float(m)
+        except OverflowError:   # beyond the float range, as a float sum is
+            return math.inf if m > 0 else -math.inf
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,9 @@ def test_family_moments_are_exact():
     assert semicircle(0.5, 0.25).moment(3) == 0.5
     lam = marchenko_pastur(0.25)
     assert [lam.moment(k) for k in range(4)] == [1.0, 0.25, 0.3125, 0.453125]
+    # beyond the float range a moment is infinite, as the grid's sum was
+    assert semicircle(1e10, 1).moment(32) == math.inf
+    assert semicircle(-1e10, 1).moment(31) == -math.inf
 
 
 @pytest.mark.parametrize("measure, rel", [
