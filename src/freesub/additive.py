@@ -6,18 +6,17 @@ omega2 of the upper half plane with
     G_{mu (+) nu}(z) = G_mu(omega1(z)) = G_nu(omega2(z)),
     omega1(z) + omega2(z) - z = 1/G_{mu (+) nu}(z).
 
-omega1 is computed as the attracting fixed point of
-w -> z + h_nu(z + h_mu(w)) by guarded Newton over a damped Picard
-fallback; the Newton derivative is assembled from the exact G', so no
-differencing step size is involved.  G and G' come together from
-``transforms._node_sums`` over each measure's table: a semicircle,
-arcsine or Marchenko-Pastur law in closed form, or else a node sum, by
-panels with far-field series from 640 nodes on, on the calling thread.
-Each evaluation of the map at a Newton candidate is kept: once the
-candidate is accepted it is the next iterate's value and derivative.
-G_mu(omega1), which is G_{mu (+) nu}(z), comes out of the solve with no
-further node sum.  ``subordination_pairs`` solves the pair at a batch of
-points, and ``subordination_pair`` is its one-point form.
+omega1 is the attracting fixed point of w -> z + h_nu(z + h_mu(w)),
+solved by the fixed-point rule of ``_newton.solve`` (guarded Newton over
+a damped Picard fallback); the Newton derivative is assembled from the
+exact G', so no differencing step size is involved.  G and G' come
+together from ``transforms._node_sums`` over each measure's table: a
+semicircle, arcsine or Marchenko-Pastur law in closed form, or else a
+node sum, by panels with far-field series from 640 nodes on, on the
+calling thread.  G_mu(omega1), which is G_{mu (+) nu}(z), comes out of
+the solve with no further node sum.  ``subordination_pairs`` solves the
+pair at a batch of points, and ``subordination_pair`` is its one-point
+form.
 
 Densities come from one pipeline, ``continued_density``: Stieltjes
 inversion of G_{mu (+) nu} read at a few heights eta above the grid.  It
@@ -39,15 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadParams, DomainError, NoConvergence,
-                     NonPositiveDensity, _complex_points, _real_vector,
-                     int_in_range, real_above)
+from . import _newton
+from .errors import (BadParams, DomainError, NonPositiveDensity,
+                     _complex_points, _real_vector, int_in_range, real_above)
 from .measures import (_MAX_MOMENT, _MIN_SAMPLES, GridSpec, LineMeasure,
                        _require)
 from .transforms import _node_sums, _node_table, cauchy_transform
 
-_DAMPING = 0.5
-_NEWTON_HANDOFF = 1e-3
 _HERGLOTZ_SLACK = 1e-10
 _TOL = 1e-13  # fixed-point residual, relative to max(1, |omega1|)
 _MIN_TOL = 1e-14  # a smaller residual is not resolvable in double precision
@@ -81,34 +78,37 @@ class SubordinationEval:
             raise DomainError("omega2 lost the half-plane margin")
 
 
-def _h_and_derivative(measure, w):
-    """h(w) = 1/G(w) - w and h'(w), with G(w) and G'(w)."""
-    g, gp = _node_sums(w, _node_table(measure))
-    return 1.0 / g - w, -gp / g**2 - 1.0, g, gp
-
-
 def _t_and_derivative(mu, nu, z, w):
-    """T(w) = z + h_nu(z + h_mu(w)) and T'(w), with G_mu(w), G_mu'(w) and
-    h_nu'(z + h_mu(w))."""
-    hmu, dhmu, gmu, dgmu = _h_and_derivative(mu, w)
-    hnu, dhnu, _, _ = _h_and_derivative(nu, z + hmu)
-    return z + hnu, dhnu * dhmu, gmu, dgmu, dhnu
+    """|T(w) - w|, T(w) = z + h_nu(z + h_mu(w)) and T'(w), with G_mu(w),
+    G_mu'(w) and h_nu'(z + h_mu(w)); h = 1/G - id."""
+    g_mu, dg_mu = _node_sums(w, _node_table(mu))
+    zeta = z + (1.0 / g_mu - w)
+    g_nu, dg_nu = _node_sums(zeta, _node_table(nu))
+    dh_nu = -dg_nu / g_nu**2 - 1.0
+    t = z + (1.0 / g_nu - zeta)
+    return (np.abs(t - w), t, dh_nu * (-dg_mu / g_mu**2 - 1.0), g_mu, dg_mu,
+            dh_nu)
+
+
+def _line_newton(at, w, ev):
+    """w - (T(w) - w) / (T'(w) - 1), NaN where |T'(w) - 1| <= 1e-12."""
+    return _newton.scalar_step(w, ev[1] - w, ev[2] - 1.0, 1e-12)
 
 
 def _solve_omega1(mu, nu, z, start, tol, max_iter):
     """Vectorized fixed point of w -> z + h_nu(z + h_mu(w)) from ``start``.
 
-    Returns (omega1, G_mu(omega1), residual, iterations, slope), shaped
-    like z.  ``start`` must lie in the closed half plane above z; the
-    cold start is z + i.  Newton steps (on the same analytic map, exact
-    derivative) are attempted every iteration and accepted when they
-    stay in the half plane and shrink the residual; damped Picard is the
-    fallback.  Plain Picard alone is not enough: close to the real axis
-    the fixed point can turn neutral -- at a square-root edge the
-    multiplier tends to 1, and for atomic inputs the map approaches an
-    elliptic Moebius rotation inside the support, where |T'| = 1 and
-    iteration only spirals.  Newton is perfectly conditioned in both
-    regimes.
+    z and ``start`` are 1-d complex arrays.  Returns (omega1,
+    G_mu(omega1), residual, iterations, slope), shaped like z.  ``start``
+    must lie in the closed half plane above z; the
+    cold start is z + i.  ``_newton.solve`` iterates the map by its
+    fixed-point rule: Newton on the same analytic map, with the exact
+    derivative, over a damped Picard fallback.  Plain Picard alone is
+    not enough: close to the real axis the fixed point can turn neutral
+    -- at a square-root edge the multiplier tends to 1, and for atomic
+    inputs the map approaches an elliptic Moebius rotation inside the
+    support, where |T'| = 1 and iteration only spirals.  Newton is
+    perfectly conditioned in both regimes.
 
     A point has converged when its residual meets tol * max(1, |w|), or,
     from its _FLOOR_AFTER-th iteration on, the rounding of T itself where
@@ -124,19 +124,12 @@ def _solve_omega1(mu, nu, z, start, tol, max_iter):
     more iterations.  The returned residual shows which points stopped
     above tol * max(1, |w|).
 
-    The loop iterates only the open points.  After each residual check
-    the points that meet their limit write their results at their index
-    in the batch and leave; every working array is cut to the rest.  T
-    is evaluated once per iteration, at the open points' candidates: an
-    accepted Newton candidate's T is the next iterate's, and only the
-    points that take a Picard step are evaluated again, at their new
-    iterate.  Each point's arithmetic runs in the same order whatever
-    shares its batch, so its five results are the same bits when it is
-    solved alone.  A point whose residual meets the tolerance takes one
-    last step without evaluating T there; its G_mu is carried along that
-    step to first order by the exact G_mu' of the last evaluation.  The
-    step corrects a residual already below tol, so the carried value
-    matches a node sum at omega1 to second order in it, and none is made.
+    A point whose residual meets its limit takes one last step, the step
+    the fixed-point rule takes with no test, without evaluating T there:
+    its G_mu is carried along that step to first order by the exact
+    G_mu' of the last evaluation.  The step corrects a residual already
+    below tol, so the carried value matches a node sum at omega1 to
+    second order in it, and none is made.
 
     ``slope`` is the tangent omega1'(z) = (1 + h_nu') / (1 - T') of the
     implicit function theorem, both factors from that same last
@@ -144,81 +137,31 @@ def _solve_omega1(mu, nu, z, start, tol, max_iter):
     to 0 to divide by (T' -> 1 at a square-root edge) or the quotient is
     not finite, ``slope`` is 1, the slope of the plain shift w + dz.
     """
-    shape = np.shape(z)
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    w = np.asarray(start, dtype=complex).reshape(-1)
-    omega1, g_out, tp_out, dh_out = np.empty((4, z.size), dtype=complex)
-    res_out = np.empty(z.size)
-    iters = np.empty(z.size, dtype=int)
-    at = np.arange(z.size)  # each open point's index in the batch
     low = z.imag - _HERGLOTZ_SLACK  # the lowest Im a candidate may keep
-    t_val, tprime, g_mu, dg_mu, dh_nu = _t_and_derivative(mu, nu, z, w)
-    for it in range(max_iter):
-        step = t_val - w
-        res = np.abs(step)
-        denom = tprime - 1.0
-        safe = np.abs(denom) > 1e-12
-        picard = w + _DAMPING * step
-        if safe.all():
-            cand = w - step / denom
-        else:
-            cand = np.where(safe, w - step / np.where(safe, denom, 1.0), picard)
+
+    def limit(at, w, ev, it):
         size = np.abs(w)
-        limit = tol * np.maximum(1.0, size)
-        if it >= _FLOOR_AFTER:
+        lim = tol * np.maximum(1.0, size)
+        if it > _FLOOR_AFTER:
             # the rounding of T: h_mu's 1/G_mu - w cancels, and h_nu'
             # amplifies what is left
-            floor = _ROUNDING * (1.0 + np.abs(dh_nu)) * (
-                size + np.abs(1.0 / g_mu) + np.abs(z))
-            limit = np.maximum(limit,
-                               np.minimum(floor, _ROUNDING_CAP * limit))
-        ok = safe & (cand.imag > low)
-        near = res < _NEWTON_HANDOFF
-        # a NaN residual never converges: it ends in NoConvergence
-        done = res <= limit
-        if done.any():
-            # the last step is not evaluated: G_mu is carried along it by
-            # G_mu', and T' and h_nu' stay those of the last evaluation
-            fin = np.where(ok[done] & near[done], cand[done], picard[done])
-            out = at[done]
-            omega1[out] = fin
-            g_out[out] = g_mu[done] + dg_mu[done] * (fin - w[done])
-            res_out[out], iters[out] = res[done], it + 1
-            tp_out[out], dh_out[out] = tprime[done], dh_nu[done]
-            keep = ~done
-            at = at[keep]
-            if at.size:
-                z, low, w, res, cand, picard, ok, near = (
-                    a[keep] for a in (z, low, w, res, cand, picard, ok, near))
-        if not at.size:
-            break
-        t_val, tprime, g_mu, dg_mu, dh_nu = _t_and_derivative(mu, nu, z, cand)
-        # near the solution any in-domain Newton step is fine; further out
-        # it must beat the current residual or Picard takes over
-        if not near.all():
-            ok &= near | (np.abs(t_val - cand) < 0.9 * res)
-        if ok.all():
-            w = cand
-        else:
-            w = np.where(ok, cand, picard)
-            back = ~ok
-            (t_val[back], tprime[back], g_mu[back], dg_mu[back],
-             dh_nu[back]) = _t_and_derivative(mu, nu, z[back], w[back])
-    if at.size:
-        worst = np.argmax(res)
-        bad_z = complex(z[worst])
-        raise NoConvergence(
-            f"subordination fixed point stalled at {at.size} point(s); "
-            f"worst residual {res[worst]:.3e} at z = {bad_z}",
-            iterations=max_iter,
-            residual=float(res[worst]),
-            point=bad_z,
-        )
-    usable = np.abs(1.0 - tp_out) > _SLOPE_FLOOR
-    slope = (1.0 + dh_out) / np.where(usable, 1.0 - tp_out, 1.0)
+            floor = _ROUNDING * (1.0 + np.abs(ev[5])) * (
+                size + np.abs(1.0 / ev[3]) + np.abs(z[at]))
+            lim = np.maximum(lim, np.minimum(floor, _ROUNDING_CAP * lim))
+        return lim
+
+    w, (res, t, tprime, g_mu, dg_mu, dh_nu), iters = _newton.solve(
+        lambda at, w: _t_and_derivative(mu, nu, z[at], w), _line_newton,
+        lambda at, w: w.imag > low[at], limit, start, max_iter, z,
+        "subordination fixed point", fixed_point=True)
+    # the last step is not evaluated: G_mu is carried along it by G_mu'
+    cand = _line_newton(None, w, (res, t, tprime))
+    take = (cand.imag > low) & (res < _newton.HANDOFF)
+    fin = np.where(take, cand, w + _newton.DAMPING * (t - w))
+    usable = np.abs(1.0 - tprime) > _SLOPE_FLOOR
+    slope = (1.0 + dh_nu) / np.where(usable, 1.0 - tprime, 1.0)
     slope[~(usable & np.isfinite(slope))] = 1.0
-    return (omega1.reshape(shape), g_out.reshape(shape),
-            res_out.reshape(shape), iters.reshape(shape), slope.reshape(shape))
+    return fin, g_mu + dg_mu * (fin - w), res, iters, slope
 
 
 def _upper_points(z, who, scalar=False):
@@ -280,10 +223,9 @@ def convolve_cauchy(mu: LineMeasure, nu: LineMeasure, z):
     """
     _require(LineMeasure, mu, nu)
     pts = _upper_points(z, "convolve_cauchy")
-    scalar = pts.ndim == 0
-    pts = np.atleast_1d(pts)
-    _, g, _, _, _ = _solve_omega1(mu, nu, pts, pts + 1j, _TOL, _MAX_ITER)
-    return complex(g[0]) if scalar else g
+    flat = pts.reshape(-1)
+    g = _solve_omega1(mu, nu, flat, flat + 1j, _TOL, _MAX_ITER)[1]
+    return complex(g[0]) if pts.ndim == 0 else g.reshape(pts.shape)
 
 
 def _above(w, floor):

@@ -474,8 +474,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NoConvergence as exc:
-        point = f" at {exc.point}" if getattr(exc, "point", None) is not None else ""
-        print(f"non-convergence{point}: {exc}", file=sys.stderr)
+        print(f"non-convergence at {exc.point}: {exc}", file=sys.stderr)
         return EXIT_NOCONV
     except FreesubError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -65,7 +65,9 @@ class BadParams(FreesubError, ValueError):
 
 
 class NoConvergence(FreesubError):
-    """An iterative solver exhausted its budget.
+    """An iterative solver exhausted its budget or found no step.
+
+    Every raise sets all three attributes.
 
     Attributes
     ----------
@@ -73,11 +75,14 @@ class NoConvergence(FreesubError):
         Iterations performed.
     residual : float
         Last observed residual.
-    point : object
-        The evaluation point that failed (z, b, target, ...), if known.
+    point : complex or ndarray
+        The point that failed, as the caller gave it: z on the line and
+        the circle, b for a matrix Cauchy transform, the target for the
+        disk and for F(b); for prop32's shift fit, the shift where it
+        stopped.
     """
 
-    def __init__(self, message, iterations=None, residual=None, point=None):
+    def __init__(self, message, *, iterations, residual, point):
         super().__init__(message)
         self.iterations = iterations
         self.residual = residual

@@ -273,7 +273,7 @@ def _fit_shift(d, lam):
         if abs(step) <= _ROUNDING * abs(f):
             return f
     raise NoConvergence("prop32 shift fit did not settle",
-                        iterations=_FIT_STEPS, residual=abs(step))
+                        iterations=_FIT_STEPS, residual=abs(step), point=f)
 
 
 def experiment_prop32(lam_diag, a0, eps=1.0, trials=200,

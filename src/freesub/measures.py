@@ -170,7 +170,9 @@ class _Measure:
             g = None if grid is None else GridSpec(grid["lo"], grid["hi"], grid["n"])
         except (KeyError, TypeError):
             raise BadParams("grid must be an object with lo, hi and n") from None
-        dens = d.get("density") or None
+        dens = d.get("density")
+        if isinstance(dens, (list, tuple)) and not dens:
+            dens = None   # to_dict writes [] for no density
         measure = cls(atoms=d.get("atoms", ()), grid=g, density=dens)
         law = d.get("law")   # a family's, with the very atoms, grid and density
         if law is None:

@@ -18,7 +18,8 @@ subdisk and plain iteration converges geometrically for |z| < 1.
 Both solvers read their transforms from one helper,
 ``transforms._circle_cauchy``, over the node tables the measure stores
 once, for zeta and for conj zeta (``transforms._node_table``): K and K'
-from one node sum for the disk Newton solve, and for each eta ratio K
+from one node sum for the disk Newton solve (the root rule of
+``_newton.solve``), and for each eta ratio K
 at the conjugate point, which neither cancels nor is singular at 0.
 """
 
@@ -27,13 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _newton
 from .errors import DegenerateTransform, NoConvergence, _complex_points, \
     int_in_range
 from .measures import CircleMeasure, _require, measure_from_circle_moments
 from .transforms import _circle_cauchy
 
 _MAX_ORDER = 16
-_MAX_HALVINGS = 40
 _DISK_TOL = 1e-12      # disk Newton solve: residual target
 _DISK_MAX_ITER = 100   # and step budget per starting point
 _ETA_TOL = 1e-13       # eta fixed point, sampled on _ETA_NODES points
@@ -59,53 +60,18 @@ class DiskSubordinationEval:
     ball_margin: float
 
 
-def _disk_newton(nu, target, g):
-    """Newton on K(g) = target from g, kept inside the open disk.
-
-    Each Newton candidate is halved toward g until it lies inside the
-    disk and lowers |K - target|; K is never evaluated outside the disk.
-    Returns (g, residual); raises NoConvergence when _MAX_HALVINGS find
-    no such candidate or the budget runs out, which happens when the
-    path from g leads to a root of K - target outside the disk.
-    """
-    k, kp = map(complex, _circle_cauchy(nu, g))
-    resid = abs(k - target)
-    it = 0
-    while resid > _DISK_TOL:
-        if it == _DISK_MAX_ITER:
-            raise NoConvergence("disk subordination Newton stalled",
-                                iterations=it, residual=resid, point=g)
-        it += 1
-        if abs(kp) < 1e-300:
-            raise NoConvergence("flat resolvent derivative", iterations=it,
-                                residual=resid, point=g)
-        cand = g - (k - target) / kp
-        for _ in range(_MAX_HALVINGS):
-            if abs(cand) < 1.0:
-                k_c, kp_c = map(complex, _circle_cauchy(nu, cand))
-                if abs(k_c - target) < resid:
-                    break
-            cand = g + 0.5 * (cand - g)
-        else:
-            raise NoConvergence(
-                "disk subordination line search found no decrease",
-                iterations=it, residual=resid, point=g)
-        g, k, kp = cand, k_c, kp_c
-        resid = abs(k - target)
-    return g, resid
-
-
 def disk_subordination_solve(nu: CircleMeasure, target) -> DiskSubordinationEval:
     """Solve K_nu(g) = target for g in the open unit disk.
 
     Newton from g = 0 with the exact quadrature derivative
-    K'(g) = integral (zeta - g)^{-2} dnu, globalized by halving each
-    step until it stays inside the disk and lowers |K(g) - target|.
+    K'(g) = integral (zeta - g)^{-2} dnu, globalized by the root rule of
+    ``_newton.solve``: each step is halved until it stays inside the
+    disk and lowers |K(g) - target|, so K is never evaluated outside it.
     K - target is analytic, so |K - target| has no local minimum off
     its zeros, but K is not injective: the descent path from 0 can lead
     to a root outside the disk and stall at the boundary.  The solve
     then restarts from the fixed points of _STARTS, in order, each with
-    its own budget of _DISK_MAX_ITER Newton steps.  Where the disk holds
+    its own budget of _DISK_MAX_ITER iterations.  Where the disk holds
     more than one preimage of ``target``, the solve returns one of them,
     the first its starts reach: the contract is a preimage g with
     |K(g) - target| <= _DISK_TOL, not a particular one.  A constant K
@@ -120,20 +86,31 @@ def disk_subordination_solve(nu: CircleMeasure, target) -> DiskSubordinationEval
     if np.ptp(k_probe.real) + np.ptp(k_probe.imag) < 1e-12 * (1 + abs(k_probe[0])):
         raise DegenerateTransform(
             "circle resolvent is constant on the disk; g is not identifiable")
-    best = None
+
+    def evaluate(at, g):
+        k, kp = _circle_cauchy(nu, g)
+        return np.abs(k - target), k - target, kp
+
+    failed = []
     for g0 in _STARTS:
         try:
-            g, resid = _disk_newton(nu, target, complex(g0))
+            g, (res, _, _), _ = _newton.solve(
+                evaluate,
+                lambda at, g, ev: _newton.scalar_step(g, ev[1], ev[2], 1e-300),
+                lambda at, g: np.abs(g) < 1.0, lambda *_: _DISK_TOL,
+                np.array([g0], dtype=complex), _DISK_MAX_ITER,
+                np.array([target]), "disk subordination Newton",
+                fixed_point=False)
+            g = complex(g[0])
+            return DiskSubordinationEval(target, g, float(res[0]),
+                                         1.0 - abs(g))
         except NoConvergence as exc:
-            if best is None or exc.residual < best.residual:
-                best = exc
-            continue
-        return DiskSubordinationEval(
-            target=target, g=g, residual=resid, ball_margin=1.0 - abs(g))
+            failed.append(exc)
+    best = min(failed, key=lambda exc: exc.residual)
     raise NoConvergence(
         f"disk subordination Newton stalled from all {_STARTS.size} "
         f"starting points; best: {best}",
-        iterations=best.iterations, residual=best.residual, point=best.point)
+        iterations=best.iterations, residual=best.residual, point=target)
 
 
 def _eta_ratio(measure, q):
@@ -161,11 +138,13 @@ def _omega1(mu, nu, z):
     w = np.zeros(1, dtype=complex)  # every point starts at 0: one K read
     for _ in range(_ETA_MAX_ITER):
         w, last = z * _eta_ratio(nu, z * _eta_ratio(mu, w)), w
-        resid = float(np.max(np.abs(w - last)))
+        step = np.abs(w - last)
+        resid = float(np.max(step))
         if resid <= _ETA_TOL:
             return w, resid
     raise NoConvergence("eta-transform fixed point stalled",
-                        iterations=_ETA_MAX_ITER, residual=resid)
+                        iterations=_ETA_MAX_ITER, residual=resid,
+                        point=complex(z.flat[np.argmax(step)]))
 
 
 def free_mult_convolve_unitary(mu: CircleMeasure, nu: CircleMeasure,

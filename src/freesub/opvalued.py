@@ -13,7 +13,9 @@ F with G_{X+Y}(b) = G_X(F(b)) is then extracted by inverting G_X with
 Newton's method, using that G_X is holomorphic, so its derivative is a
 complex-linear map, differenced from one stacked G_X call per Newton
 point.  That turns the subordination identity into a two-sided
-numerical check instead of a definition.
+numerical check instead of a definition.  Both solves run on
+``_newton.solve``: the Cauchy transform by its fixed-point rule, F by its
+root rule.
 """
 
 from dataclasses import dataclass, field
@@ -21,12 +23,12 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _newton
 from .domains import _halfplane_margin
-from .errors import (BadParams, DomainError, JacobianSingular, NoConvergence,
+from .errors import (BadParams, DomainError, JacobianSingular,
                      _complex_matrix, real_above)
 
 _MAX_N = 8
-_DAMPING = 0.5
 _FD_STEP = 1e-6
 _CAUCHY_MAX_ITER = 500
 _F_MAX_ITER = 50
@@ -147,20 +149,18 @@ def op_semicircular_cauchy(eta: CovarianceMap, b, tol=1e-12) -> OpCauchyEval:
     """Solve g = (b - eta(g))^{-1} for the semicircular Cauchy transform.
 
     ``b`` is one matrix or a stack (..., n, n), and g comes back in its
-    shape.  A stack is iterated together, one stacked inverse and one
-    stacked Newton solve per pass; each matrix leaves the stack at its
-    own tolerance, so its value does not depend on the stack around it.
-    A pass whose stacked Newton solve meets an exactly singular system
-    solves the systems one by one, and only the singular ones take a
-    Picard step.
-
-    Every pass tries a Newton step on the multiplied-out residual
-    (b - eta(g))g - I from g = b^{-1} on.  The candidate must stay in
-    Im g < 0 and lower the residual at the next pass; otherwise it is
-    undone and a damped Picard step, which never leaves the lower half
-    plane, is taken instead.  The Newton Jacobian is exact: with
-    row-major vec, vec(eta(d)g) factors through kron(k_j, conj(k_j)), so
-    no differencing is needed.
+    shape.  The stack is one batch of ``_newton.solve``'s fixed-point
+    rule from g = b^{-1}, so each matrix leaves at its own tolerance and
+    its value does not depend on the stack around it; the damped Picard
+    step never leaves the lower half plane.  A Newton candidate is
+    tested before it is taken, so none is undone.  ``residual`` is the
+    worst over the stack and ``iterations`` the most driver iterations
+    any matrix took.  The candidate solves the multiplied-out residual
+    (b - eta(g))g - I, one stacked solve per iteration; a stack whose
+    solve meets an exactly singular system solves the systems one by
+    one, and only the singular ones have no candidate.  The Newton
+    Jacobian is exact: with row-major vec, vec(eta(d)g) factors through
+    kron(k_j, conj(k_j)), so no differencing is needed.
     """
     tol = real_above("tol", tol, 0.0)
     n = eta.n
@@ -168,63 +168,40 @@ def op_semicircular_cauchy(eta: CovarianceMap, b, tol=1e-12) -> OpCauchyEval:
     if np.any(_halfplane_margin(b) <= 0):
         raise DomainError("op_semicircular_cauchy needs Im b > 0")
     points = b.reshape(-1, n, n)
-    out = np.empty_like(points)
-    at = np.arange(len(points))  # where each matrix still iterating goes
     eye = np.eye(n)
-    kk = eta._kraus_kron
     g = np.linalg.inv(points)
     tol_abs = tol * np.maximum(1.0, np.linalg.norm(g, axis=(-2, -1)))
-    worst = 0.0
-    # each Newton candidate on trial keeps the iterate it came from
-    trial = np.zeros(len(points), dtype=bool)
-    g_prev, fixed_prev, res_prev = g, g, np.full(len(points), np.inf)
-    for it in range(1, _CAUCHY_MAX_ITER + 1):
-        lhs = points - eta._apply(g)
+
+    def evaluate(at, g):
+        lhs = points[at] - eta._apply(g)
         fixed = np.linalg.inv(lhs)
-        res = np.linalg.norm(fixed - g, axis=(-2, -1))
-        # a NaN residual never wins, so its candidate is undone too
-        undo = trial & ~(res < res_prev)
-        if undo.any():
-            back = undo[:, None, None]
-            g = np.where(back, g_prev, g)
-            fixed = np.where(back, fixed_prev, fixed)
-            res = np.where(undo, res_prev, res)
-        done = res <= tol_abs
-        if done.any():
-            out[at[done]] = g[done]
-            worst = max(worst, float(res[done].max()))
-            if done.all():
-                return OpCauchyEval(b=b, g=out.reshape(b.shape),
-                                    residual=worst, iterations=it)
-            left = ~done
-            at, points, tol_abs, g, lhs, fixed, res, undo = (
-                v[left] for v in (at, points, tol_abs, g, lhs, fixed, res, undo))
-        phi = lhs @ g - eye
-        jac = _kron(lhs, eye) - _kron(eye, g.mT) @ kk
-        rhs = -phi.reshape(-1, n * n, 1)
+        return np.linalg.norm(fixed - g, axis=(-2, -1)), fixed, lhs
+
+    def newton(at, g, ev):
+        jac = _kron(ev[2], eye) - _kron(eye, g.mT) @ eta._kraus_kron
+        rhs = -(ev[2] @ g - eye).reshape(-1, n * n, 1)
         try:
             delta = np.linalg.solve(jac, rhs)
         except np.linalg.LinAlgError:
-            # solved one by one, only the singular systems take Picard
             delta = np.full(rhs.shape, np.nan, dtype=complex)
             for i in range(len(jac)):
                 try:
                     delta[i] = np.linalg.solve(jac[i], rhs[i])
                 except np.linalg.LinAlgError:
                     pass
-        cand = g + delta.reshape(g.shape)
-        finite = np.isfinite(cand).all(axis=(-2, -1))
-        if not finite.all():
-            cand[~finite] = g[~finite]  # checkable stand-in, never kept
-        trial = finite & ~undo & (_halfplane_margin(-cand) > 0)
-        g_prev, fixed_prev, res_prev = g, fixed, res
-        if trial.all():
-            g = cand
-        else:
-            g = np.where(trial[:, None, None], cand, g + _DAMPING * (fixed - g))
-    raise NoConvergence("matrix Cauchy fixed point stalled",
-                        iterations=_CAUCHY_MAX_ITER,
-                        residual=float(np.max(res)))
+        return g + delta.reshape(g.shape)
+
+    def inside(at, g):
+        ok = np.isfinite(g).all(axis=(-2, -1))
+        ok[ok] = _halfplane_margin(-g[ok]) > 0
+        return ok
+
+    g, ev, iters = _newton.solve(
+        evaluate, newton, inside, lambda at, *_: tol_abs[at], g,
+        _CAUCHY_MAX_ITER, points, "matrix Cauchy fixed point",
+        fixed_point=True)
+    return OpCauchyEval(b=b, g=g.reshape(b.shape), residual=float(ev[0].max()),
+                        iterations=int(iters.max()))
 
 
 def op_add_cauchy(eta_x: CovarianceMap, eta_y: CovarianceMap, b,
@@ -252,57 +229,51 @@ def solve_subordination_F(g_x_eval, g_target, b_start, tol=1e-10):
     holomorphic on the matrix upper half plane, so its derivative is
     complex linear: Newton differences G_X along the n^2 complex unit
     directions and solves one complex n^2 x n^2 system per step.  Each
-    point the solve visits, ``b_start`` and every line-search candidate,
-    is evaluated in one call together with its n^2 difference points, a
-    stack of n^2 + 1 matrices, so an accepted candidate already carries
-    the next step's Jacobian.  Candidate steps are cut back until the
-    iterate keeps a positive half-plane margin.  Raises JacobianSingular
-    where G_X is locally non-invertible and the subordination point
-    cannot be extracted this way.
+    point the solve visits, ``b_start`` and every candidate of the step
+    search, is evaluated in one call together with its n^2 difference
+    points, a stack of n^2 + 1 matrices, so an accepted candidate
+    already carries the next step's Jacobian.  ``_newton.solve`` halves
+    each step by its root rule until the candidate keeps a positive
+    half-plane margin and lowers |G_X - g_target|.  Raises
+    JacobianSingular where G_X is locally non-invertible and the
+    subordination point cannot be extracted this way.
     """
     tol = real_above("tol", tol, 0.0)
     g_target = _complex_matrix("g_target", g_target)
     n = g_target.shape[0]
-    w = _complex_matrix("b_start", b_start, n).copy()
+    w = _complex_matrix("b_start", b_start, n)
     if _halfplane_margin(-g_target) <= 0:
         raise DomainError("target is not the value of a Cauchy transform")
     if _halfplane_margin(w) <= 0:
         raise DomainError("b_start must lie in the matrix upper half plane")
     directions = np.eye(n * n).reshape(n * n, n, n)
 
-    def evaluate(at):
-        """G_X - g_target at ``at`` and its difference points, and the step."""
-        delta = _FD_STEP * max(1.0, float(np.linalg.norm(at)))
-        points = np.concatenate([at[None], at + delta * directions])
+    def evaluate(at, w):
+        """|G_X - g_target| at F's one point w, G_X - g_target there and at
+        its n^2 difference points, and the difference step."""
+        delta = _FD_STEP * max(1.0, float(np.linalg.norm(w[0])))
+        points = np.concatenate([w, w[0] + delta * directions])
         vals = g_x_eval(points) - g_target
         if vals.shape != points.shape:
             raise BadParams("g_x_eval must return one value per matrix of a stack")
-        return vals, delta
+        return (np.array([np.linalg.norm(vals[0])]), vals[None],
+                np.array([delta]))
 
-    vals, delta = evaluate(w)
-    for _ in range(_F_MAX_ITER):
-        resid = float(np.linalg.norm(vals[0]))
-        if resid <= tol:
-            return w
-        jac = (vals[1:] - vals[0]).reshape(n * n, n * n).T / delta
+    def newton(at, w, ev):
+        vals = ev[1][0]
+        jac = (vals[1:] - vals[0]).reshape(n * n, n * n).T / ev[2][0]
         try:
-            step = np.linalg.solve(jac, -vals[0].reshape(-1)).reshape(n, n)
+            step = np.linalg.solve(jac, -vals[0].reshape(-1))
         except np.linalg.LinAlgError:
-            raise JacobianSingular("Cauchy transform is locally non-invertible") from None
+            step = np.full(n * n, np.nan)
         if not np.all(np.isfinite(step)):
-            raise JacobianSingular("Jacobian produced a non-finite step")
-        s = 1.0
-        for _ in range(30):
-            cand = w + s * step
-            if _halfplane_margin(cand) > 0:
-                cand_vals, cand_delta = evaluate(cand)
-                if np.linalg.norm(cand_vals[0]) < 10.0 * resid:
-                    break
-            s *= 0.5
-        else:
-            raise NoConvergence("step search could not stay in the half plane",
-                                residual=resid)
-        w, vals, delta = cand, cand_vals, cand_delta
-    raise NoConvergence("subordination Newton stalled",
-                        iterations=_F_MAX_ITER,
-                        residual=float(np.linalg.norm(vals[0])))
+            raise JacobianSingular("Cauchy transform is locally "
+                                   "non-invertible: the Newton step is "
+                                   "singular or not finite")
+        return w + step.reshape(w.shape)
+
+    w, _, _ = _newton.solve(
+        evaluate, newton, lambda at, w: _halfplane_margin(w) > 0,
+        lambda *_: tol, w[None], _F_MAX_ITER, g_target[None],
+        "subordination Newton", fixed_point=False)
+    return w[0]

@@ -207,6 +207,15 @@ def test_json_roundtrip_is_bit_exact(standard_line_measures):
     for c in (haar_circle(), circle_atoms([(0.3, 0.25), (4.0, 0.75)])):
         text = json.dumps(c.to_dict())
         assert json.dumps(from_json(text).to_dict()) == text
+    # a density array, as the constructor takes it, once raised numpy's
+    # builtin ValueError from its truth value
+    grid = {"lo": 0.0, "hi": 1.0, "n": 8}
+    m = LineMeasure.from_dict({"type": "line", "grid": grid,
+                               "density": np.ones(8)})
+    listed = LineMeasure.from_dict({"type": "line", "grid": grid,
+                                    "density": [1.0] * 8})
+    assert m.grid == listed.grid == GridSpec(0.0, 1.0, 8)
+    assert np.array_equal(m.density, listed.density)
 
 
 def test_json_schema_keys():

@@ -76,6 +76,18 @@ def test_disk_solve_returns_a_preimage():
     assert min(abs(res.g - g0), abs(res.g - other)) <= 1e-10
 
 
+def test_disk_solve_tries_its_starts_in_order():
+    # the law of test_disk_solve_returns_a_preimage: Newton from the first
+    # start, g = 0, reaches the second preimage, not g0, and the solve
+    # returns the preimage its first successful start reaches
+    nu = circle_atoms([(4.439457722628015, 0.5), (0.3334388087684525, 0.3),
+                       (3.0767889122509464, 0.2)])
+    g0 = -0.35074006904520333 - 0.30564131504810876j
+    other = -0.3867256361012562 + 0.5621785903718889j
+    res = disk_subordination_solve(nu, circle_cauchy(nu, g0))
+    assert abs(res.g - other) <= multiplicative._DISK_TOL
+
+
 def _disk_law(kind, rng):
     if kind == "poisson":
         a = rng.uniform(0.1, 0.9) * np.exp(2j * np.pi * rng.random())
