@@ -63,17 +63,22 @@ def _stalled(what, why, res, at, points, it):
 
 
 def _fixed_point_step(evaluate, inside, at, w, ev, cand):
-    """The next iterates and their evaluations by the fixed-point rule."""
-    picard = w + DAMPING * (ev[1] - w)
+    """The next iterates, written over the candidates, and their
+    evaluations by the fixed-point rule."""
+    def picard(rows):
+        return w[rows] + DAMPING * (ev[1][rows] - w[rows])
+
     ok = inside(at, cand)
-    w = np.where(ok.reshape(ok.shape + (1,) * (w.ndim - 1)), cand, picard)
-    new = evaluate(at, w)
-    back = ok & ~(ev[0] < HANDOFF) & ~(new[0] < 0.9 * ev[0])
+    if not ok.all():
+        cand[~ok] = picard(~ok)
+    new = evaluate(at, cand)
+    far = ok & ~(ev[0] < HANDOFF)  # these candidates must cut the residual
+    back = far & ~(new[0] < 0.9 * ev[0]) if far.any() else far
     if back.any():
-        w[back] = picard[back]
-        for a, b in zip(new, evaluate(at[back], picard[back])):
+        cand[back] = picard(back)
+        for a, b in zip(new, evaluate(at[back], cand[back])):
             a[back] = b
-    return w, new
+    return cand, new
 
 
 def _root_step(evaluate, inside, at, w, ev, cand, what, points, it):
@@ -106,20 +111,25 @@ def solve(evaluate, newton, inside, limit, w, max_iter, points, what,
     """
     at = np.arange(w.shape[0])  # each open point's index in the batch
     ev = evaluate(at, w)
-    w_out, ev_out = np.empty_like(w), tuple(np.empty_like(a) for a in ev)
-    iters = np.empty(at.size, dtype=int)
+    w_out = None  # set at the first exit that leaves points open
     for it in range(1, max_iter + 1):
         # a NaN residual never meets its limit: it ends in NoConvergence
         done = ev[0] <= limit(at, w, ev, it)
+        if w_out is None and done.all():  # the whole batch leaves at once
+            return w, ev, np.full(at.size, it)
         if done.any():
+            if w_out is None:
+                w_out = np.empty_like(w)
+                ev_out = tuple(np.empty_like(a) for a in ev)
+                iters = np.empty(at.size, dtype=int)
             out = at[done]
             w_out[out], iters[out] = w[done], it
             for o, a in zip(ev_out, ev):
                 o[out] = a[done]
+            if done.all():
+                return w_out, ev_out, iters
             keep = ~done
             at, w, ev = at[keep], w[keep], tuple(a[keep] for a in ev)
-        if not at.size:
-            return w_out, ev_out, iters
         if it == max_iter:
             break
         cand = newton(at, w, ev)

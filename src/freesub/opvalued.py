@@ -193,6 +193,8 @@ def op_semicircular_cauchy(eta: CovarianceMap, b, tol=1e-12) -> OpCauchyEval:
 
     def inside(at, g):
         ok = np.isfinite(g).all(axis=(-2, -1))
+        if ok.all():
+            return _halfplane_margin(-g) > 0
         ok[ok] = _halfplane_margin(-g[ok]) > 0
         return ok
 
@@ -241,7 +243,7 @@ def solve_subordination_F(g_x_eval, g_target, b_start, tol=1e-10):
     tol = real_above("tol", tol, 0.0)
     g_target = _complex_matrix("g_target", g_target)
     n = g_target.shape[0]
-    w = _complex_matrix("b_start", b_start, n)
+    w = _complex_matrix("b_start", b_start, n).copy()
     if _halfplane_margin(-g_target) <= 0:
         raise DomainError("target is not the value of a Cauchy transform")
     if _halfplane_margin(w) <= 0:
