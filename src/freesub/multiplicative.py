@@ -36,7 +36,7 @@ from .transforms import _circle_cauchy
 
 _MAX_ORDER = 16
 _DISK_TOL = 1e-12      # disk Newton solve: residual target
-_DISK_MAX_ITER = 100   # and step budget per starting point
+_DISK_MAX_ITER = 100   # and residual checks per starting point
 _ETA_TOL = 1e-13       # eta fixed point, sampled on _ETA_NODES points
 _ETA_MAX_ITER = 400    # of each circle |z| = r of _ETA_RADII
 _ETA_RADII = (0.5, 0.35)  # moments, then their certificates
