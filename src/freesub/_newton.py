@@ -9,7 +9,7 @@ batch, one row per point:
 - ``evaluate(at, w)``: the map at the iterates w, a tuple of fresh
   arrays: each point's residual, then (for a fixed point w = T(w)) T(w),
   then whatever else the caller needs;
-- ``newton(at, w, ev)``: the Newton candidates, a fresh array, NaN where
+- ``newton(w, ev)``: the Newton candidates, a fresh array, NaN where
   a point has no step;
 - ``inside(at, w)``: whether each candidate lies in the map's domain,
   False where it is NaN;
@@ -26,8 +26,9 @@ The rest take one step by one of two rules:
   is below HANDOFF, or when its own residual is below 0.9 times it;
   otherwise the damped Picard step w + DAMPING * (T(w) - w) is taken and
   evaluated in the same iteration;
-- root: each candidate is halved toward w until it lies in the domain
-  and lowers the residual, at most _MAX_HALVINGS times.
+- root, on a batch of one point (the disk solves one start at a time,
+  F one matrix): the candidate is halved toward w until it lies in the
+  domain and lowers the residual, at most _MAX_HALVINGS times.
 
 Only in-domain candidates are evaluated, and the evaluation at an
 accepted one is the next iteration's.  A point still open after
@@ -82,23 +83,15 @@ def _fixed_point_step(evaluate, inside, at, w, ev, cand):
 
 
 def _root_step(evaluate, inside, at, w, ev, cand, what, points, it):
-    """The candidates, each halved in place by the root rule, and their
-    evaluations; raises NoConvergence for a point whose halving fails."""
-    new = tuple(np.empty_like(a) for a in ev)
-    for i in range(at.size):
-        p = slice(i, i + 1)
-        for _ in range(_MAX_HALVINGS):
-            if inside(at[p], cand[p])[0]:
-                ev_c = evaluate(at[p], cand[p])
-                if ev_c[0][0] < ev[0][i]:
-                    for a, b in zip(new, ev_c):
-                        a[p] = b
-                    break
-            cand[p] = w[p] + 0.5 * (cand[p] - w[p])
-        else:
-            raise _stalled(what, "found no decrease", ev[0][p], at[p],
-                           points, it)
-    return cand, new
+    """The candidate of a batch of one point, halved by the root rule,
+    and its evaluation; raises NoConvergence if the halving fails."""
+    for _ in range(_MAX_HALVINGS):
+        if inside(at, cand).all():
+            new = evaluate(at, cand)
+            if np.all(new[0] < ev[0]):
+                return cand, new
+        cand = w + 0.5 * (cand - w)
+    raise _stalled(what, "found no decrease", ev[0], at, points, it)
 
 
 def solve(evaluate, newton, inside, limit, w, max_iter, points, what,
@@ -132,7 +125,7 @@ def solve(evaluate, newton, inside, limit, w, max_iter, points, what,
             at, w, ev = at[keep], w[keep], tuple(a[keep] for a in ev)
         if it == max_iter:
             break
-        cand = newton(at, w, ev)
+        cand = newton(w, ev)
         w, ev = (_fixed_point_step(evaluate, inside, at, w, ev, cand)
                  if fixed_point else
                  _root_step(evaluate, inside, at, w, ev, cand, what, points, it))

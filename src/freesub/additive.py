@@ -90,7 +90,7 @@ def _t_and_derivative(mu, nu, z, w):
             dh_nu)
 
 
-def _line_newton(at, w, ev):
+def _line_newton(w, ev):
     """w - (T(w) - w) / (T'(w) - 1), NaN where |T'(w) - 1| <= 1e-12."""
     return _newton.scalar_step(w, ev[1] - w, ev[2] - 1.0, 1e-12)
 
@@ -155,7 +155,7 @@ def _solve_omega1(mu, nu, z, start, tol, max_iter):
         lambda at, w: w.imag > low[at], limit, start, max_iter, z,
         "subordination fixed point", fixed_point=True)
     # the last step is not evaluated: G_mu is carried along it by G_mu'
-    cand = _line_newton(None, w, (res, t, tprime))
+    cand = _line_newton(w, (res, t, tprime))
     take = (cand.imag > low) & (res < _newton.HANDOFF)
     fin = np.where(take, cand, w + _newton.DAMPING * (t - w))
     usable = np.abs(1.0 - tprime) > _SLOPE_FLOOR

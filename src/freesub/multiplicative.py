@@ -96,7 +96,7 @@ def disk_subordination_solve(nu: CircleMeasure, target) -> DiskSubordinationEval
         try:
             g, (res, _, _), _ = _newton.solve(
                 evaluate,
-                lambda at, g, ev: _newton.scalar_step(g, ev[1], ev[2], 1e-300),
+                lambda g, ev: _newton.scalar_step(g, ev[1], ev[2], 1e-300),
                 lambda at, g: np.abs(g) < 1.0, lambda *_: _DISK_TOL,
                 np.array([g0], dtype=complex), _DISK_MAX_ITER,
                 np.array([target]), "disk subordination Newton",

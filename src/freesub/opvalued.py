@@ -177,7 +177,7 @@ def op_semicircular_cauchy(eta: CovarianceMap, b, tol=1e-12) -> OpCauchyEval:
         fixed = np.linalg.inv(lhs)
         return np.linalg.norm(fixed - g, axis=(-2, -1)), fixed, lhs
 
-    def newton(at, g, ev):
+    def newton(g, ev):
         jac = _kron(ev[2], eye) - _kron(eye, g.mT) @ eta._kraus_kron
         rhs = -(ev[2] @ g - eye).reshape(-1, n * n, 1)
         try:
@@ -261,7 +261,7 @@ def solve_subordination_F(g_x_eval, g_target, b_start, tol=1e-10):
         return (np.array([np.linalg.norm(vals[0])]), vals[None],
                 np.array([delta]))
 
-    def newton(at, w, ev):
+    def newton(w, ev):
         vals = ev[1][0]
         jac = (vals[1:] - vals[0]).reshape(n * n, n * n).T / ev[2][0]
         try:
