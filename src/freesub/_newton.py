@@ -60,7 +60,8 @@ def _stalled(what, why, res, at, points, it):
     return NoConvergence(
         f"{what} {why} at {at.size} point(s) after {it} iteration(s); "
         f"worst residual {res[worst]:.3e}",
-        iterations=it, residual=float(res[worst]), point=points[at[worst]])
+        iterations=it, residual=float(res[worst]),
+        point=points[at[worst]].copy())  # not a view of the caller's array
 
 
 def _fixed_point_step(evaluate, inside, at, w, ev, cand):

@@ -66,6 +66,7 @@ def test_every_stall_reports_iterations_residual_and_point(monkeypatch,
     if isinstance(point, np.ndarray):
         assert isinstance(exc.point, np.ndarray)
         assert np.array_equal(exc.point, point)
+        assert not np.shares_memory(exc.point, point)
     elif point is not None:
         assert isinstance(exc.point, complex) and exc.point == point
     else:   # a node of one of the circles the eta fixed point is solved on
