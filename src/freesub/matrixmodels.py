@@ -35,9 +35,9 @@ C0 when they are exactly diagonal, which is checked once before the
 loop) and two otherwise; an exactly diagonal prop33 A0 is added on the
 diagonal alone.  thm31_block assembles every trial in one n*N x n*N
 buffer allocated once per call, with no Kronecker-product temporaries:
-it keeps the trial's X draws (or X itself, when that is smaller), sums
-Y into the buffer and adds X, inverts B (x) 1 - (X + Y) there, then
-rebuilds X in the same buffer and inverts F(b) (x) 1 - X.
+it sums X into the buffer and adds Y, inverts B (x) 1 - (X + Y) there,
+then draws X again from the trial's saved RNG state into the same
+buffer and inverts F(b) (x) 1 - X.
 scipy.linalg is imported where it is called, so it loads at the first
 LAPACK call of an experiment: it brings 85 modules and a second
 OpenBLAS, and the solvers and the CLI's other commands need neither.
@@ -70,6 +70,7 @@ _ROUNDING = 4 * np.finfo(float).eps  # prop32: fit stops at this step / |f|
 _PHASE_ROTATIONS = 4      # prop32: diagonal-phase conjugations per trial
 _MAX_N = 4096             # cap on N (thm31_block: on n*N), checked before a draw
 _MAX_DIM = 64             # lemma34: cap on a dims entry; a 256-draw stack is 16 MB
+_ROWS = 64                # thm31_block: rows of an N x N block summed at a time
 
 
 def _rng(seed, *path):
@@ -78,10 +79,11 @@ def _rng(seed, *path):
 
 
 def _ginibre(rng, N):
-    # filled part by part: the bits of (re + 1j*im)/sqrt(2N), one array
+    # (re + 1j*im)/sqrt(2N) bit for bit, each part filled _ROWS rows at a time
     g = np.empty((N, N), dtype=complex)
-    g.real = rng.standard_normal((N, N))
-    g.imag = rng.standard_normal((N, N))
+    for part in (g.real, g.imag):
+        for r in range(0, N, _ROWS):
+            part[r:r + _ROWS] = rng.standard_normal((min(_ROWS, N - r), N))
     g /= math.sqrt(2.0 * N)
     return g
 
@@ -311,6 +313,7 @@ def experiment_prop32(lam_diag, a0, eps=1.0, trials=200,
     eps = real_above("eps", eps, 0.0)
     seed = int_in_range("seed", seed, 0)
     shifted = _shifted(a0, eps)
+    del a0  # the trials need only its shifted form
     idx = np.arange(N)
     acc = np.zeros((N, N), dtype=complex, order="F")
     for t in range(trials):
@@ -322,10 +325,13 @@ def experiment_prop32(lam_diag, a0, eps=1.0, trials=200,
         p = np.exp(2j * np.pi * rng.random((N, _PHASE_ROTATIONS)))
         r *= blas.zgemm(1.0 / _PHASE_ROTATIONS, p, p, trans_b=2)
         acc += r
-    mbar = acc / trials
-    diag = np.diagonal(mbar)
-    off = mbar - np.diag(diag)
-    off_diag = float(np.linalg.norm(off) / np.linalg.norm(mbar))
+        del a, r  # so the next trial's draws do not keep this one's inverse
+    acc /= trials
+    diag = np.diagonal(acc)
+    # acc - np.diag(diag) bit for bit, in its C order (x - 0 = x, d - d = +0)
+    off = np.array(acc, order="C")
+    off[idx, idx] = 0
+    off_diag = float(np.linalg.norm(off) / np.linalg.norm(acc))
 
     f = _fit_shift(diag, lam)
     fit_residual = float(np.linalg.norm(diag - 1.0 / (f - lam))
@@ -425,6 +431,7 @@ def experiment_thm36(theta_law: CircleMeasure, c0=None, N=600, trials=100,
         u = _phase_unitary(theta_law, N, _rng(seed, t))
         u -= c0
         total += np.trace(_inv(u)) / N
+        del u  # so the next trial's draws do not keep this one's inverse
     m_hat = total / trials
     estimates = {"m_hat": complex(m_hat), "omega_margin": float(omega_margin)}
     try:
@@ -458,13 +465,11 @@ def experiment_thm31_block(eta_x: CovarianceMap, eta_y: CovarianceMap, b,
     supplied by the deterministic solver, plus the estimate-vs-solver
     gap as a second residual.
 
-    A trial runs in one n*N x n*N buffer: it keeps its X draws, sums Y
-    there, adds each block of X (summed apart, as np.kron's products
-    would be), inverts B (x) 1 - (X + Y) in place, then rebuilds X there
-    from the kept draws and inverts F(b) (x) 1 - X.  With K_X Kraus
-    terms, the draws and their N x N sum take (K_X + 1) N^2 entries
-    against n^2 N^2 for X, so when K_X + 1 >= n^2 (always at n = 1) the
-    trial keeps a second buffer holding X instead, and copies it back.
+    A trial runs in one n*N x n*N buffer beside Y's draws.  It saves its
+    RNG state, sums X there one draw at a time, adds Y (each block summed
+    apart _ROWS rows at a time, as np.kron's products would be) and
+    inverts B (x) 1 - (X + Y) in place; then it restores the state, draws
+    X again into the buffer and inverts F(b) (x) 1 - X.
     """
     _require(CovarianceMap, eta_x, eta_y)
     ex = eta_x.symmetrized()
@@ -487,50 +492,46 @@ def experiment_thm31_block(eta_x: CovarianceMap, eta_y: CovarianceMap, b,
     # one n*N buffer serves every trial, viewed as an n x n grid of N x N
     # blocks; each entry is summed in the order np.kron's would be
     m = np.empty((n, N, n, N), dtype=complex)
-    tmp = np.empty((N, N), dtype=complex)
+    tmp = np.empty((min(_ROWS, N), N), dtype=complex)
+    s = np.empty_like(tmp)
     diag = np.arange(N)
+    # (block row, block column, first row) of each piece summed at a time
+    pieces = [(i, j, r) for i, j in np.ndindex(n, n)
+              for r in range(0, N, _ROWS)]
 
     def draw(rng):
         g = _ginibre(rng, N)
         g /= math.sqrt(2.0)
         return g
 
-    def add_block(out, k, g, i, j):
-        # out += k_ij G + conj(k_ji) G*, the second as conj(k_ji G)^T,
-        # which has its bits
-        out += np.multiply(k[i, j], g, out=tmp)
-        out += np.conjugate(np.multiply(k[j, i], g, out=tmp), out=tmp).T
+    def add_rows(out, k, g, i, j, r):
+        # out += rows r: of k_ij G + conj(k_ji G)^T, the second as
+        # conj(k_ji G[:, r:]^T), which has its bits
+        t = tmp[:len(out)]
+        out += np.multiply(k[i, j], g[r:r + _ROWS], out=t)
+        out += np.conjugate(np.multiply(k[j, i], g[:, r:r + _ROWS].T, out=t),
+                            out=t)
 
-    def add_terms(out, kraus, rng):
-        # the terms, drawn one at a time, into out's blocks from zero
-        out.fill(0)
-        for k in kraus:
+    def build_x(rng):
+        # X's terms, drawn one at a time, into m's blocks from zero
+        m.fill(0)
+        for k in eta_x.kraus:
             g = draw(rng)
-            for i, j in np.ndindex(n, n):
-                add_block(out[i, :, j], k, g, i, j)
+            for i, j, r in pieces:
+                add_rows(m[i, r:r + _ROWS, j], k, g, i, j, r)
             del g  # so no two draws are held at once
 
-    if len(eta_x.kraus) + 1 >= n * n:
-        # the draws and their N x N sum would take as much room as X
-        # itself (n = 1, or many terms), so X is kept instead
-        xb = np.empty_like(m)
-
-        def draw_x(rng):
-            add_terms(xb, eta_x.kraus, rng)
-            return lambda i, j: xb[i, :, j]
-    else:
-        s = np.empty((N, N), dtype=complex)
-
-        def draw_x(rng):
-            gx = [draw(rng) for _ in eta_x.kraus]
-
-            def x_block(i, j):
-                # block (i, j) of X, summed from zero term by term into s
-                s.fill(0)
-                for k, g in zip(eta_x.kraus, gx):
-                    add_block(s, k, g, i, j)
-                return s
-            return x_block
+    def add_y(rng):
+        # Y's terms, each block summed apart from zero a few rows at a
+        # time and added to X's: X + Y is Y + X bit for bit
+        gy = [draw(rng) for _ in eta_y.kraus]
+        for i, j, r in pieces:
+            out = m[i, r:r + _ROWS, j]
+            y = s[:len(out)]
+            y.fill(0)
+            for k, g in zip(eta_y.kraus, gy):
+                add_rows(y, k, g, i, j, r)
+            out += y
 
     def shifted_inverse(shift):
         # shift (x) 1 - m in place (-m + shift is shift - m bit for bit), inverted
@@ -540,15 +541,14 @@ def experiment_thm31_block(eta_x: CovarianceMap, eta_y: CovarianceMap, b,
 
     for t in range(trials):
         rng = _rng(seed, t)
-        x = draw_x(rng)
-        add_terms(m, eta_y.kraus, rng)
-        for i, j in np.ndindex(n, n):
-            m[i, :, j] += x(i, j)
+        state = rng.bit_generator.state
+        build_x(rng)
+        add_y(rng)
         acc_xy += shifted_inverse(b)
-        for i, j in np.ndindex(n, n):
-            m[i, :, j] = x(i, j)
+        # X again, in the buffer, from the same draws of the same stream
+        rng.bit_generator.state = state
+        build_x(rng)
         acc_x += shifted_inverse(f_b)
-        del x  # so the next trial's draws do not keep this one's
     est_xy = acc_xy / trials
     est_x = acc_x / trials
     subord = float(np.linalg.norm(est_xy - est_x))
