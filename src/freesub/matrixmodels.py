@@ -70,7 +70,7 @@ _ROUNDING = 4 * np.finfo(float).eps  # prop32: fit stops at this step / |f|
 _PHASE_ROTATIONS = 4      # prop32: diagonal-phase conjugations per trial
 _MAX_N = 4096             # cap on N (thm31_block: on n*N), checked before a draw
 _MAX_DIM = 64             # lemma34: cap on a dims entry; a 256-draw stack is 16 MB
-_ROWS = 64                # thm31_block: rows of an N x N block summed at a time
+_ROWS = 64                # thm31_block: rows of a draw or block per piece
 
 
 def _rng(seed, *path):
