@@ -398,10 +398,7 @@ def cmd_verify(args):
     identity = args.identity
     cfg = _load_config(args)
     _check_keys(cfg, _VERIFY_KEYS[identity], "verify")
-    try:
-        report = _run_verify(identity, cfg)
-    except KeyError as exc:
-        raise BadParams(f"missing config field {exc}") from None
+    report = _run_verify(identity, cfg)
     out = _out_dir(args)
     _dump_json(os.path.join(out, "report.json"), report.to_dict())
     _write_atomic(os.path.join(out, "report.csv"),

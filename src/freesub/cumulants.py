@@ -1,4 +1,4 @@
-"""Moment / free-cumulant combinatorics.
+"""Moment / free-cumulant combinatorics on truncated power series.
 
 ``free_cumulants`` and ``free_cumulants_to_moments`` convert between raw
 moments and free cumulants with the recursion
@@ -6,22 +6,21 @@ moments and free cumulants with the recursion
     m_n = sum_{s=1}^{n} kappa_s * sum_{i_1+...+i_s = n-s} m_{i_1}...m_{i_s}
 
 with m_0 = 1, evaluated with whatever scalar type the input carries
-(floats, complex, Fraction).  Noncrossing partitions and the Kreweras
-complement are enumerated exactly at small order; they feed the
-multiplicative moment formula
-
-    m_n(ab) = sum_{pi in NC(n)} kappa_pi(a) * m_{Kr(pi)}(b)
-
-which serves as an independent cross-check on analytic convolutions.
+(floats, complex, Fraction).  ``free_multiplicative_moments`` reads the
+multiplicative subordination equation (Biane, Math. Z. 1998) on series:
+with psi(w) = sum_n m_n w^n and eta = psi / (1 + psi), the product ab has
+psi_ab = psi_a o omega, where omega = z R_b(z R_a(omega)) and R = eta / w.
+It is an independent cross-check on the analytic convolutions.
 """
-
-from functools import lru_cache
-from itertools import combinations
 
 from .errors import BadParams, _scalars, int_in_range
 
-_MAX_NC_ORDER = 12
 _MAX_PRODUCT_ORDER = 8
+
+
+def _mul(p, q):
+    """p * q truncated to len(p) terms; q has at least as many."""
+    return [sum(p[i] * q[j - i] for i in range(j + 1)) for j in range(len(p))]
 
 
 def _ordered_products(moments, s, n):
@@ -30,21 +29,8 @@ def _ordered_products(moments, s, n):
     table = [1] + list(moments[:n])
     acc = table[: n + 1]
     for _ in range(s - 1):
-        acc = [sum(acc[i] * table[j - i] for i in range(j + 1)) for j in range(n + 1)]
+        acc = _mul(acc, table)
     return acc[n]
-
-
-def _moments_to_free_cumulants(moments):
-    """Free cumulants kappa_1..kappa_K from raw moments m_1..m_K."""
-    moments = list(moments)
-    kappa = []
-    for n in range(1, len(moments) + 1):
-        rest = sum(
-            kappa[s - 1] * _ordered_products(moments, s, n - s)
-            for s in range(1, n)
-        )
-        kappa.append(moments[n - 1] - rest)
-    return kappa
 
 
 def free_cumulants(m, order: int):
@@ -55,7 +41,15 @@ def free_cumulants(m, order: int):
     order = int_in_range("order", order, 1, 12)
     if len(m) < order + 1:
         raise BadParams("need moments up to the requested order")
-    return _moments_to_free_cumulants(m[1:order + 1])
+    moments = m[1:order + 1]
+    kappa = []
+    for n in range(1, order + 1):
+        rest = sum(
+            kappa[s - 1] * _ordered_products(moments, s, n - s)
+            for s in range(1, n)
+        )
+        kappa.append(moments[n - 1] - rest)
+    return kappa
 
 
 def free_cumulants_to_moments(cumulants):
@@ -73,83 +67,42 @@ def free_cumulants_to_moments(cumulants):
     return moments
 
 
-def _intervals(lo, hi):
-    """Noncrossing partitions of the integer interval [lo, hi]."""
-    if lo > hi:
-        return [()]
-    out = []
-    pool = range(lo + 1, hi + 1)
-    for k in range(hi - lo + 1):
-        for rest in combinations(pool, k):
-            block = (lo,) + rest
-            pieces = [[]]
-            bounds = list(block) + [hi + 1]
-            for i in range(len(block)):
-                gap = _intervals(bounds[i] + 1, bounds[i + 1] - 1)
-                pieces = [p + list(g) for p in pieces for g in gap]
-            out.extend(tuple([block] + p) for p in pieces)
+def _compose(f, x):
+    """f(x) truncated to len(x) terms, by Horner; x[0] must be 0."""
+    out = [0] * len(x)
+    for c in reversed(f[:len(x)]):
+        out = _mul(out, x)
+        out[0] += c
     return out
 
 
-@lru_cache(maxsize=None)
-def noncrossing_partitions(n):
-    """All noncrossing partitions of {1..n} as tuples of sorted blocks."""
-    parts = _intervals(1, int_in_range("n", n, 1, _MAX_NC_ORDER))
-    return tuple(tuple(sorted(p, key=min)) for p in parts)
-
-
-@lru_cache(maxsize=None)
-def _kreweras_table(n):
-    """Kr(pi) for every pi in NC(n), from the permutation form pi^{-1} gamma.
-
-    Reading each sorted block of pi as a cycle, the complement's blocks
-    are the cycles of x -> pi^{-1}(gamma(x)) with gamma = (1 2 ... n)
-    (Biane, Discrete Math. 1997).
-    """
-    table = {}
-    for pi in noncrossing_partitions(n):
-        pi_inv = [0] * (n + 1)
-        for blk in pi:
-            for prev, x in zip(blk[-1:] + blk[:-1], blk):
-                pi_inv[x] = prev
-        seen = [False] * (n + 1)
-        cycles = []
-        for start in range(1, n + 1):
-            if seen[start]:
-                continue
-            cycle = []
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                cycle.append(x)
-                x = pi_inv[x % n + 1]
-            cycles.append(tuple(sorted(cycle)))
-        table[pi] = tuple(cycles)
-    return table
+def _eta_over_w(m):
+    """R(w) = eta(w) / w = c / (1 + w c) to len(m) terms, where
+    c(w) = sum_k m_{k+1} w^k and 1 / (1 + t) is the alternating series."""
+    alternating = [(-1) ** k for k in range(len(m))]
+    return _mul(m, _compose(alternating, [0] + m[:-1]))
 
 
 def free_multiplicative_moments(moments_a, moments_b, order: int):
-    """Moments of the free product ab from the moments of a and b.
+    """Moments m_1..m_order of the free product ab from m_1..m_order of a
+    and of b; ``order`` must be 1..8.
 
-    Exact sum over NC(n) for each n up to the order, so the cost grows
-    with the Catalan numbers; the order is capped at 8 (C_8 = 1430).
+    Solves omega = z R_b(z R_a(omega)) on series truncated at z^order,
+    starting from omega = 0, and returns the coefficients of
+    psi_ab = psi_a o omega.  A change in omega at z^k moves the right-hand
+    side only from z^(k+2) on, so each pass fixes two more coefficients.
+    The result equals the noncrossing sum
+    m_n(ab) = sum_{pi in NC(n)} kappa_pi(a) m_{Kr(pi)}(b): exact on
+    Fraction input and valid for any means, zero included.
     """
     order = int_in_range("order", order, 1, _MAX_PRODUCT_ORDER)
-    ma = _scalars("moments_a", moments_a)
-    mb = _scalars("moments_b", moments_b)
+    ma = _scalars("moments_a", moments_a)[:order]
+    mb = _scalars("moments_b", moments_b)[:order]
     if len(ma) < order or len(mb) < order:
         raise BadParams("need at least `order` moments of each factor")
-    kappa_a = _moments_to_free_cumulants(ma[:order])
-    out = []
-    for n in range(1, order + 1):
-        table = _kreweras_table(n)
-        total = 0
-        for pi in noncrossing_partitions(n):
-            term = 1
-            for blk in pi:
-                term *= kappa_a[len(blk) - 1]
-            for blk in table[pi]:
-                term *= mb[len(blk) - 1]
-            total += term
-        out.append(total)
-    return out
+    ra, rb = _eta_over_w(ma), _eta_over_w(mb)
+    omega = [0] * (order + 1)
+    for _ in range((order + 1) // 2):
+        # z R_a(omega) is needed to z^(order-1), so omega to z^(order-2)
+        omega = [0] + _compose(rb, [0] + _compose(ra, omega[:order - 1]))
+    return _compose([0] + ma, omega)[1:]

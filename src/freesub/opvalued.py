@@ -106,6 +106,8 @@ class CovarianceMap:
         try:
             kraus = tuple([[complex(re, im) for re, im in row] for row in k]
                           for k in d["kraus"])
+        except KeyError:
+            raise BadParams("a covariance map needs a kraus list") from None
         except (TypeError, ValueError):
             raise BadParams("kraus entries must be [re, im] pairs") from None
         cm = cls(kraus)

@@ -199,6 +199,8 @@ def test_unread_flags_and_fields_exit_2(tmp_path, capsys, argv, cfg):
      {"c0": [[0.1, None], [0.0, 0.1]]}),
     (["verify", "thm36", "--N", "2", "--trials", "1"],
      {"c0": [[0.1, [0.0, 0.2, 0.3]], [0.0, 0.1]]}),
+    # a covariance map with no kraus key
+    (["verify", "thm31_block", "--N", "8", "--trials", "1"], {"eta_x": {}}),
 ])
 def test_rejected_sizes_and_values_exit_2(tmp_path, capsys, argv, cfg):
     argv = argv + ["--config", write_cfg(tmp_path / "cfg.json", cfg),

@@ -1,19 +1,17 @@
-"""Exact combinatorics: noncrossing partitions, Kreweras, moment transforms."""
+"""Moment transforms, checked exactly against brute-force noncrossing sums."""
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
 
 from freesub import BadParams
 from freesub.cumulants import (
-    _kreweras_table,
     free_cumulants,
     free_cumulants_to_moments,
     free_multiplicative_moments,
-    noncrossing_partitions,
 )
 
 
@@ -42,61 +40,35 @@ def is_noncrossing(pi):
     return True
 
 
-def canon(pi):
-    return tuple(sorted((tuple(sorted(b)) for b in pi), key=min))
+def noncrossing(n):
+    """NC(n), filtered out of all set partitions by the crossing test."""
+    return [pi for pi in all_partitions(n) if is_noncrossing(pi)]
 
 
-def test_noncrossing_counts_are_catalan():
-    for n in range(1, 9):
-        parts = noncrossing_partitions(n)
-        assert len(parts) == comb(2 * n, n) // (n + 1)
-        assert len(set(canon(p) for p in parts)) == len(parts)
+def kreweras(pi, n):
+    """Kr(pi): on the even slots 2i it interleaves with pi on the odd slots
+    2i - 1 without crossing, and has the fewest blocks that allows."""
+    odd = [tuple(2 * x - 1 for x in blk) for blk in pi]
+    fits = [sigma for sigma in noncrossing(n) if is_noncrossing(
+        odd + [tuple(2 * x for x in blk) for blk in sigma])]
+    fewest = min(len(sigma) for sigma in fits)
+    (sigma,) = [s for s in fits if len(s) == fewest]  # it is unique
+    assert len(pi) + len(sigma) == n + 1
+    return sigma
 
 
-def test_noncrossing_matches_bruteforce_filter():
-    # independent enumeration: filter all set partitions by the crossing test
-    for n in range(1, 6):
-        brute = {canon(p) for p in all_partitions(n) if is_noncrossing(p)}
-        assert {canon(p) for p in noncrossing_partitions(n)} == brute
+def over_blocks(seq, pi):
+    """prod over the blocks of pi of seq[|block| - 1]."""
+    return prod(seq[len(blk) - 1] for blk in pi)
 
 
-def test_noncrossing_order_cap():
-    with pytest.raises(ValueError):
-        noncrossing_partitions(0)
-    with pytest.raises(ValueError):
-        noncrossing_partitions(13)
-
-
-def test_kreweras_block_count_identity():
-    # |pi| + |Kr(pi)| = n + 1 on all of NC(n)
-    for n in range(1, 9):
-        for pi in noncrossing_partitions(n):
-            assert len(pi) + len(_kreweras_table(n)[pi]) == n + 1
-
-
-def test_kreweras_matches_definition():
-    # Kr(pi) on the even slots 2i interleaves with pi on the odd slots
-    # 2i - 1 without crossing, and has the most blocks that allows
-    for n in range(1, 8):
-        for pi in noncrossing_partitions(n):
-            sigma = _kreweras_table(n)[pi]
-            assert sorted(x for blk in sigma for x in blk) == list(range(1, n + 1))
-            assert len(pi) + len(sigma) == n + 1
-            union = ([tuple(2 * x - 1 for x in blk) for blk in pi]
-                     + [tuple(2 * x for x in blk) for blk in sigma])
-            assert is_noncrossing(union)
-
-
-def test_kreweras_known_values_n4():
-    cases = {
-        ((1, 2, 3, 4),): (((1,), (2,), (3,), (4,))),
-        ((1,), (2,), (3,), (4,)): (((1, 2, 3, 4),)),
-        ((1, 4), (2, 3)): (((1, 3), (2,), (4,))),
-        ((1, 2), (3, 4)): (((1,), (2, 4), (3,))),
-        ((1, 3), (2,), (4,)): (((1, 2), (3, 4))),
-    }
-    for pi, sigma in cases.items():
-        assert canon(_kreweras_table(4)[pi]) == canon(sigma)
+def nc_cumulants(moments):
+    """Free cumulants solved from m_n = sum over NC(n) of kappa_pi."""
+    kappa = []
+    for n in range(1, len(moments) + 1):
+        rest = sum(over_blocks(kappa, pi) for pi in noncrossing(n) if len(pi) > 1)
+        kappa.append(moments[n - 1] - rest)
+    return kappa
 
 
 def test_semicircle_cumulants_exact():
@@ -119,7 +91,7 @@ def test_free_poisson_cumulants_exact():
     m = free_cumulants_to_moments([lam] * 6)
     # m_n = sum_pi lam^{|pi|}, graded by Narayana numbers
     for n in range(1, 7):
-        narayana = sum(lam ** len(pi) for pi in noncrossing_partitions(n))
+        narayana = sum(lam ** len(pi) for pi in noncrossing(n))
         assert m[n - 1] == narayana
 
 
@@ -137,13 +109,31 @@ def test_cumulants_via_partition_sum():
     kappa = [Fraction(2), Fraction(-1), Fraction(1, 3), Fraction(5), Fraction(0), Fraction(7)]
     moments = free_cumulants_to_moments(kappa)
     for n in range(1, 7):
-        total = Fraction(0)
-        for pi in noncrossing_partitions(n):
-            term = Fraction(1)
-            for blk in pi:
-                term *= kappa[len(blk) - 1]
-            total += term
-        assert moments[n - 1] == total
+        assert moments[n - 1] == sum(over_blocks(kappa, pi) for pi in noncrossing(n))
+
+
+def test_multiplicative_moments_match_noncrossing_sum():
+    # m_n(ab) = sum over NC(n) of kappa_pi(a) m_{Kr(pi)}(b), brute force
+    cases = [
+        ([Fraction(2), Fraction(5), Fraction(-1, 3), Fraction(7), Fraction(1, 2)],
+         [Fraction(-3, 2), Fraction(4), Fraction(0), Fraction(9, 5), Fraction(-2)]),
+        ([Fraction(0), Fraction(3), Fraction(1, 7), Fraction(-4), Fraction(5, 3)],
+         [Fraction(1, 2), Fraction(-1), Fraction(6), Fraction(2, 3), Fraction(8)]),
+        ([Fraction(4, 3), Fraction(1, 5), Fraction(2), Fraction(-6), Fraction(1)],
+         [Fraction(0), Fraction(2), Fraction(-5, 4), Fraction(3), Fraction(0)]),
+    ]
+    for ma, mb in cases:
+        kappa_a = nc_cumulants(ma)
+        want = [sum(over_blocks(kappa_a, pi) * over_blocks(mb, kreweras(pi, n))
+                    for pi in noncrossing(n)) for n in range(1, 6)]
+        assert free_multiplicative_moments(ma, mb, 5) == want
+
+
+def test_multiplicative_moments_fuss_catalan():
+    # two free Poisson(1) laws: Catalan moments, product moments C(3n, n)/(2n+1)
+    catalan = [comb(2 * n, n) // (n + 1) for n in range(1, 9)]
+    got = free_multiplicative_moments(catalan, catalan, 8)
+    assert got == [comb(3 * n, n) // (2 * n + 1) for n in range(1, 9)]
 
 
 def test_multiplicative_moments_against_scalar_scaling():

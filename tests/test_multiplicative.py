@@ -144,18 +144,25 @@ def test_mult_convolve_rotations_compose():
     assert max(conv.certificates) <= 1e-10
 
 
+# 1-5 circle atoms as (angle, unnormalised weight)
+ATOMS = st.lists(st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.01, 1.0)),
+                 min_size=1, max_size=5)
+
+
+def normalised(atoms):
+    total = sum(w for _, w in atoms)
+    return circle_atoms([(a, w / total) for a, w in atoms])
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.01, 1.0)),
-                min_size=1, max_size=5))
+@given(ATOMS)
 def test_mult_convolve_haar_absorbs(atoms):
     # Haar x nu is Haar, so every moment is exactly 0.  What remains is
     # rounding: K over 2048 equal-weight nodes cancels to zero, and the
     # radius^-k of the Fourier read-out amplifies it with the order.  The
     # bounds are 4-6x the worst seen over 4,800 such draws: 2.4e-15 up to
     # order 6, 1.9e-12 up to order 16 and 4.6e-10 for the certificates
-    total = sum(w for _, w in atoms)
-    nu = circle_atoms([(a, w / total) for a, w in atoms])
-    conv = free_mult_convolve_unitary(haar_circle(), nu, order=16)
+    conv = free_mult_convolve_unitary(haar_circle(), normalised(atoms), order=16)
     moments = np.abs(conv.moments)
     assert moments[:6].max() <= 1e-14
     assert moments.max() <= 1e-11
@@ -177,15 +184,19 @@ def test_mult_convolve_first_moment_factorizes():
     assert abs(conv.moments[0] - mu.moment(1) * nu.moment(1)) <= 1e-12
 
 
-def test_mult_convolve_matches_combinatorics():
-    # independent check: noncrossing moment formula on the same moments
-    mu = circle_atoms([(0.4, 0.6), (-0.9, 0.4)])
-    nu = circle_atoms([(1.7, 0.5), (0.2, 0.3), (-2.5, 0.2)])
-    conv = free_mult_convolve_unitary(mu, nu, order=6)
-    ma = [mu.moment(k) for k in range(1, 7)]
-    mb = [nu.moment(k) for k in range(1, 7)]
-    want = free_multiplicative_moments(ma, mb, 6)
-    assert np.max(np.abs(np.array(conv.moments) - want)) <= 1e-9
+@settings(max_examples=25, deadline=None)
+@given(ATOMS, ATOMS)
+def test_mult_convolve_matches_combinatorics(left, right):
+    # independent check: the same moments from the truncated power series
+    # of free_multiplicative_moments.  The bound is 6x the worst gap seen
+    # at order 8, 1.6e-14, over 10,300 seeded uniform draws of these atoms
+    # and 3,000 Hypothesis draws
+    mu, nu = normalised(left), normalised(right)
+    conv = free_mult_convolve_unitary(mu, nu, order=8)
+    ma = [mu.moment(k) for k in range(1, 9)]
+    mb = [nu.moment(k) for k in range(1, 9)]
+    want = free_multiplicative_moments(ma, mb, 8)
+    assert np.max(np.abs(np.array(conv.moments) - want)) <= 1e-13
 
 
 def test_mult_convolve_associates_with_rotation():

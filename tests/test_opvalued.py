@@ -73,11 +73,14 @@ def test_covariance_validation():
 
 
 @pytest.mark.parametrize("kraus", [[[["a", 1.0]]], [[[1.0]]], 5, [[1.0]],
-                                   [[[[1.0, 0.0], [2.0, 0.0]], [[1.0, 0.0]]]]])
+                                   [[[[1.0, 0.0], [2.0, 0.0]], [[1.0, 0.0]]]],
+                                   pytest.param(None, id="no kraus")])
 def test_covariance_from_dict_rejects_malformed_kraus(kraus):
-    # a malformed entry once raised a builtin ValueError or TypeError
+    # a malformed entry once raised a builtin ValueError or TypeError, and
+    # a dict with no kraus key a builtin KeyError
+    d = {"n": 2} if kraus is None else {"n": 2, "kraus": kraus}
     with pytest.raises(BadParams, match="kraus"):
-        CovarianceMap.from_dict({"n": 2, "kraus": kraus})
+        CovarianceMap.from_dict(d)
 
 
 def test_covariance_serialization_roundtrip():
